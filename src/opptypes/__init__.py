@@ -23,6 +23,6 @@ from .search import bounded_inhabit, iter_inhabitants
 from .syntax import (Ann, App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp,
                      Pair, Pi, Prod, Proj1, Proj2, Sigma, Split, Sum,
                      TermExpr, TypeExpr, Var, alpha_eq, free_vars,
-                     normalize_term, subst_term, subst_type)
+                     normalize_term, subst, subst_term, subst_type)
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@
 
 The one-shot subcommands are syntactic: they need no declarations and read
 their operands from the arguments or, when omitted, from standard input.
-Exit status: 0 all directives ok, 1 some directive failed, 2 syntax or
+Exit status: 0 all directives ok, 1 some directive failed (or a one-shot
+operand was rejected, or input was nested too deeply to read), 2 syntax or
 usage error.
 """
 
@@ -19,10 +20,11 @@ import sys
 
 from .duality import dual, onf
 from .errors import ParseError, TypeTheoryError
+from .kernel import type_equal
 from .logic import formula_nnf
 from .parser import parse, parse_formula, parse_type
 from .printer import formula_str, type_str
-from .runner import report_json, report_text, run
+from .runner import DEEP_INPUT, report_json, report_text, run
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -100,7 +102,7 @@ def main(argv=None) -> int:
         if args.command == "equal":
             left_src, right_src = _operand(args.types, count=2)
             left, right = parse_type(left_src), parse_type(right_src)
-            if _alpha(onf(left), onf(right)):
+            if type_equal(None, left, right):
                 print("equal")
                 return 0
             print(f"not equal: {type_str(onf(left))} vs "
@@ -117,12 +119,10 @@ def main(argv=None) -> int:
     except TypeTheoryError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print(f"error: {DEEP_INPUT}", file=sys.stderr)
+        return 1
     raise AssertionError("unreachable")
-
-
-def _alpha(a, b) -> bool:
-    from .syntax import alpha_eq
-    return alpha_eq(a, b)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .errors import (IllFormedContext, IllFormedType, NonInferableTerm,
 from .syntax import (Ann, App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp,
                      Pair, Pi, Prod, Proj1, Proj2, Sigma, Split, Sum,
                      TermExpr, TypeExpr, Var, all_names, alpha_eq, free_vars,
-                     fresh_name, normalize_term, subst_term, subst_type)
+                     fresh_name, normalize_term, subst, subst_type)
 
 
 class Universe(enum.Enum):
@@ -218,10 +218,7 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
         premises = []
         inst = {}
         for (tvar, sort), arg in zip(decl.telescope, A.args):
-            expected = sort
-            for v, value in inst.items():
-                expected = subst_type(expected, v, value)
-            premises.append(check(ctx, arg, expected))
+            premises.append(check(ctx, arg, subst(sort, inst)))
             inst[tvar] = arg
         rule = "atom-form" if decl.universe is u else "atom-form-lift"
         return Derivation(rule, conc, tuple(premises))
@@ -249,8 +246,8 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
         return Derivation("sum-form", conc, (d1, d2))
     if isinstance(A, (Pi, Sigma)):
         d1 = check_formation(ctx, A.gen, U0)
-        ctx2, _, body = _open(ctx, A.var, A.gen, A.body)
-        d2 = check_formation(ctx2, body, U0)
+        (var,), (body,) = _open(ctx, (A.var,), [(A.body, (A.var,))], [A.gen])
+        d2 = check_formation(ctx.extended(TermDecl(var, A.gen)), body, U0)
         rule = "pi-form" if isinstance(A, Pi) else "sigma-form"
         return Derivation(rule, conc, (d1, d2))
     if isinstance(A, Opp):
@@ -259,17 +256,45 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
     raise IllFormedType(f"not a type: {A!r}")
 
 
-def _open(ctx: Context, var: str, ty: TypeExpr, body):
-    """Extend ctx with var : ty, renaming the binder if the name is taken."""
-    if var in ctx.names:
-        avoid = ctx.names | all_names(body) | all_names(ty)
-        fresh = fresh_name(var, avoid)
-        if isinstance(body, TermExpr):
-            body = subst_term(body, var, Var(fresh))
-        else:
-            body = subst_type(body, var, Var(fresh))
-        var = fresh
-    return ctx.extended(TermDecl(var, ty)), var, body
+def _open(ctx: Context, hints, scopes, near):
+    """Name a group of binders apart from ctx and rename their scopes.
+
+    hints are the binders' preferred names, in binding order.  Each scope
+    is a (body, vars) pair: vars gives, binder by binder, the name body
+    uses for it, or None where the binder does not scope over body.  A
+    hint is kept unless ctx declares it, an earlier binder of the group
+    took it, or a scope has it free other than as one of the group.  It
+    is then replaced by the first of hint, hint1, hint2, ... that is
+    outside ctx, the group's other names, and every name in the scopes and
+    in the expressions near.  Each scope is renamed with one simultaneous
+    subst, so of repeated binders the last is the one its body sees.
+    Returns the names and the renamed bodies.
+    """
+    taken = ctx.names
+    names = []
+    avoid = None
+    for hint in hints:
+        clash = hint in taken or hint in names
+        for body, vs in scopes:
+            if clash:
+                break
+            clash = hint not in vs and hint in free_vars(body)
+        if clash:
+            if avoid is None:
+                exprs = [body for body, _ in scopes] + list(near)
+                avoid = taken.union(*map(all_names, exprs))
+            later = hints[len(names) + 1:]
+            hint = fresh_name(hint, avoid.union(names, later))
+        names.append(hint)
+    names = tuple(names)
+    bodies = []
+    for body, vs in scopes:
+        if vs != names:
+            ren = dict(zip(vs, names))
+            body = subst(body, {v: Var(n) for v, n in ren.items()
+                                if v is not None and v != n})
+        bodies.append(body)
+    return names, bodies
 
 
 # ---------------------------------------------------------------------------
@@ -307,40 +332,47 @@ def equivalent(ctx: Optional[Context], A: TypeExpr, B: TypeExpr) -> bool:
     return _equiv(onf(A), onf(B))
 
 
-def _pair_components(T: TypeExpr, fst_term: TermExpr):
-    """First and second component types of a pair-like normal form.
+def _halves(T: TypeExpr):
+    """(first, var, second) of a function- or pair-like normal form.
 
-    The second component may depend on the first projection of the
-    inhabitant, which callers pass in as fst_term.
+    first is the domain or first component type, second the codomain or
+    second component type, in which var (None for the non-dependent
+    constructors) stands for the argument or the first projection.
     """
+    if isinstance(T, Fun):
+        return T.dom, None, T.cod
     if isinstance(T, Prod):
-        return T.left, T.right
+        return T.left, None, T.right
     if isinstance(T, CoFun):
-        return _neg(T.dom), T.cod
-    if isinstance(T, Sigma):
-        return T.gen, onf(subst_type(T.body, T.var, fst_term))
-    raise AssertionError(f"not pair-like: {T!r}")
+        return _neg(T.dom), None, T.cod
+    if isinstance(T, (Pi, Sigma)):
+        return T.gen, T.var, T.body
+    raise AssertionError(f"not function- or pair-like: {T!r}")
+
+
+def _components(T: TypeExpr, term: TermExpr):
+    """First and second half of T (see _halves), with term for var."""
+    first, var, second = _halves(T)
+    if var is not None:
+        second = onf(subst_type(second, var, term))
+    return first, second
 
 
 def _equiv(X: TypeExpr, Y: TypeExpr) -> bool:
     if alpha_eq(X, Y):
         return True
-    pairlike = (Prod, CoFun, Sigma)
-    funlike = (Fun, Pi)
-    if isinstance(X, pairlike) and isinstance(Y, pairlike):
-        z = fresh_name("z", all_names(X) | all_names(Y))
-        x1, x2 = _pair_components(X, Var(z))
-        y1, y2 = _pair_components(Y, Var(z))
-        return _equiv(x1, y1) and _equiv(x2, y2)
-    if isinstance(X, funlike) and isinstance(Y, funlike):
-        z = fresh_name("z", all_names(X) | all_names(Y))
-        xd = X.dom if isinstance(X, Fun) else X.gen
-        yd = Y.dom if isinstance(Y, Fun) else Y.gen
-        xc = X.cod if isinstance(X, Fun) else subst_type(X.body, X.var, Var(z))
-        yc = Y.cod if isinstance(Y, Fun) else subst_type(Y.body, Y.var, Var(z))
-        return _equiv(xd, yd) and _equiv(xc, yc)
     if isinstance(X, Sum) and isinstance(Y, Sum):
         return _equiv(X.left, Y.left) and _equiv(X.right, Y.right)
+    for family in ((Fun, Pi), (Prod, CoFun, Sigma)):
+        if isinstance(X, family) and isinstance(Y, family):
+            x1, xv, x2 = _halves(X)
+            y1, yv, y2 = _halves(Y)
+            if not _equiv(x1, y1):
+                return False
+            if xv or yv:
+                _, (x2, y2) = _open(EMPTY, (xv or yv,),
+                                    [(x2, (xv,)), (y2, (yv,))], [])
+            return _equiv(x2, y2)
     return False
 
 
@@ -359,21 +391,21 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
     conc = Typing(ctx, t, A)
 
     if isinstance(t, Lam):
-        if isinstance(goal, Fun):
-            _require_domain(ctx, t.dom, goal.dom)
-            ctx2, _, body = _open(ctx, t.var, goal.dom, t.body)
-            return Derivation("fun-intro", conc, (check(ctx2, body, goal.cod),))
-        if isinstance(goal, Pi):
-            _require_domain(ctx, t.dom, goal.gen)
-            ctx2, var, body = _open(ctx, t.var, goal.gen, t.body)
-            body_type = onf(subst_type(goal.body, goal.var, Var(var)))
-            return Derivation("pi-intro", conc, (check(ctx2, body, body_type),))
-        raise TypeMismatch(
-            f"a lambda cannot have type {goal}", expected=goal, actual=None)
+        if not isinstance(goal, (Fun, Pi)):
+            raise TypeMismatch(
+                f"a lambda cannot have type {goal}", expected=goal, actual=None)
+        dom, gvar, cod = _halves(goal)
+        _require_domain(ctx, t.dom, dom)
+        (var,), (body,) = _open(ctx, (t.var,), ((t.body, (t.var,)),), (dom,))
+        if gvar is not None:
+            cod = onf(subst_type(cod, gvar, Var(var)))
+        rule = "fun-intro" if gvar is None else "pi-intro"
+        return Derivation(
+            rule, conc, (check(ctx.extended(TermDecl(var, dom)), body, cod),))
 
     if isinstance(t, Pair):
         if isinstance(goal, (Prod, CoFun, Sigma)):
-            c1, c2 = _pair_components(goal, t.fst)
+            c1, c2 = _components(goal, t.fst)
             rule = {Prod: "prod-intro", CoFun: "cofun-intro",
                     Sigma: "sigma-intro"}[type(goal)]
             d1 = check(ctx, t.fst, c1)
@@ -398,27 +430,13 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
             f"a right injection cannot have type {goal}",
             expected=goal, actual=None)
 
-    if isinstance(t, Case):
-        styp, dscrut = _infer(ctx, t.scrut)
-        if not isinstance(styp, Sum):
-            raise TypeMismatch(
-                f"case scrutinee must have a sum-shaped type, got {styp}",
-                expected=None, actual=styp)
-        ctxl, _, lbranch = _open(ctx, t.lvar, styp.left, t.lbranch)
-        dl = check(ctxl, lbranch, goal)
-        ctxr, _, rbranch = _open(ctx, t.rvar, styp.right, t.rbranch)
-        dr = check(ctxr, rbranch, goal)
-        return Derivation("sum-elim", conc, (dscrut, dl, dr))
-
-    if isinstance(t, Split):
-        styp, dscrut = _infer(ctx, t.scrut)
-        if not isinstance(styp, Sigma):
-            raise TypeMismatch(
-                f"split scrutinee must have a dependent-pair-shaped type, "
-                f"got {styp}", expected=None, actual=styp)
-        ctx2, v1, v2, body = _open_split(ctx, t, styp)
-        db = check(ctx2, body, goal)
-        return Derivation("sigma-elim", conc, (dscrut, db))
+    if isinstance(t, (Case, Split)):
+        dscrut, branches = _open_elim(ctx, t)
+        premises = [dscrut]
+        for ctx2, _, (body,) in branches:
+            premises.append(check(ctx2, body, goal))
+        rule = "sum-elim" if isinstance(t, Case) else "sigma-elim"
+        return Derivation(rule, conc, tuple(premises))
 
     if isinstance(t, Ann):
         df = check_formation(ctx, t.type, U0)
@@ -445,22 +463,41 @@ def _require_domain(ctx: Context, annotated: TypeExpr, expected: TypeExpr):
             expected=expected, actual=onf(annotated))
 
 
-def _open_split(ctx: Context, t: Split, styp: Sigma):
-    """Open the two binders of a split against the components of styp."""
-    avoid = ctx.names | all_names(t.body) | all_names(styp)
-    v1, v2, body = t.var1, t.var2, t.body
-    if v1 in ctx.names:
-        nv1 = fresh_name(v1, avoid | {v2})
-        body = subst_term(body, v1, Var(nv1))
-        v1 = nv1
-    if v2 in ctx.names or v2 == v1:
-        nv2 = fresh_name(v2, avoid | {v1})
-        body = subst_term(body, v2, Var(nv2))
-        v2 = nv2
-    ctx2 = ctx.extended(TermDecl(v1, styp.gen))
-    snd_type = onf(subst_type(styp.body, styp.var, Var(v1)))
-    ctx2 = ctx2.extended(TermDecl(v2, snd_type))
-    return ctx2, v1, v2, body
+def _open_elim(ctx: Context, t: Union[Case, Split]):
+    """Derivation of a case or split scrutinee, and t's opened branches."""
+    styp, dscrut = _infer(ctx, t.scrut)
+    if isinstance(t, Case) and not isinstance(styp, Sum):
+        raise TypeMismatch(
+            f"case scrutinee must have a sum-shaped type, got {styp}",
+            expected=None, actual=styp)
+    if isinstance(t, Split) and not isinstance(styp, Sigma):
+        raise TypeMismatch(
+            f"split scrutinee must have a dependent-pair-shaped type, "
+            f"got {styp}", expected=None, actual=styp)
+    return dscrut, _open_branches(ctx, styp, (t,))
+
+
+def _open_branches(ctx: Context, styp: TypeExpr, elims):
+    """Open the branches of case terms over a scrutinee of sum type styp,
+    or of split terms over one of dependent pair type styp.
+
+    The binders are named after the first term's.  Returns, per branch, the
+    context extended by its binders, their names, and each term's body.
+    """
+    if isinstance(elims[0], Case):
+        sides = ((styp.left, [(e.lbranch, (e.lvar,)) for e in elims]),
+                 (styp.right, [(e.rbranch, (e.rvar,)) for e in elims]))
+        branches = []
+        for ty, scopes in sides:
+            names, bodies = _open(ctx, scopes[0][1], scopes, [ty])
+            branches.append((ctx.extended(TermDecl(names[0], ty)),
+                             names, bodies))
+        return branches
+    scopes = [(e.body, (e.var1, e.var2)) for e in elims]
+    (v1, v2), bodies = _open(ctx, scopes[0][1], scopes, [styp])
+    snd = onf(subst_type(styp.body, styp.var, Var(v1)))
+    ctx2 = ctx.extended(TermDecl(v1, styp.gen)).extended(TermDecl(v2, snd))
+    return [(ctx2, (v1, v2), bodies)]
 
 
 def infer(ctx: Context, t: TermExpr) -> TypeExpr:
@@ -530,46 +567,32 @@ def _infer(ctx: Context, t: TermExpr):
             f"cannot project from a term of type {sty}",
             expected=None, actual=sty)
 
-    if isinstance(t, Case):
-        styp, dscrut = _infer(ctx, t.scrut)
-        if not isinstance(styp, Sum):
-            raise TypeMismatch(
-                f"case scrutinee must have a sum-shaped type, got {styp}",
-                expected=None, actual=styp)
-        ctxl, lvar, lbranch = _open(ctx, t.lvar, styp.left, t.lbranch)
-        lty, dl = _infer(ctxl, lbranch)
-        ctxr, rvar, rbranch = _open(ctx, t.rvar, styp.right, t.rbranch)
-        rty, dr = _infer(ctxr, rbranch)
-        if lvar in free_vars(lty) or rvar in free_vars(rty):
+    if isinstance(t, (Case, Split)):
+        dscrut, branches = _open_elim(ctx, t)
+        types, premises, escaped = [], [dscrut], False
+        for ctx2, names, (body,) in branches:
+            ty, d = _infer(ctx2, body)
+            types.append(ty)
+            premises.append(d)
+            escaped = escaped or not free_vars(ty).isdisjoint(names)
+        if escaped:
             raise NonInferableTerm(
                 "case branch type mentions its bound variable; "
-                "annotate the case expression")
-        if not _type_equal(lty, rty):
-            raise TypeMismatch(
-                f"case branches have different types: {lty} vs {rty}",
-                expected=lty, actual=rty)
-        return lty, Derivation(
-            "sum-elim", Typing(ctx, t, lty), (dscrut, dl, dr))
-
-    if isinstance(t, Split):
-        styp, dscrut = _infer(ctx, t.scrut)
-        if not isinstance(styp, Sigma):
-            raise TypeMismatch(
-                f"split scrutinee must have a dependent-pair-shaped type, "
-                f"got {styp}", expected=None, actual=styp)
-        ctx2, v1, v2, body = _open_split(ctx, t, styp)
-        bty, db = _infer(ctx2, body)
-        if v1 in free_vars(bty) or v2 in free_vars(bty):
-            raise NonInferableTerm(
+                "annotate the case expression" if isinstance(t, Case) else
                 "split body type mentions a bound variable; "
                 "annotate the split expression")
-        return bty, Derivation("sigma-elim", Typing(ctx, t, bty),
-                               (dscrut, db))
+        ty = types[0]
+        if len(types) == 2 and not _type_equal(ty, types[1]):
+            raise TypeMismatch(
+                f"case branches have different types: {ty} vs {types[1]}",
+                expected=ty, actual=types[1])
+        rule = "sum-elim" if isinstance(t, Case) else "sigma-elim"
+        return ty, Derivation(rule, Typing(ctx, t, ty), tuple(premises))
 
     if isinstance(t, Lam):
         df = check_formation(ctx, t.dom, U0)
-        ctx2, var, body = _open(ctx, t.var, t.dom, t.body)
-        bty, db = _infer(ctx2, body)
+        (var,), (body,) = _open(ctx, (t.var,), [(t.body, (t.var,))], [t.dom])
+        bty, db = _infer(ctx.extended(TermDecl(var, t.dom)), body)
         dom = onf(t.dom)
         if var in free_vars(bty):
             res: TypeExpr = Pi(var, dom, bty)
@@ -619,17 +642,15 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
         return True
 
     if isinstance(T, (Fun, Pi)):
-        avoid = ctx.names | all_names(t) | all_names(u) | all_names(T)
-        z = fresh_name("z", avoid)
-        dom = T.dom if isinstance(T, Fun) else T.gen
-        cod = (T.cod if isinstance(T, Fun)
-               else onf(subst_type(T.body, T.var, Var(z))))
+        # t and u are well scoped in ctx, so a name outside ctx is fresh
+        dom, var, cod = _halves(T)
+        (z,), (cod,) = _open(ctx, (var or "z",), [(cod, (var,))], [])
         ctx2 = ctx.extended(TermDecl(z, dom))
         return _teq(ctx2, _norm(App(t, Var(z))), _norm(App(u, Var(z))), cod)
 
     if isinstance(T, (Prod, CoFun, Sigma)):
         p1t, p1u = _norm(Proj1(t)), _norm(Proj1(u))
-        c1, c2 = _pair_components(T, p1t)
+        c1, c2 = _components(T, p1t)
         if not _teq(ctx, p1t, p1u, c1):
             return False
         return _teq(ctx, _norm(Proj2(t)), _norm(Proj2(u)), c2)
@@ -652,36 +673,14 @@ def _atomic_eq(ctx: Context, t: TermExpr, u: TermExpr,
     if type(t) is not type(u):
         return False
 
-    if isinstance(t, Case):
+    if isinstance(t, (Case, Split)):
         styp = _neutral_eq(ctx, t.scrut, u.scrut)
-        if not isinstance(styp, Sum):
+        if not isinstance(styp, Sum if isinstance(t, Case) else Sigma):
             return False
-        avoid = (ctx.names | all_names(t) | all_names(u))
-        zl = fresh_name("z", avoid)
-        tl = subst_term(t.lbranch, t.lvar, Var(zl))
-        ul = subst_term(u.lbranch, u.lvar, Var(zl))
-        if not _teq(ctx.extended(TermDecl(zl, styp.left)), tl, ul, goal):
-            return False
-        zr = fresh_name("z", avoid | {zl})
-        tr = subst_term(t.rbranch, t.rvar, Var(zr))
-        ur = subst_term(u.rbranch, u.rvar, Var(zr))
-        return _teq(ctx.extended(TermDecl(zr, styp.right)), tr, ur, goal)
-
-    if isinstance(t, Split):
-        styp = _neutral_eq(ctx, t.scrut, u.scrut)
-        if not isinstance(styp, Sigma):
-            return False
-        avoid = ctx.names | all_names(t) | all_names(u)
-        z1 = fresh_name("z", avoid)
-        z2 = fresh_name("z", avoid | {z1})
-        tb = subst_term(subst_term(t.body, t.var1, Var(z1)),
-                        t.var2, Var(z2))
-        ub = subst_term(subst_term(u.body, u.var1, Var(z1)),
-                        u.var2, Var(z2))
-        ctx2 = ctx.extended(TermDecl(z1, styp.gen))
-        ctx2 = ctx2.extended(
-            TermDecl(z2, onf(subst_type(styp.body, styp.var, Var(z1)))))
-        return _teq(ctx2, tb, ub, goal)
+        for ctx2, _, (tb, ub) in _open_branches(ctx, styp, (t, u)):
+            if not _teq(ctx2, tb, ub, goal):
+                return False
+        return True
 
     return _neutral_eq(ctx, t, u) is not None
 
@@ -709,12 +708,12 @@ def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
     if isinstance(n, Proj1):
         sty = _neutral_eq(ctx, n.arg, m.arg)
         if isinstance(sty, (Prod, CoFun, Sigma)):
-            return _pair_components(sty, Proj1(n.arg))[0]
+            return _components(sty, Proj1(n.arg))[0]
         return None
     if isinstance(n, Proj2):
         sty = _neutral_eq(ctx, n.arg, m.arg)
         if isinstance(sty, (Prod, CoFun, Sigma)):
-            return _pair_components(sty, Proj1(n.arg))[1]
+            return _components(sty, Proj1(n.arg))[1]
         return None
     return None
 

@@ -2,7 +2,8 @@
 
 Directive errors are collected, never fatal; the report has one entry per
 directive, in order, and running the same bytes twice yields the same
-report, including every generated fresh name.
+report, including every generated fresh name.  Input nested too deeply
+for Python's recursion limit is one such error, reported as DEEP_INPUT.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .printer import context_str, formula_str, term_str, type_str
 from .search import bounded_inhabit
 from .syntax import Atom
 
+DEEP_INPUT = "RecursionError: input nested too deeply"
+
 
 def run(sc: s.Script) -> s.Report:
     """Execute a parsed script and collect one report entry per directive."""
@@ -31,6 +34,9 @@ def run(sc: s.Script) -> s.Report:
             ctx, payload, status = _execute(ctx, d)
         except TypeTheoryError as e:
             payload = f"{type(e).__name__}: {e}"
+            status = "error"
+        except RecursionError:
+            payload = DEEP_INPUT
             status = "error"
         entries.append(s.ReportEntry(status, kw, payload, d.span))
     return s.Report(tuple(entries))

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 from .duality import onf
 from .errors import DepthCapExceeded
-from .kernel import (Context, TermDecl, U0, _equiv, _pair_components,
+from .kernel import (Context, TermDecl, U0, _components, _equiv, _halves,
                      check_formation)
 from .syntax import (App, Case, CoFun, Fun, Inl, Inr, Lam, Pair, Pi, Prod,
                      Proj1, Proj2, Sigma, Sum, TermExpr, TypeExpr, Var,
@@ -61,9 +61,9 @@ def iter_inhabitants(ctx: Context, goal: TypeExpr,
         for body in iter_inhabitants(ctx2, body_type, depth - 1):
             yield Lam(x, goal.gen, body)
     elif isinstance(goal, (Prod, CoFun, Sigma)):
-        first_type, _ = _pair_components(goal, Var("_"))
+        first_type = _halves(goal)[0]
         for fst in iter_inhabitants(ctx, first_type, depth - 1):
-            _, snd_type = _pair_components(goal, fst)
+            _, snd_type = _components(goal, fst)
             for snd in iter_inhabitants(ctx, snd_type, depth - 1):
                 yield Pair(fst, snd)
     elif isinstance(goal, Sum):
@@ -91,7 +91,7 @@ def _eliminate(ctx: Context, head: TermExpr, head_type: TypeExpr,
             res = onf(subst_type(head_type.body, head_type.var, arg))
             yield from _eliminate(ctx, App(head, arg), res, goal, depth - 1)
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
-        c1, c2 = _pair_components(head_type, Proj1(head))
+        c1, c2 = _components(head_type, Proj1(head))
         yield from _eliminate(ctx, Proj1(head), c1, goal, depth - 1)
         yield from _eliminate(ctx, Proj2(head), c2, goal, depth - 1)
     elif isinstance(head_type, Sum):

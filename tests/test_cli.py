@@ -12,7 +12,7 @@ import opptypes.script as s
 from opptypes import (Atom, Fun, Opp, ParseError, Pi, Var, bounded_inhabit,
                       declare_term, parse, parse_term, parse_type, run,
                       script_str, term_str, DepthCapExceeded)
-from opptypes.runner import report_json, report_text
+from opptypes.runner import DEEP_INPUT, report_json, report_text
 
 from generators import rand_script, rand_term, rand_type, std_ctx
 
@@ -247,3 +247,56 @@ class TestCommandLine:
 
     def test_usage_error(self):
         assert _cli("frobnicate").returncode == 2
+
+
+# Reports pinned byte for byte: the expected text and JSON of each script
+# live next to it in tests/golden/.
+GOLDEN = {"golden": REPO / "scripts" / "golden.ptt",
+          "paraconsistency": REPO / "scripts" / "paraconsistency.ptt",
+          "renaming": REPO / "tests" / "golden" / "renaming.ptt"}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_report_is_byte_identical(self, name):
+        report = run(parse(GOLDEN[name].read_text(encoding="utf-8")))
+        pinned = REPO / "tests" / "golden"
+        assert report_text(report) == (pinned / f"{name}.txt").read_text(
+            encoding="utf-8")
+        assert report_json(report) == (pinned / f"{name}.json").read_text(
+            encoding="utf-8")
+
+    def test_cli_prints_the_pinned_json(self):
+        proc = _cli("check", str(GOLDEN["renaming"]), "--json")
+        assert proc.returncode == 1
+        assert proc.stdout == (REPO / "tests" / "golden" / "renaming.json"
+                               ).read_text(encoding="utf-8")
+
+    def test_fresh_names(self):
+        pinned = (REPO / "tests" / "golden" / "renaming.txt").read_text(
+            encoding="utf-8")
+        assert "infer: \\x:a. f x : Pi x1:a. p(x1)\n" in pinned
+        assert ("check: TypeMismatch: term v1 has type p(v), expected a\n"
+                in pinned)
+
+
+def _deep_opposite(depth):
+    ty = Atom("a")
+    for _ in range(depth):
+        ty = Opp(ty)
+    return ty
+
+
+class TestDeepInput:
+    def test_run_records_the_error_and_keeps_going(self):
+        sc = s.Script((s.AtomDecl("a"), s.OnfDirective(_deep_opposite(3000)),
+                       s.AtomDecl("b")))
+        report = run(sc)
+        assert [e.status for e in report.entries] == ["ok", "error", "ok"]
+        assert report.entries[1].payload == DEEP_INPUT
+
+    def test_oneshot_prints_one_line_and_exits_one(self):
+        proc = _cli("onf", "~" * 3000 + "a")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {DEEP_INPUT}\n"

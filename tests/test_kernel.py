@@ -169,6 +169,33 @@ class TestInfer:
         assert got == Prod(Opp(a), Opp(b))
 
 
+class TestSplitBinders:
+    """Regression tests: split binds both names at once, and of two equal
+    names the second one is the one the body sees."""
+
+    def test_capturing_names_in_a_type_argument(self):
+        # reducing the argument must give y: the binder y is not the pair's
+        ctx = declare_type_const(std_ctx(), "q", (("z1", a),))
+        for name, ty in (("y", "a"), ("w", "p(y)"), ("z", "q(y)")):
+            ctx = declare_term(ctx, name, parse_type(ty))
+        goal = parse_type("q(split (<y, w> : Sg u:a. p(u)) as (x, y) => x)")
+        check_formation(ctx, goal, U0)
+        check(ctx, Var("z"), goal)
+
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_repeated_binder_is_the_second_component(self, declared):
+        decls = [("s", "Sg u:a. p(u) * b")]
+        if declared:
+            decls.append(("v", "c"))
+        ctx = ctx_with(*decls)
+        check(ctx, parse_term("split s as (v, v) => p2 v"), b)
+        assert infer(ctx, parse_term("split s as (v, v) => p2 v")) == b
+        with pytest.raises(TypeMismatch):
+            check(ctx, parse_term("split s as (v, v) => v"), a)
+        with pytest.raises(NonInferableTerm):
+            infer(ctx, parse_term("split s as (v, v) => v"))
+
+
 class TestTypeEqual:
     def test_opp_fun_is_cofun(self):
         assert type_equal(std_ctx(), parse_type("~(a->b)"),

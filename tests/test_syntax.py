@@ -1,11 +1,15 @@
 """Binding, substitution, alpha-equality and reduction."""
 
+import dataclasses
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from opptypes import (Ann, App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp,
-                      Pair, Pi, Proj1, Proj2, Split, Var, alpha_eq,
-                      free_vars, normalize_term, subst_term, subst_type)
+from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Fun, Inl, Inr, Lam,
+                      Opp, Pair, Pi, Proj1, Proj2, Split, TermExpr, TypeExpr,
+                      Var, alpha_eq, check, declare_type_const, free_vars,
+                      normalize_term, subst, subst_term, subst_type)
+from opptypes.syntax import SCOPES
 
 from generators import terms, types
 
@@ -175,3 +179,60 @@ class TestNormalize:
 
     def test_annotation_erased(self):
         assert normalize_term(Ann(Var("u"), a)) == Var("u")
+
+
+class TestSimultaneousSubst:
+    def test_swap(self):
+        t = App(Var("x"), Var("y"))
+        out = subst(t, {"x": Var("y"), "y": Var("x")})
+        assert out == App(Var("y"), Var("x"))
+
+    def test_capture_by_either_replacement(self):
+        t = Lam("y", a, App(Var("x"), App(Var("z"), Var("y"))))
+        out = subst(t, {"x": Var("y"), "z": Var("w")})
+        assert out.var not in ("y", "w")
+        assert out.body == App(Var("y"), App(Var("w"), Var(out.var)))
+
+    def test_shadowing_drops_only_the_bound_variable(self):
+        t = Lam("x", a, App(Var("x"), Var("z")))
+        out = subst(t, {"x": Var("u"), "z": Var("w")})
+        assert out == Lam("x", a, App(Var("x"), Var("w")))
+
+    def test_split_reduction_substitutes_both_binders_at_once(self):
+        # the second binder is named like the first component
+        t = Split(Pair(Var("y"), Var("w")), "x", "y", Var("x"))
+        assert normalize_term(t) == Var("y")
+
+    def test_repeated_split_binder_is_the_second_component(self):
+        t = Split(Pair(Var("y"), Var("w")), "x", "x", Var("x"))
+        assert normalize_term(t) == Var("w")
+
+
+def _lambda_chain(n, body):
+    """n lambdas x0, ..., x{n-1} of domain a around body, and the type
+    a -> ... -> a with n arrows; built with loops, not recursion."""
+    t, T = body, a
+    for i in reversed(range(n)):
+        t = Lam(f"x{i}", a, t)
+        T = Fun(a, T)
+    return t, T
+
+
+def test_deep_lambda_chain():
+    t, T = _lambda_chain(800, Var("x0"))
+    check(declare_type_const(EMPTY, "a"), t, T)
+    assert free_vars(t) == frozenset()
+    open_chain, _ = _lambda_chain(800, App(Var("x0"), Var("y")))
+    out = subst_term(open_chain, "y", Var("z"))
+    assert free_vars(out) == {"z"}
+    assert alpha_eq(out, _lambda_chain(800, App(Var("x0"), Var("z")))[0])
+    assert not alpha_eq(out, open_chain)
+
+
+def test_scope_table_covers_every_node_class():
+    nodes = set(TypeExpr.__subclasses__()) | set(TermExpr.__subclasses__())
+    assert nodes == set(SCOPES) | {Atom, Var}
+    for cls, subtrees in SCOPES.items():
+        listed = [name for subtree in subtrees for name in subtree]
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert sorted(listed) == sorted(fields), cls
