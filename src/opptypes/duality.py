@@ -16,35 +16,25 @@ non-dependent constructors are special cases of the binders:
     Pi x:A. B  =  A -> B        when x is not free in B
     Sg x:A. B  =  B <~ ~A       when x is not free in B
 
-dual() exchanges each constructor with its partner and marks every atom
-with ~, leaving generating types and term arguments untouched; the round
-trip law  A = ~(dual A)  is checked by check_duality_principle.
+The six distribution identities are stated once, in the table DUALS.
+dual() and the normalizer's negation _neg() read it: both exchange each
+constructor with its partner and mark every atom with ~, leaving
+generating types and term arguments untouched, and they differ only at
+an ~ already present, which dual keeps and _neg cancels.  The round trip
+law  A = ~(dual A)  is checked by check_duality_principle.  Basis
+expansion writes a constructor the basis lacks as ~ of its dual, and
+logic.formula_nnf reads the same table through dual_plans.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+from operator import attrgetter
 
 from .errors import IllFormedType
-from .syntax import (Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum, TypeExpr,
-                     all_names, free_vars, normalize_term)
-
-
-def is_onf(A: TypeExpr) -> bool:
-    """True iff the opposite constructor is applied only to atoms in A."""
-    if isinstance(A, Atom):
-        return True
-    if isinstance(A, Opp):
-        return isinstance(A.inner, Atom)
-    if isinstance(A, Fun):
-        return is_onf(A.dom) and is_onf(A.cod)
-    if isinstance(A, CoFun):
-        return is_onf(A.cod) and is_onf(A.dom)
-    if isinstance(A, (Prod, Sum)):
-        return is_onf(A.left) and is_onf(A.right)
-    if isinstance(A, (Pi, Sigma)):
-        return is_onf(A.gen) and is_onf(A.body)
-    raise IllFormedType(f"not a type: {A!r}")
+from .syntax import (SCOPES, Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
+                     TypeExpr, all_names, free_vars, normalize_term)
 
 
 def onf(A: TypeExpr) -> TypeExpr:
@@ -80,27 +70,72 @@ def onf(A: TypeExpr) -> TypeExpr:
     raise IllFormedType(f"not a type: {A!r}")
 
 
+# ~ sends each binary constructor to its dual.  An entry gives the dual's
+# class and its fields in field order, each named by the field it takes
+# from the original and marked ~ where the opposite lands on it:
+# ~(A -> B) = ~B <~ ~A reads  Fun -> CoFun(~cod, ~dom).
+DUALS = {
+    Fun: (CoFun, "~cod", "~dom"),
+    CoFun: (Fun, "~dom", "~cod"),
+    Prod: (Sum, "~left", "~right"),
+    Sum: (Prod, "~left", "~right"),
+    Pi: (Sigma, "var", "gen", "~body"),
+    Sigma: (Pi, "var", "gen", "~body"),
+}
+
+
+def dual_plans(family) -> dict:
+    """DUALS read by position for classes shaped like the constructors.
+
+    family maps each class to the constructor whose fields its own match
+    position by position.  Returns, per class, (dual, get, binder): the
+    class of the family matching the dual constructor, a getter of the
+    class's fields in the dual's field order, and whether it is a binder,
+    whose last field alone is negated (otherwise both fields are).
+    """
+    member = {con: cls for cls, con in family.items()}
+    plans = {}
+    for cls, con in family.items():
+        dcon, *fields = DUALS[con]
+        mine = [f.name for f in dataclasses.fields(cls)]
+        theirs = [f.name for f in dataclasses.fields(con)]
+        negated = [f.startswith("~") for f in fields]
+        binder = negated == [False, False, True]
+        assert binder or negated == [True, True], con
+        src = [mine[theirs.index(f.lstrip("~"))] for f in fields]
+        plans[cls] = (member[dcon], attrgetter(*src), binder)
+    return plans
+
+
+_DUAL_PLANS = dual_plans({con: con for con in DUALS})
+
+
+def _opposite(A: TypeExpr, keep: bool) -> TypeExpr:
+    """A with every constructor exchanged for its dual (see DUALS) and
+    every atom marked with ~.  An ~ already in A is kept when keep is true
+    and cancelled otherwise, with the rest of its operand left alone.
+    """
+    cls = type(A)
+    if cls is Atom:
+        return Opp(A)
+    if cls is Opp:
+        return Opp(_opposite(A.inner, keep)) if keep else A.inner
+    plan = _DUAL_PLANS.get(cls)
+    if plan is None:
+        raise IllFormedType(f"not a type: {A!r}")
+    dcls, get, binder = plan
+    if binder:
+        var, gen, body = get(A)
+        return dcls(var, gen, _opposite(body, keep))
+    first, second = get(A)
+    return dcls(_opposite(first, keep), _opposite(second, keep))
+
+
 def _neg(N: TypeExpr) -> TypeExpr:
-    """Normal form of ~N for N already in normal form."""
-    if isinstance(N, Atom):
-        return Opp(N)
-    if isinstance(N, Opp):
-        return N.inner
-    if isinstance(N, Fun):
-        return CoFun(_neg(N.cod), _neg(N.dom))
-    if isinstance(N, CoFun):
-        return Fun(_neg(N.dom), _neg(N.cod))
-    if isinstance(N, Prod):
-        return Sum(_neg(N.left), _neg(N.right))
-    if isinstance(N, Sum):
-        return Prod(_neg(N.left), _neg(N.right))
-    # _neg keeps atom arguments intact, so the binder variable stays free
-    # in the negated body and no degeneracy check is needed here.
-    if isinstance(N, Pi):
-        return Sigma(N.var, N.gen, _neg(N.body))
-    if isinstance(N, Sigma):
-        return Pi(N.var, N.gen, _neg(N.body))
-    raise IllFormedType(f"not a type: {N!r}")
+    """Normal form of ~N for N already in normal form.  Atom arguments
+    stay intact, so a binder's variable stays free in the negated body and
+    no degenerate binder needs collapsing."""
+    return _opposite(N, False)
 
 
 def dual(A: TypeExpr) -> TypeExpr:
@@ -108,23 +143,7 @@ def dual(A: TypeExpr) -> TypeExpr:
     Pi with Sg, and mark every atom with ~.  Generating types and term
     arguments are left unchanged.
     """
-    if isinstance(A, Atom):
-        return Opp(A)
-    if isinstance(A, Fun):
-        return CoFun(dual(A.cod), dual(A.dom))
-    if isinstance(A, CoFun):
-        return Fun(dual(A.dom), dual(A.cod))
-    if isinstance(A, Prod):
-        return Sum(dual(A.left), dual(A.right))
-    if isinstance(A, Sum):
-        return Prod(dual(A.left), dual(A.right))
-    if isinstance(A, Pi):
-        return Sigma(A.var, A.gen, dual(A.body))
-    if isinstance(A, Sigma):
-        return Pi(A.var, A.gen, dual(A.body))
-    if isinstance(A, Opp):
-        return Opp(dual(A.inner))
-    raise IllFormedType(f"not a type: {A!r}")
+    return _opposite(A, True)
 
 
 def check_duality_principle(A: TypeExpr, ctx=None):
@@ -155,19 +174,12 @@ def check_duality_principle(A: TypeExpr, ctx=None):
 
 
 class Basis(enum.Enum):
-    """The four complete constructor sets (each taken together with ~)."""
-    PI_PROD = ("Pi", "*")
-    PI_SUM = ("Pi", "+")
-    SIGMA_PROD = ("Sg", "*")
-    SIGMA_SUM = ("Sg", "+")
-
-    @property
-    def has_pi(self) -> bool:
-        return self.value[0] == "Pi"
-
-    @property
-    def has_prod(self) -> bool:
-        return self.value[1] == "*"
+    """The four complete constructor sets, each named by the binder and
+    the pair constructor it keeps (and taken together with ~)."""
+    PI_PROD = (Pi, Prod)
+    PI_SUM = (Pi, Sum)
+    SIGMA_PROD = (Sigma, Prod)
+    SIGMA_SUM = (Sigma, Sum)
 
 
 BASIS_NAMES = {
@@ -184,10 +196,9 @@ def expand_in_basis(A: TypeExpr, basis: Basis) -> TypeExpr:
 
         A -> B     =>  Pi x:A. B            (x fresh)
         B <~ A     =>  Sg x:~A. B           (x fresh)
-        A * B      =>  ~(~A + ~B)           when the basis lacks *
-        A + B      =>  ~(~A * ~B)           when the basis lacks +
-        Pi x:A. B  =>  ~(Sg x:A. ~B)        when the basis lacks Pi
-        Sg x:A. B  =>  ~(Pi x:A. ~B)        when the basis lacks Sg
+
+    and a constructor the basis lacks becomes ~ of its dual (see DUALS),
+    e.g. A * B => ~(~A + ~B) and Pi x:A. B => ~(Sg x:A. ~B).
 
     Fresh binder names are drawn from a counter, so the expansion is
     reproducible byte for byte.
@@ -204,57 +215,60 @@ def expand_in_basis(A: TypeExpr, basis: Basis) -> TypeExpr:
                 return cand
 
     def go(T: TypeExpr) -> TypeExpr:
-        if isinstance(T, Atom):
+        cls = type(T)
+        if cls is Atom:
             return T
-        if isinstance(T, Opp):
+        if cls is Opp:
             return Opp(go(T.inner))
-        if isinstance(T, Fun):
-            return go(Pi(fresh(), T.dom, T.cod))
-        if isinstance(T, CoFun):
-            return go(Sigma(fresh(), Opp(T.dom), T.cod))
-        if isinstance(T, Prod):
-            left, right = go(T.left), go(T.right)
-            if basis.has_prod:
-                return Prod(left, right)
-            return Opp(Sum(Opp(left), Opp(right)))
-        if isinstance(T, Sum):
-            left, right = go(T.left), go(T.right)
-            if not basis.has_prod:
-                return Sum(left, right)
-            return Opp(Prod(Opp(left), Opp(right)))
-        if isinstance(T, Pi):
-            gen, body = go(T.gen), go(T.body)
-            if basis.has_pi:
-                return Pi(T.var, gen, body)
-            return Opp(Sigma(T.var, gen, Opp(body)))
-        if isinstance(T, Sigma):
-            gen, body = go(T.gen), go(T.body)
-            if not basis.has_pi:
-                return Sigma(T.var, gen, body)
-            return Opp(Pi(T.var, gen, Opp(body)))
-        raise IllFormedType(f"not a type: {T!r}")
+        if cls is Fun:
+            cls, fields = Pi, (fresh(), go(T.dom), go(T.cod))
+        elif cls is CoFun:
+            cls, fields = Sigma, (fresh(), Opp(go(T.dom)), go(T.cod))
+        elif cls is Pi or cls is Sigma:
+            fields = (T.var, go(T.gen), go(T.body))
+        elif cls is Prod or cls is Sum:
+            fields = (go(T.left), go(T.right))
+        else:
+            raise IllFormedType(f"not a type: {T!r}")
+        T = cls(*fields)
+        if cls in basis.value:
+            return T
+        dcls, get, binder = _DUAL_PLANS[cls]
+        if binder:
+            var, gen, body = get(T)
+            return Opp(dcls(var, gen, Opp(body)))
+        first, second = get(T)
+        return Opp(dcls(Opp(first), Opp(second)))
 
     return go(A)
 
 
+# the subtrees of each type node; an atom's arguments are terms and are
+# not visited
+_TYPE_SCOPES = {Atom: (), **{cls: subtrees for cls, subtrees in SCOPES.items()
+                             if issubclass(cls, TypeExpr)}}
+
+
+def _every_node(A: TypeExpr, holds) -> bool:
+    """True iff holds(T) for every type node T of A."""
+    subtrees = _TYPE_SCOPES.get(type(A))
+    if subtrees is None:
+        raise IllFormedType(f"not a type: {A!r}")
+    if not holds(A):
+        return False
+    for field, *_ in subtrees:
+        if not _every_node(getattr(A, field), holds):
+            return False
+    return True
+
+
+def is_onf(A: TypeExpr) -> bool:
+    """True iff the opposite constructor is applied only to atoms in A."""
+    return _every_node(A, lambda T: type(T) is not Opp
+                       or type(T.inner) is Atom)
+
+
 def uses_only_basis(A: TypeExpr, basis: Basis) -> bool:
     """True iff A mentions no constructor outside the basis (~ is free)."""
-    if isinstance(A, Atom):
-        return True
-    if isinstance(A, Opp):
-        return uses_only_basis(A.inner, basis)
-    if isinstance(A, Fun) or isinstance(A, CoFun):
-        return False
-    if isinstance(A, Prod):
-        return basis.has_prod and (uses_only_basis(A.left, basis)
-                                   and uses_only_basis(A.right, basis))
-    if isinstance(A, Sum):
-        return (not basis.has_prod) and (uses_only_basis(A.left, basis)
-                                         and uses_only_basis(A.right, basis))
-    if isinstance(A, Pi):
-        return basis.has_pi and (uses_only_basis(A.gen, basis)
-                                 and uses_only_basis(A.body, basis))
-    if isinstance(A, Sigma):
-        return (not basis.has_pi) and (uses_only_basis(A.gen, basis)
-                                       and uses_only_basis(A.body, basis))
-    raise IllFormedType(f"not a type: {A!r}")
+    kept = {Atom, Opp, *basis.value}
+    return _every_node(A, lambda T: type(T) in kept)

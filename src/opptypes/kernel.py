@@ -358,6 +358,10 @@ def _components(T: TypeExpr, term: TermExpr):
     return first, second
 
 
+# rule-name stems of the pair-like constructors
+_PAIR_RULES = {Prod: "prod", CoFun: "cofun", Sigma: "sigma"}
+
+
 def _equiv(X: TypeExpr, Y: TypeExpr) -> bool:
     if alpha_eq(X, Y):
         return True
@@ -406,8 +410,7 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
     if isinstance(t, Pair):
         if isinstance(goal, (Prod, CoFun, Sigma)):
             c1, c2 = _components(goal, t.fst)
-            rule = {Prod: "prod-intro", CoFun: "cofun-intro",
-                    Sigma: "sigma-intro"}[type(goal)]
+            rule = f"{_PAIR_RULES[type(goal)]}-intro"
             d1 = check(ctx, t.fst, c1)
             d2 = check(ctx, t.snd, c2)
             return Derivation(rule, conc, (d1, d2))
@@ -526,46 +529,31 @@ def _infer(ctx: Context, t: TermExpr):
 
     if isinstance(t, App):
         fty, df = _infer(ctx, t.fn)
-        if isinstance(fty, Fun):
-            da = check(ctx, t.arg, fty.dom)
-            return fty.cod, Derivation(
-                "fun-elim", Typing(ctx, t, fty.cod), (df, da))
-        if isinstance(fty, Pi):
-            da = check(ctx, t.arg, fty.gen)
-            res = onf(subst_type(fty.body, fty.var, t.arg))
-            return res, Derivation("pi-elim", Typing(ctx, t, res), (df, da))
-        raise TypeMismatch(
-            f"cannot apply a term of type {fty}", expected=None, actual=fty)
+        if not isinstance(fty, (Fun, Pi)):
+            raise TypeMismatch(f"cannot apply a term of type {fty}",
+                               expected=None, actual=fty)
+        dom, var, res = _halves(fty)
+        da = check(ctx, t.arg, dom)
+        if var is not None:
+            res = onf(subst_type(res, var, t.arg))
+        rule = "fun-elim" if var is None else "pi-elim"
+        return res, Derivation(rule, Typing(ctx, t, res), (df, da))
 
-    if isinstance(t, Proj1):
+    if isinstance(t, (Proj1, Proj2)):
         sty, d = _infer(ctx, t.arg)
-        if isinstance(sty, Prod):
-            return sty.left, Derivation(
-                "prod-elim-1", Typing(ctx, t, sty.left), (d,))
-        if isinstance(sty, CoFun):
-            res = _neg(sty.dom)
-            return res, Derivation("cofun-elim-1", Typing(ctx, t, res), (d,))
-        if isinstance(sty, Sigma):
-            return sty.gen, Derivation(
-                "sigma-elim-1", Typing(ctx, t, sty.gen), (d,))
-        raise TypeMismatch(
-            f"cannot project from a term of type {sty}",
-            expected=None, actual=sty)
-
-    if isinstance(t, Proj2):
-        sty, d = _infer(ctx, t.arg)
-        if isinstance(sty, Prod):
-            return sty.right, Derivation(
-                "prod-elim-2", Typing(ctx, t, sty.right), (d,))
-        if isinstance(sty, CoFun):
-            return sty.cod, Derivation(
-                "cofun-elim-2", Typing(ctx, t, sty.cod), (d,))
-        if isinstance(sty, Sigma):
-            res = onf(subst_type(sty.body, sty.var, Proj1(t.arg)))
-            return res, Derivation("sigma-elim-2", Typing(ctx, t, res), (d,))
-        raise TypeMismatch(
-            f"cannot project from a term of type {sty}",
-            expected=None, actual=sty)
+        if not isinstance(sty, (Prod, CoFun, Sigma)):
+            raise TypeMismatch(
+                f"cannot project from a term of type {sty}",
+                expected=None, actual=sty)
+        first, var, second = _halves(sty)
+        if isinstance(t, Proj1):
+            res, side = first, 1
+        else:
+            res, side = second, 2
+            if var is not None:
+                res = onf(subst_type(second, var, Proj1(t.arg)))
+        rule = f"{_PAIR_RULES[type(sty)]}-elim-{side}"
+        return res, Derivation(rule, Typing(ctx, t, res), (d,))
 
     if isinstance(t, (Case, Split)):
         dscrut, branches = _open_elim(ctx, t)

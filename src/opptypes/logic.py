@@ -4,8 +4,10 @@ translated into the type theory.
 The translation sends implication to the function type, co-implication to
 the co-function type, conjunction and disjunction to products and sums,
 negation to the opposite constructor, and quantifiers to Pi and Sigma over
-their sort.  Negation normal form pushes negations to the atoms; the
-implication clause uses the contraposed co-implication reading
+their sort; CONNECTIVES states that map once.  Negation normal form pushes
+negations to the atoms by the type identities of duality.DUALS, read
+through CONNECTIVES, so the implication clause uses the contraposed
+co-implication reading
 
     ~(A => B)   ==>   ~B <~ ~A
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from .duality import dual_plans
 from .errors import SortError
 from .kernel import Context, EMPTY, TermDecl, TypeConstDecl, U0, type_equal
 from .syntax import (Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum, TypeExpr,
@@ -157,29 +160,25 @@ def translate(sig: Signature, f: Formula) -> Tuple[Context, TypeExpr]:
     """
     free = check_sorts(sig, f)
     ctx = _signature_context(sig)
-    for v in _free_occurrence_order(f, free):
-        ctx = ctx.extended(TermDecl(v, Atom(free[v])))
+    for v, sort in free.items():
+        ctx = ctx.extended(TermDecl(v, Atom(sort)))
     return ctx, _formula_type(f)
 
 
 def translation_context(sig: Signature, *formulas: Formula) -> Context:
     """One context covering several formulas (shared sorts and variables)."""
     merged: Dict[str, str] = {}
-    order = []
     for f in formulas:
         free = check_sorts(sig, f)
-        for v in _free_occurrence_order(f, free):
-            if v in merged:
-                if merged[v] != free[v]:
-                    raise SortError(
-                        f"variable {v} used at sorts {merged[v]} "
-                        f"and {free[v]}")
-            else:
-                merged[v] = free[v]
-                order.append(v)
+        for v, sort in free.items():
+            if v not in merged:
+                merged[v] = sort
+            elif merged[v] != sort:
+                raise SortError(
+                    f"variable {v} used at sorts {merged[v]} and {sort}")
     ctx = _signature_context(sig)
-    for v in order:
-        ctx = ctx.extended(TermDecl(v, Atom(merged[v])))
+    for v, sort in merged.items():
+        ctx = ctx.extended(TermDecl(v, Atom(sort)))
     return ctx
 
 
@@ -195,44 +194,27 @@ def _signature_context(sig: Signature) -> Context:
     return ctx
 
 
-def _free_occurrence_order(f: Formula, free: Dict[str, str]):
-    order = []
+# Each connective with the type constructor that translates it.  Their
+# fields match position by position, a quantifier's sort standing for the
+# generating type, so the duality table serves formulas too.
+CONNECTIVES = {Impl: Fun, CoImpl: CoFun, And: Prod, Or: Sum,
+               Forall: Pi, Exists: Sigma}
 
-    def walk(g: Formula, bound):
-        if isinstance(g, Pred):
-            for v in g.args:
-                if v not in bound and v in free and v not in order:
-                    order.append(v)
-        elif isinstance(g, (Impl, CoImpl, And, Or)):
-            walk(g.lhs, bound)
-            walk(g.rhs, bound)
-        elif isinstance(g, Neg):
-            walk(g.body, bound)
-        elif isinstance(g, (Forall, Exists)):
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
-    return order
+_DUAL_CONNECTIVES = dual_plans(CONNECTIVES)
 
 
 def _formula_type(f: Formula) -> TypeExpr:
-    if isinstance(f, Pred):
+    cls = type(f)
+    if cls is Pred:
         return Atom(f.name, tuple(Var(v) for v in f.args))
-    if isinstance(f, Impl):
-        return Fun(_formula_type(f.lhs), _formula_type(f.rhs))
-    if isinstance(f, CoImpl):
-        return CoFun(_formula_type(f.lhs), _formula_type(f.rhs))
-    if isinstance(f, And):
-        return Prod(_formula_type(f.lhs), _formula_type(f.rhs))
-    if isinstance(f, Or):
-        return Sum(_formula_type(f.lhs), _formula_type(f.rhs))
-    if isinstance(f, Neg):
+    if cls is Neg:
         return Opp(_formula_type(f.body))
-    if isinstance(f, Forall):
-        return Pi(f.var, Atom(f.sort), _formula_type(f.body))
-    if isinstance(f, Exists):
-        return Sigma(f.var, Atom(f.sort), _formula_type(f.body))
-    raise SortError(f"not a formula: {f!r}")
+    con = CONNECTIVES.get(cls)
+    if con is None:
+        raise SortError(f"not a formula: {f!r}")
+    if cls is Forall or cls is Exists:
+        return con(f.var, Atom(f.sort), _formula_type(f.body))
+    return con(_formula_type(f.lhs), _formula_type(f.rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -246,39 +228,32 @@ def formula_nnf(f: Formula) -> Formula:
     ~(A | B) => ~A & ~B        ~(ex x:s. A)  => all x:s. ~A
     ~~A => A                   ~(A => B) => ~B <~ ~A
                                ~(B <~ A) => ~A => ~B
+
+    Apart from ~~A these are the type identities of duality.DUALS, read
+    through CONNECTIVES.
     """
-    if isinstance(f, Pred):
+    cls = type(f)
+    if cls is Pred:
         return f
-    if isinstance(f, Impl):
-        return Impl(formula_nnf(f.lhs), formula_nnf(f.rhs))
-    if isinstance(f, CoImpl):
-        return CoImpl(formula_nnf(f.lhs), formula_nnf(f.rhs))
-    if isinstance(f, And):
-        return And(formula_nnf(f.lhs), formula_nnf(f.rhs))
-    if isinstance(f, Or):
-        return Or(formula_nnf(f.lhs), formula_nnf(f.rhs))
-    if isinstance(f, Forall):
-        return Forall(f.var, f.sort, formula_nnf(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, f.sort, formula_nnf(f.body))
-    if isinstance(f, Neg):
+    if cls is Neg:
         g = f.body
-        if isinstance(g, Pred):
+        if type(g) is Pred:
             return f
-        if isinstance(g, Neg):
+        if type(g) is Neg:
             return formula_nnf(g.body)
-        if isinstance(g, And):
-            return Or(formula_nnf(Neg(g.lhs)), formula_nnf(Neg(g.rhs)))
-        if isinstance(g, Or):
-            return And(formula_nnf(Neg(g.lhs)), formula_nnf(Neg(g.rhs)))
-        if isinstance(g, Impl):
-            return CoImpl(formula_nnf(Neg(g.rhs)), formula_nnf(Neg(g.lhs)))
-        if isinstance(g, CoImpl):
-            return Impl(formula_nnf(Neg(g.rhs)), formula_nnf(Neg(g.lhs)))
-        if isinstance(g, Forall):
-            return Exists(g.var, g.sort, formula_nnf(Neg(g.body)))
-        if isinstance(g, Exists):
-            return Forall(g.var, g.sort, formula_nnf(Neg(g.body)))
+        plan = _DUAL_CONNECTIVES.get(type(g))
+        if plan is None:
+            raise SortError(f"not a formula: {f!r}")
+        dcls, get, binder = plan
+        if binder:
+            var, sort, body = get(g)
+            return dcls(var, sort, formula_nnf(Neg(body)))
+        first, second = get(g)
+        return dcls(formula_nnf(Neg(first)), formula_nnf(Neg(second)))
+    if cls is Forall or cls is Exists:
+        return cls(f.var, f.sort, formula_nnf(f.body))
+    if cls in CONNECTIVES:
+        return cls(formula_nnf(f.lhs), formula_nnf(f.rhs))
     raise SortError(f"not a formula: {f!r}")
 
 

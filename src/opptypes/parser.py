@@ -30,7 +30,8 @@ Prefix `~` binds tightest; `*` binds tighter than `+`; the arrows are
 right-associative at equal precedence and may not be mixed without
 parentheses; binders extend as far right as possible.  An argument list
 attaches to an identifier only when the `(` is adjacent (no space), which
-is what keeps `equal a (b)` unambiguous.
+is what keeps `equal a (b)` unambiguous.  A run of prefix operators is
+read with a loop, not by recursion, so deep towers of `~` parse.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ RESERVED = frozenset("""
     atom pred assume check infer dual onf equal expand translate nnf
     inhabit depth basis
 """.split())
+
+_PREFIX_TERMS = {"p1": syntax.Proj1, "p2": syntax.Proj2,
+                 "inl": syntax.Inl, "inr": syntax.Inr}
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r]+)
@@ -183,9 +187,10 @@ class Parser:
         return t
 
     def type_prefix(self) -> syntax.TypeExpr:
-        if self.at_sym("~"):
+        opps = 0
+        while self.at_sym("~"):
             self.advance()
-            return syntax.Opp(self.type_prefix())
+            opps += 1
         if self.at_word("Pi", "Sg"):
             kw = self.advance().value
             var = self.expect_ident()
@@ -194,8 +199,12 @@ class Parser:
             self.expect_sym(".")
             body = self.type_()
             cls = syntax.Pi if kw == "Pi" else syntax.Sigma
-            return cls(var, gen, body)
-        return self.type_atom()
+            t = cls(var, gen, body)
+        else:
+            t = self.type_atom()
+        for _ in range(opps):
+            t = syntax.Opp(t)
+        return t
 
     def type_atom(self) -> syntax.TypeExpr:
         if self.at_sym("("):
@@ -254,12 +263,13 @@ class Parser:
         return t
 
     def preterm(self) -> syntax.TermExpr:
-        if self.at_word("p1", "p2", "inl", "inr"):
-            kw = self.advance().value
-            cls = {"p1": syntax.Proj1, "p2": syntax.Proj2,
-                   "inl": syntax.Inl, "inr": syntax.Inr}[kw]
-            return cls(self.preterm())
-        return self.term_atom()
+        prefixes = []
+        while self.at_word(*_PREFIX_TERMS):
+            prefixes.append(_PREFIX_TERMS[self.advance().value])
+        t = self.term_atom()
+        for cls in reversed(prefixes):
+            t = cls(t)
+        return t
 
     def term_atom(self) -> syntax.TermExpr:
         if self.at_sym("("):
@@ -336,9 +346,10 @@ class Parser:
         return f
 
     def negf(self) -> logic.Formula:
-        if self.at_sym("~"):
+        negs = 0
+        while self.at_sym("~"):
             self.advance()
-            return logic.Neg(self.negf())
+            negs += 1
         if self.at_word("all", "ex"):
             kw = self.advance().value
             var = self.expect_ident()
@@ -347,8 +358,12 @@ class Parser:
             self.expect_sym(".")
             body = self.formula_()
             cls = logic.Forall if kw == "all" else logic.Exists
-            return cls(var, sort, body)
-        return self.formula_atom()
+            f = cls(var, sort, body)
+        else:
+            f = self.formula_atom()
+        for _ in range(negs):
+            f = logic.Neg(f)
+        return f
 
     def formula_atom(self) -> logic.Formula:
         if self.at_sym("("):

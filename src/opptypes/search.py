@@ -49,17 +49,14 @@ def iter_inhabitants(ctx: Context, goal: TypeExpr,
         yield from _eliminate(ctx, Var(decl.name), onf(decl.type),
                               goal, depth - 1)
 
-    if isinstance(goal, Fun):
-        x = fresh_name("x", ctx.names)
-        ctx2 = ctx.extended(TermDecl(x, goal.dom))
-        for body in iter_inhabitants(ctx2, goal.cod, depth - 1):
-            yield Lam(x, goal.dom, body)
-    elif isinstance(goal, Pi):
-        x = fresh_name(goal.var, ctx.names)
-        body_type = onf(subst_type(goal.body, goal.var, Var(x)))
-        ctx2 = ctx.extended(TermDecl(x, goal.gen))
-        for body in iter_inhabitants(ctx2, body_type, depth - 1):
-            yield Lam(x, goal.gen, body)
+    if isinstance(goal, (Fun, Pi)):
+        dom, var, cod = _halves(goal)
+        x = fresh_name(var or "x", ctx.names)
+        if var is not None:
+            cod = onf(subst_type(cod, var, Var(x)))
+        ctx2 = ctx.extended(TermDecl(x, dom))
+        for body in iter_inhabitants(ctx2, cod, depth - 1):
+            yield Lam(x, dom, body)
     elif isinstance(goal, (Prod, CoFun, Sigma)):
         first_type = _halves(goal)[0]
         for fst in iter_inhabitants(ctx, first_type, depth - 1):
@@ -82,13 +79,10 @@ def _eliminate(ctx: Context, head: TermExpr, head_type: TypeExpr,
     if depth <= 0:
         return
 
-    if isinstance(head_type, Fun):
-        for arg in iter_inhabitants(ctx, head_type.dom, depth):
-            yield from _eliminate(ctx, App(head, arg), head_type.cod,
-                                  goal, depth - 1)
-    elif isinstance(head_type, Pi):
-        for arg in iter_inhabitants(ctx, head_type.gen, depth):
-            res = onf(subst_type(head_type.body, head_type.var, arg))
+    if isinstance(head_type, (Fun, Pi)):
+        dom, var, cod = _halves(head_type)
+        for arg in iter_inhabitants(ctx, dom, depth):
+            res = cod if var is None else onf(subst_type(cod, var, arg))
             yield from _eliminate(ctx, App(head, arg), res, goal, depth - 1)
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
         c1, c2 = _components(head_type, Proj1(head))

@@ -253,7 +253,8 @@ class TestCommandLine:
 # live next to it in tests/golden/.
 GOLDEN = {"golden": REPO / "scripts" / "golden.ptt",
           "paraconsistency": REPO / "scripts" / "paraconsistency.ptt",
-          "renaming": REPO / "tests" / "golden" / "renaming.ptt"}
+          "renaming": REPO / "tests" / "golden" / "renaming.ptt",
+          "algebra": REPO / "tests" / "golden" / "algebra.ptt"}
 
 
 class TestPinnedReports:
@@ -294,6 +295,19 @@ class TestDeepInput:
         report = run(sc)
         assert [e.status for e in report.entries] == ["ok", "error", "ok"]
         assert report.entries[1].payload == DEEP_INPUT
+
+    def test_parser_reads_a_deep_tower(self):
+        sc = parse("atom a; onf " + "~" * 3000 + "a;")
+        ty, depth = sc.directives[1].type, 0
+        while isinstance(ty, Opp):  # == on the tower would recurse
+            ty, depth = ty.inner, depth + 1
+        assert (ty, depth) == (Atom("a"), 3000)
+
+    def test_check_reports_deep_input_and_exits_one(self):
+        proc = _cli("check", "-", stdin="atom a; onf " + "~" * 3000 + "a;")
+        assert proc.returncode == 1
+        assert proc.stdout == ("ok    [1:1] atom: atom a : U0\n"
+                               f"error [1:9] onf: {DEEP_INPUT}\n")
 
     def test_oneshot_prints_one_line_and_exits_one(self):
         proc = _cli("onf", "~" * 3000 + "a")

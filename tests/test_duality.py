@@ -1,6 +1,10 @@
 """Opposite normal forms, duals, the duality principle and the bases."""
 
+import dataclasses
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 
@@ -8,6 +12,9 @@ from opptypes import (Atom, Basis, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
                       Var, alpha_eq, check_duality_principle, dual,
                       expand_in_basis, is_onf, onf, parse_type, recheck,
                       type_equal, uses_only_basis)
+from opptypes.duality import DUALS, _neg
+from opptypes.logic import CONNECTIVES, Formula, Neg, Pred
+from opptypes.syntax import TypeExpr
 
 from generators import rand_type, std_ctx, types, unnormalize
 from rewrite_oracle import (rewrite_to_fixpoint, step_innermost,
@@ -195,3 +202,41 @@ class TestNegativeControls:
 
     def test_prod_idempotence_fails(self):
         assert not type_equal(None, Prod(a, a), a)
+
+
+def test_duality_table_covers_every_constructor():
+    assert set(TypeExpr.__subclasses__()) == set(DUALS) | {Atom, Opp}
+    for cls, (dcls, *fields) in DUALS.items():
+        assert DUALS[dcls][0] is cls
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert len(fields) == len(dataclasses.fields(dcls))
+        assert sorted(f.lstrip("~") for f in fields) == sorted(names), cls
+
+
+def test_duality_table_is_an_involution():
+    # the dual's dual is the constructor again, with every field back in
+    # its place and negated twice or not at all
+    px = Atom("p", (Var("x"),))
+    for T in (Fun(a, b), CoFun(a, b), Prod(a, b), Sum(a, b),
+              Pi("x", a, px), Sigma("x", a, px)):
+        assert type(_neg(T)) is DUALS[type(T)][0]
+        assert _neg(_neg(T)) == T
+        assert onf(dual(dual(T))) == T
+
+
+def test_connective_map_covers_every_formula_class():
+    assert set(Formula.__subclasses__()) == set(CONNECTIVES) | {Pred, Neg}
+    assert set(CONNECTIVES.values()) == set(DUALS)
+    for conn, con in CONNECTIVES.items():
+        assert (len(dataclasses.fields(conn))
+                == len(dataclasses.fields(con))), conn
+
+
+def test_duality_survey_script_runs():
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "duality_survey.py"),
+         "--count", "200", "--depth", "5"],
+        capture_output=True, text=True, cwd=repo)
+    assert proc.returncode == 0, proc.stderr
+    assert "duality principle held on every instance" in proc.stdout

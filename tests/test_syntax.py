@@ -5,10 +5,11 @@ import dataclasses
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Fun, Inl, Inr, Lam,
-                      Opp, Pair, Pi, Proj1, Proj2, Split, TermExpr, TypeExpr,
-                      Var, alpha_eq, check, declare_type_const, free_vars,
-                      normalize_term, subst, subst_term, subst_type)
+from opptypes import (EMPTY, Ann, App, Atom, Basis, Case, CoFun, Fun, Inl,
+                      Inr, Lam, Opp, Pair, Pi, Proj1, Proj2, Split, TermExpr,
+                      TypeExpr, Var, alpha_eq, check, declare_type_const, dual,
+                      expand_in_basis, free_vars, is_onf, normalize_term, onf,
+                      subst, subst_term, subst_type, uses_only_basis)
 from opptypes.syntax import SCOPES
 
 from generators import terms, types
@@ -227,6 +228,13 @@ def test_deep_lambda_chain():
     assert free_vars(out) == {"z"}
     assert alpha_eq(out, _lambda_chain(800, App(Var("x0"), Var("z")))[0])
     assert not alpha_eq(out, open_chain)
+    # the type algebra takes one Python frame per level of T as well
+    for basis in Basis:
+        expand_in_basis(T, basis)
+        assert not uses_only_basis(T, basis)
+    assert isinstance(dual(T), CoFun)
+    assert isinstance(onf(Opp(T)), CoFun)
+    assert is_onf(T)
 
 
 def test_scope_table_covers_every_node_class():
