@@ -4,9 +4,10 @@ opposite and co-function types."""
 from .duality import (Basis, check_duality_principle, dual, expand_in_basis,
                       is_onf, onf, uses_only_basis)
 from .errors import (DepthCapExceeded, IllFormedContext, IllFormedType,
-                     InternalInvariantViolation, NonInferableTerm,
-                     NormalizationOverflow, ParseError, SortError,
-                     TypeMismatch, TypeTheoryError, UnboundVariable)
+                     InternalInvariantViolation, InvalidDerivation,
+                     NonInferableTerm, NormalizationOverflow, ParseError,
+                     SortError, TypeMismatch, TypeTheoryError,
+                     UnboundVariable)
 from .kernel import (Context, Derivation, EMPTY, Formation, TermDecl, TermEq,
                      TypeConstDecl, TypeEq, Typing, U0, U1, Universe, check,
                      check_context, check_formation, declare_term,

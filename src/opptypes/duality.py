@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from operator import attrgetter
+from operator import attrgetter, is_
 
 from .errors import IllFormedType
 from .syntax import (SCOPES, Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
@@ -40,33 +40,42 @@ from .syntax import (SCOPES, Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
 def onf(A: TypeExpr) -> TypeExpr:
     """Opposite normal form: the canonical representative of A's equality
     class.  Pushes ~ down to atoms, cancels double opposites, collapses
-    degenerate binders, and beta-normalizes atom arguments.
+    degenerate binders, and beta-normalizes atom arguments.  A subtree
+    already in normal form is returned as it is, not rebuilt, so
+    onf(onf(A)) is onf(A).
     """
     if isinstance(A, Atom):
         if not A.args:
             return A
-        return Atom(A.name,
-                    tuple(normalize_term(t, type_norm=onf) for t in A.args))
+        args = tuple([normalize_term(t, type_norm=onf) for t in A.args])
+        if all(map(is_, args, A.args)):
+            return A
+        return Atom(A.name, args)
     if isinstance(A, Fun):
-        return Fun(onf(A.dom), onf(A.cod))
+        dom, cod = onf(A.dom), onf(A.cod)
+        return A if dom is A.dom and cod is A.cod else Fun(dom, cod)
     if isinstance(A, CoFun):
-        return CoFun(onf(A.cod), onf(A.dom))
-    if isinstance(A, Prod):
-        return Prod(onf(A.left), onf(A.right))
-    if isinstance(A, Sum):
-        return Sum(onf(A.left), onf(A.right))
-    if isinstance(A, Pi):
+        cod, dom = onf(A.cod), onf(A.dom)
+        return A if cod is A.cod and dom is A.dom else CoFun(cod, dom)
+    if isinstance(A, (Prod, Sum)):
+        left, right = onf(A.left), onf(A.right)
+        if left is A.left and right is A.right:
+            return A
+        return type(A)(left, right)
+    if isinstance(A, (Pi, Sigma)):
         gen, body = onf(A.gen), onf(A.body)
-        if A.var not in free_vars(body):
+        if A.var in free_vars(body):
+            if gen is A.gen and body is A.body:
+                return A
+            return type(A)(A.var, gen, body)
+        if isinstance(A, Pi):
             return Fun(gen, body)
-        return Pi(A.var, gen, body)
-    if isinstance(A, Sigma):
-        gen, body = onf(A.gen), onf(A.body)
-        if A.var not in free_vars(body):
-            return CoFun(body, _neg(gen))
-        return Sigma(A.var, gen, body)
+        return CoFun(body, _neg(gen))
     if isinstance(A, Opp):
-        return _neg(onf(A.inner))
+        inner = onf(A.inner)
+        if inner is A.inner and isinstance(inner, Atom):
+            return A
+        return _neg(inner)
     raise IllFormedType(f"not a type: {A!r}")
 
 

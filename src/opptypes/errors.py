@@ -40,6 +40,10 @@ class SortError(TypeTheoryError):
     """A formula uses an undeclared sort or predicate, or breaks its arity."""
 
 
+class InvalidDerivation(TypeTheoryError):
+    """A derivation node does not follow from its premises under its rule."""
+
+
 class DepthCapExceeded(TypeTheoryError):
     """Requested inhabitation search depth exceeds the configured cap."""
 

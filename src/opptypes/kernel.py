@@ -29,15 +29,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple, Union
 
-from .duality import _neg, onf
-from .errors import (IllFormedContext, IllFormedType, NonInferableTerm,
-                     TypeMismatch, UnboundVariable)
-from .syntax import (Ann, App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp,
-                     Pair, Pi, Prod, Proj1, Proj2, Sigma, Split, Sum,
-                     TermExpr, TypeExpr, Var, all_names, alpha_eq, free_vars,
-                     fresh_name, normalize_term, subst, subst_type)
+from .duality import _neg, dual, onf
+from .errors import (IllFormedContext, IllFormedType, InvalidDerivation,
+                     NonInferableTerm, TypeMismatch, UnboundVariable)
+from .syntax import (SCOPES, Ann, App, Atom, Case, CoFun, Fun, Inl, Inr,
+                     Lam, Opp, Pair, Pi, Prod, Proj1, Proj2, Sigma, Split,
+                     Sum, TermExpr, TypeExpr, Var, all_names, alpha_eq,
+                     free_vars, fresh_name, normalize_term, subst,
+                     subst_type)
 
 
 class Universe(enum.Enum):
@@ -121,14 +123,16 @@ def declare_term(ctx: Context, name: str, type_: TypeExpr) -> Context:
 def declare_type_const(ctx: Context, name: str,
                        telescope=(), universe: Universe = U0) -> Context:
     """Extend ctx with a type constant, validating its telescope."""
-    if name in ctx.names:
+    taken = ctx.names
+    if name in taken:
         raise IllFormedContext(f"duplicate declaration of {name}")
-    scope = ctx
+    scope, seen = ctx, set()
     for var, sort in telescope:
         check_formation(scope, sort, U0)
-        if var in scope.names:
+        if var in taken or var in seen:
             raise IllFormedContext(
                 f"duplicate telescope variable {var} in declaration of {name}")
+        seen.add(var)
         scope = scope.extended(TermDecl(var, sort))
     return ctx.extended(TypeConstDecl(name, tuple(telescope), universe))
 
@@ -184,8 +188,9 @@ Judgment = Union[Formation, Typing, TypeEq, TermEq]
 class Derivation:
     """Evidence object: a rule name, a conclusion, and sub-derivations.
 
-    Rule names are descriptive labels; recheck() re-verifies every node's
-    conclusion from scratch.
+    The rule name is part of the evidence: recheck() looks it up and
+    verifies that the conclusion follows from the premises' conclusions
+    under that rule, and rejects a name it does not know.
     """
     rule: str
     conclusion: Judgment
@@ -711,29 +716,355 @@ def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
 # ---------------------------------------------------------------------------
 
 def recheck(d: Derivation) -> bool:
-    """Re-verify every node of a derivation from scratch.
+    """Re-verify a derivation node by node, re-deriving nothing.
 
-    Raises the underlying error if some conclusion no longer holds, so a
-    True result means the whole tree is sound evidence.
+    Each node's rule is looked up in _RULES, and its conclusion must
+    follow from its premises' conclusions under that rule alone: the
+    rule fixes the judgment form, the number of premises, their contexts
+    (the node's own, or it extended by fresh term declarations), their
+    terms (up to renaming of what the rule binds) and their types (up to
+    normal form).  A premise the rule needs inferred, such as an applied
+    function, a projected pair or a scrutinee, must come from a rule that
+    infers.  TypeEq and TermEq nodes are decided by type and term
+    equality.  The walk keeps its own stack, so a deep derivation adds
+    no Python frames.
+
+    Raises InvalidDerivation at the first node that does not follow, so
+    a True result means the whole tree is sound evidence.
     """
-    c = d.conclusion
-    if isinstance(c, Formation):
-        check_formation(c.ctx if c.ctx is not None else EMPTY,
-                        c.type, c.universe)
-    elif isinstance(c, Typing):
-        check(c.ctx, c.term, c.type)
-    elif isinstance(c, TypeEq):
-        if not _type_equal(c.left, c.right):
-            raise TypeMismatch(
-                f"type equality {c.left} = {c.right} does not hold",
-                expected=c.left, actual=c.right)
-    elif isinstance(c, TermEq):
-        if not term_equal(c.ctx, c.left, c.right, c.type):
-            raise TypeMismatch(
-                f"term equality does not hold at {c.type}",
-                expected=None, actual=None)
-    else:
-        raise TypeError(f"not a judgment: {c!r}")
-    for p in d.premises:
-        recheck(p)
+    # each entry is a node, the normal form of its type when the parent
+    # has computed it, and whether the parent needs its typing inferred
+    todo = [(d, None, False)]
+    while todo:
+        d, nf, infer = todo.pop()
+        if type(d) is not Derivation:
+            raise InvalidDerivation(f"not a derivation: {d!r}")
+        rule = _RULES.get(d.rule)
+        if rule is None:
+            raise InvalidDerivation(f"unknown rule {d.rule!r}")
+        todo.extend(rule(d, nf, infer))
     return True
+
+
+def _bad(d: Derivation, why: str):
+    raise InvalidDerivation(f"rule {d.rule}: {why}")
+
+
+def _judgment(d: Derivation, form, n: int):
+    """d's conclusion, checked to be of the given form, from n premises."""
+    c = d.conclusion
+    if type(c) is not form or (form is Typing and type(c.ctx) is not Context):
+        _bad(d, f"does not conclude a {form.__name__} judgment")
+    if len(d.premises) != n:
+        _bad(d, f"has {len(d.premises)} premise(s), not {n}")
+    return c
+
+
+def _typing(d: Derivation, nf, terms, n: int):
+    """The term of d's typing conclusion, checked to be of class terms,
+    and the normal form of its type."""
+    c = _judgment(d, Typing, n)
+    if not isinstance(c.term, terms):
+        _bad(d, f"does not apply to {c.term}")
+    return c.term, onf(c.type) if nf is None else nf
+
+
+def _premise(d: Derivation, i: int, form, opened: int = 0):
+    """The conclusion of d's premise i, checked to be of the given form in
+    d's context extended by `opened` fresh term declarations, and those
+    declarations."""
+    c, pc = d.conclusion, getattr(d.premises[i], "conclusion", None)
+    if type(pc) is not form:
+        _bad(d, f"premise {i + 1} is not a {form.__name__} judgment")
+    if pc.ctx is c.ctx and not opened:
+        return pc, ()
+    outer = () if c.ctx is None else c.ctx.entries
+    inner = () if pc.ctx is None else pc.ctx.entries
+    n = len(outer)
+    if len(inner) != n + opened or inner[:n] != outer:
+        _bad(d, f"premise {i + 1} is not in the node's context"
+             + (f" extended by {opened} declaration(s)" if opened else ""))
+    taken = {e.name for e in outer}
+    for e in inner[n:]:
+        if type(e) is not TermDecl or e.name in taken:
+            _bad(d, f"premise {i + 1} declares no fresh variable")
+        taken.add(e.name)
+    return pc, inner[n:]
+
+
+def _typed(d: Derivation, i: int, term, opened: int = 0):
+    """_premise for a typing of term (None: any term)."""
+    pc, new = _premise(d, i, Typing, opened)
+    if term is not None and not alpha_eq(pc.term, term):
+        _bad(d, f"premise {i + 1} types {pc.term}, not {term}")
+    return pc, new
+
+
+def _typed_as(d: Derivation, i: int, term, nf):
+    """The stack entry of d's premise i, checked to type term at a type
+    with normal form nf."""
+    pc, _ = _typed(d, i, term)
+    if not _has_nf(pc.type, nf):
+        _bad(d, f"premise {i + 1} has type {pc.type}, not {nf}")
+    return d.premises[i], nf, False
+
+
+def _checks(d: Derivation, infer: bool):
+    """Reject a rule that only checks where a typing must be inferred."""
+    if infer:
+        _bad(d, "checks a typing that must be inferred")
+
+
+def _has_nf(T: TypeExpr, nf: TypeExpr) -> bool:
+    return T is nf or alpha_eq(onf(T), nf)
+
+
+def _formed(d: Derivation, i: int, A: TypeExpr, u: Universe):
+    """The stack entry of d's premise i, checked to form A in u."""
+    pc, _ = _premise(d, i, Formation)
+    if pc.universe is not u or not alpha_eq(pc.type, A):
+        _bad(d, f"premise {i + 1} forms {pc.type} in {pc.universe}, "
+             f"not {A} in {u}")
+    return d.premises[i], None, False
+
+
+def _atom_form(lift: bool, d, nf, infer):
+    c = d.conclusion
+    if type(c) is not Formation or type(c.type) is not Atom:
+        _bad(d, "does not form an atom")
+    A = c.type
+    _judgment(d, Formation, len(A.args))
+    decl = (EMPTY if c.ctx is None else c.ctx).lookup_const(A.name)
+    if decl is None or len(decl.telescope) != len(A.args):
+        _bad(d, f"{A} is not a declared type constant fully applied")
+    if not ((decl.universe, c.universe) == (U0, U1) if lift
+            else decl.universe is c.universe):
+        _bad(d, f"{A.name} in {decl.universe} does not form a type "
+             f"in {c.universe}")
+    todo, inst = [], {}
+    for i, ((var, sort), arg) in enumerate(zip(decl.telescope, A.args)):
+        todo.append(_typed_as(d, i, arg, onf(subst(sort, inst))))
+        inst[var] = arg
+    return todo
+
+
+def _formation(cls, d, nf, infer):
+    """The formation rule of a constructor: its premises form the
+    subtrees of SCOPES[cls], a binder's body under its generating type."""
+    c = _judgment(d, Formation, len(SCOPES[cls]))
+    A = c.type
+    if type(A) is not cls:
+        _bad(d, f"does not form a {cls.__name__} type")
+    if c.universe is not U0 and cls is not Fun:
+        _bad(d, "U1 is closed only under ->")
+    todo = []
+    for i, (field, *binders) in enumerate(SCOPES[cls]):
+        if not binders:
+            todo.append(_formed(d, i, getattr(A, field), c.universe))
+            continue
+        pc, (decl,) = _premise(d, i, Formation, 1)
+        if not (pc.universe is U0 and alpha_eq(decl.type, A.gen)
+                and alpha_eq(cls(decl.name, A.gen, pc.type), A)):
+            _bad(d, f"premise {i + 1} does not form the body of {A}")
+        todo.append((d.premises[i], None, False))
+    return todo
+
+
+def _var(d, nf, infer):
+    t, goal = _typing(d, nf, Var, 0)
+    ty = d.conclusion.ctx.lookup_term(t.name)
+    if ty is None or not _has_nf(ty, goal):
+        _bad(d, f"{t} is not declared at type {goal}")
+    return ()
+
+
+def _ann(d, nf, infer):
+    t, goal = _typing(d, nf, Ann, 2)
+    ann = onf(t.type)
+    if not (alpha_eq(ann, goal) if infer else _equiv(ann, goal)):
+        _bad(d, f"annotation {ann} does not match {goal}")
+    return _formed(d, 0, t.type, U0), _typed_as(d, 1, t.term, ann)
+
+
+def _conv(d, nf, infer):
+    t, goal = _typing(d, nf, (Var, App, Proj1, Proj2), 1)
+    _checks(d, infer)
+    pc, _ = _typed(d, 0, t)
+    ity = onf(pc.type)
+    if not _equiv(ity, goal):
+        _bad(d, f"cannot convert {ity} to {goal}")
+    return [(d.premises[0], ity, True)]
+
+
+def _lam(kind, d, nf, infer):
+    """fun-intro and pi-intro: checked from one premise, the body under
+    the goal's domain, or inferred from two, the domain's formation and
+    the body's inferred type."""
+    inferred = len(d.premises) == 2
+    t, goal = _typing(d, nf, Lam, 2 if inferred else 1)
+    body, (decl,) = _typed(d, int(inferred), None, 1)
+    if inferred:
+        dom = onf(t.dom)
+        bty = onf(body.type)
+        rebuilt = onf(Pi(decl.name, dom, bty))
+        todo = [_formed(d, 0, t.dom, U0)]
+    else:
+        _checks(d, infer)
+        if type(goal) is not kind:
+            _bad(d, f"cannot check a lambda against {goal}")
+        dom, gvar, cod = _halves(goal)
+        if not _equiv(onf(t.dom), dom):
+            _bad(d, f"lambda domain {onf(t.dom)} does not match {dom}")
+        bty = cod if body.type is cod else onf(body.type)
+        rebuilt = Fun(dom, bty) if gvar is None else Pi(decl.name, dom, bty)
+        todo = []
+    if not (type(rebuilt) is kind and alpha_eq(rebuilt, goal)
+            and _has_nf(decl.type, dom)
+            and alpha_eq(Lam(decl.name, t.dom, body.term), t)):
+        _bad(d, f"the body premise does not give {t} type {goal}")
+    todo.append((d.premises[-1], bty, inferred))
+    return todo
+
+
+def _pair(cls, d, nf, infer):
+    t, goal = _typing(d, nf, Pair, 2)
+    _checks(d, infer)
+    if type(goal) is not cls:
+        _bad(d, f"cannot check a pair against {goal}")
+    c1, c2 = _components(goal, t.fst)
+    return _typed_as(d, 0, t.fst, c1), _typed_as(d, 1, t.snd, c2)
+
+
+def _inj(cls, d, nf, infer):
+    t, goal = _typing(d, nf, cls, 1)
+    _checks(d, infer)
+    if type(goal) is not Sum:
+        _bad(d, f"cannot check an injection against {goal}")
+    return [_typed_as(d, 0, t.arg, goal.left if cls is Inl else goal.right)]
+
+
+def _elim(cls, d, nf, infer):
+    """sum-elim and sigma-elim: the scrutinee's inferred typing, then
+    each branch at the node's type, checked or, when the node's typing
+    is to be inferred, inferred at a type free of the bound variables."""
+    t, goal = _typing(d, nf, cls, 3 if cls is Case else 2)
+    scrut, _ = _typed(d, 0, t.scrut)
+    styp = onf(scrut.type)
+    todo = [(d.premises[0], styp, True)]
+    if cls is Case and type(styp) is Sum:
+        (l, (dl,)), (r, (dr,)) = _typed(d, 1, None, 1), _typed(d, 2, None, 1)
+        ok = (_has_nf(dl.type, styp.left) and _has_nf(dr.type, styp.right)
+              and alpha_eq(Case(t.scrut, dl.name, l.term, dr.name, r.term),
+                           t))
+        branches = ((l, (dl.name,)), (r, (dr.name,)))
+    elif cls is Split and type(styp) is Sigma:
+        b, (d1, d2) = _typed(d, 1, None, 2)
+        ok = (alpha_eq(Sigma(d1.name, onf(d1.type), onf(d2.type)), styp)
+              and alpha_eq(Split(t.scrut, d1.name, d2.name, b.term), t))
+        branches = ((b, (d1.name, d2.name)),)
+    else:
+        _bad(d, f"cannot eliminate a scrutinee of type {styp}")
+    if not ok:
+        _bad(d, f"the branch premises are not the branches of {t}")
+    escaping = free_vars(goal) if infer else frozenset()
+    for i, (b, names) in enumerate(branches, 1):
+        if not _has_nf(b.type, goal):
+            _bad(d, f"branch {i} does not have type {goal}")
+        if not escaping.isdisjoint(names):
+            _bad(d, f"the type of branch {i} mentions its bound variable")
+        todo.append((d.premises[i], goal, infer))
+    return todo
+
+
+def _app(kind, d, nf, infer):
+    t, goal = _typing(d, nf, App, 2)
+    fn, _ = _typed(d, 0, t.fn)
+    fty = onf(fn.type)
+    if type(fty) is not kind:
+        _bad(d, f"cannot apply a term of type {fty}")
+    dom, var, res = _halves(fty)
+    if var is not None:
+        res = onf(subst_type(res, var, t.arg))
+    if not alpha_eq(res, goal):
+        _bad(d, f"{t} has type {res}, not {goal}")
+    return (d.premises[0], fty, True), _typed_as(d, 1, t.arg, dom)
+
+
+def _proj(cls, proj, d, nf, infer):
+    t, goal = _typing(d, nf, proj, 1)
+    pc, _ = _typed(d, 0, t.arg)
+    sty = onf(pc.type)
+    if type(sty) is not cls:
+        _bad(d, f"cannot project from a term of type {sty}")
+    first, var, res = _halves(sty)
+    if proj is Proj1:
+        res = first
+    elif var is not None:
+        res = onf(subst_type(res, var, Proj1(t.arg)))
+    if not alpha_eq(res, goal):
+        _bad(d, f"{t} has type {res}, not {goal}")
+    return [(d.premises[0], sty, True)]
+
+
+def _onf_eq(d, nf, infer):
+    c = _judgment(d, TypeEq, 0)
+    if not _type_equal(c.left, c.right):
+        _bad(d, f"type equality {c.left} = {c.right} does not hold")
+    return ()
+
+
+def _duality_principle(d, nf, infer):
+    """A = ~(dual A), from A's formation when there is a context, and
+    two type equalities that give A and ~(dual A) one normal form."""
+    n = 2 if getattr(d.conclusion, "ctx", None) is None else 3
+    c = _judgment(d, TypeEq, n)
+    if n == 3:
+        _formed(d, 0, c.left, U0)
+    e1, _ = _premise(d, n - 2, TypeEq)
+    e2, _ = _premise(d, n - 1, TypeEq)
+    if not (alpha_eq(c.right, Opp(dual(c.left)))
+            and alpha_eq(e1.left, c.left) and alpha_eq(e2.left, c.right)
+            and alpha_eq(e1.right, e2.right)):
+        _bad(d, f"does not equate {c.left} with ~(dual) through its premises")
+    return [(p, None, False) for p in d.premises]
+
+
+def _term_eq(d, nf, infer):
+    c = _judgment(d, TermEq, 0)
+    if not term_equal(c.ctx, c.left, c.right, c.type):
+        _bad(d, f"term equality does not hold at {c.type}")
+    return ()
+
+
+# rule name -> local check of a node under that rule: the check raises
+# InvalidDerivation unless the node's conclusion follows from its
+# premises' conclusions, and returns the premises' stack entries (see
+# recheck).  Every rule that check, _infer, check_formation and
+# check_duality_principle emit is here; term-equal is for TermEq
+# judgments built by hand.
+_RULES = {
+    "atom-form": partial(_atom_form, False),
+    "atom-form-lift": partial(_atom_form, True),
+    **{f"{name}-form": partial(_formation, cls) for name, cls in (
+        ("fun", Fun), ("cofun", CoFun), ("prod", Prod), ("sum", Sum),
+        ("pi", Pi), ("sigma", Sigma), ("opp", Opp))},
+    "var": _var,
+    "ann": _ann,
+    "conv": _conv,
+    "fun-intro": partial(_lam, Fun),
+    "pi-intro": partial(_lam, Pi),
+    "fun-elim": partial(_app, Fun),
+    "pi-elim": partial(_app, Pi),
+    **{f"{stem}-intro": partial(_pair, cls)
+       for cls, stem in _PAIR_RULES.items()},
+    **{f"{stem}-elim-{side}": partial(_proj, cls, proj)
+       for cls, stem in _PAIR_RULES.items()
+       for side, proj in ((1, Proj1), (2, Proj2))},
+    "sum-intro-left": partial(_inj, Inl),
+    "sum-intro-right": partial(_inj, Inr),
+    "sum-elim": partial(_elim, Case),
+    "sigma-elim": partial(_elim, Split),
+    "onf": _onf_eq,
+    "duality-principle": _duality_principle,
+    "term-equal": _term_eq,
+}

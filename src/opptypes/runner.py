@@ -9,6 +9,7 @@ for Python's recursion limit is one such error, reported as DEEP_INPUT.
 from __future__ import annotations
 
 import json
+from itertools import count
 
 from . import script as s
 from .duality import dual, expand_in_basis, onf
@@ -48,8 +49,10 @@ def _execute(ctx: Context, d):
         return ctx, f"atom {d.name} : U0", "ok"
 
     if isinstance(d, s.PredDecl):
-        telescope = tuple((f"x{i + 1}", ty)
-                          for i, ty in enumerate(d.arg_types))
+        # x1, x2, ..., skipping the names the context declares
+        taken = ctx.names
+        free = (v for v in map("x{}".format, count(1)) if v not in taken)
+        telescope = tuple(zip(free, d.arg_types))
         ctx = declare_type_const(ctx, d.name, telescope, U0)
         args = ", ".join(type_str(a) for a in d.arg_types)
         return ctx, f"pred {d.name}({args}) : U0", "ok"

@@ -379,11 +379,16 @@ def _enter(vals: list, binders: tuple, body: Expr, m: dict) -> dict:
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
     """Structural equality up to consistent renaming of bound variables."""
-    return _alpha(a, b, {}, {}, 0)
+    env = {}
+    return _alpha(a, b, env, env, 0)
 
 
 def _alpha(a, b, envl: dict, envr: dict, depth: int) -> bool:
-    """envl and envr map bound names to the depth of their binder."""
+    """envl and envr map bound names to the depth of their binder.  They
+    are one dict while every binder passed so far has the same name on
+    both sides, and while they are, a shared subtree is equal to itself."""
+    if a is b and envl is envr:
+        return True
     cls = type(a)
     if cls is not type(b):
         return False
@@ -404,10 +409,13 @@ def _alpha(a, b, envl: dict, envr: dict, depth: int) -> bool:
     for i, binders in plan:
         el, er, d = envl, envr, depth
         if binders:
-            el, er = dict(envl), dict(envr)
+            el = dict(envl)
+            er = el if envl is envr else dict(envr)
             for j in binders:
-                el[va[j]] = d
-                er[vb[j]] = d
+                x, y = va[j], vb[j]
+                if er is el and x != y:
+                    er = dict(el)
+                el[x] = er[y] = d
                 d += 1
         if not _alpha(va[i], vb[i], el, er, d):
             return False
@@ -432,7 +440,8 @@ def normalize_term(t: TermExpr,
     Both contractions are sound wherever the redex is well typed, so this
     reduction is usable untyped.  type_norm, when given, is applied to the
     types embedded in the term (lambda domain annotations); equality of
-    normal forms is then alpha_eq.  Fuel bounds the number of contraction
+    normal forms is then alpha_eq.  A subterm already in normal form is
+    returned as it is, not rebuilt.  Fuel bounds the number of contraction
     steps so that ill-typed input fails loudly instead of looping.
     """
     budget = [fuel]
@@ -450,32 +459,29 @@ def normalize_term(t: TermExpr,
         if isinstance(t, Var):
             return t
         if isinstance(t, Lam):
-            return Lam(t.var, tnorm(t.dom), norm(t.body))
+            dom, body = tnorm(t.dom), norm(t.body)
+            if dom is t.dom and body is t.body:
+                return t
+            return Lam(t.var, dom, body)
         if isinstance(t, App):
             fn = norm(t.fn)
             arg = norm(t.arg)
             if isinstance(fn, Lam):
                 spend()
                 return norm(subst_term(fn.body, fn.var, arg))
-            return App(fn, arg)
+            return t if fn is t.fn and arg is t.arg else App(fn, arg)
         if isinstance(t, Pair):
-            return Pair(norm(t.fst), norm(t.snd))
-        if isinstance(t, Proj1):
+            fst, snd = norm(t.fst), norm(t.snd)
+            return t if fst is t.fst and snd is t.snd else Pair(fst, snd)
+        if isinstance(t, (Proj1, Proj2)):
             arg = norm(t.arg)
             if isinstance(arg, Pair):
                 spend()
-                return arg.fst
-            return Proj1(arg)
-        if isinstance(t, Proj2):
+                return arg.fst if isinstance(t, Proj1) else arg.snd
+            return t if arg is t.arg else type(t)(arg)
+        if isinstance(t, (Inl, Inr)):
             arg = norm(t.arg)
-            if isinstance(arg, Pair):
-                spend()
-                return arg.snd
-            return Proj2(arg)
-        if isinstance(t, Inl):
-            return Inl(norm(t.arg))
-        if isinstance(t, Inr):
-            return Inr(norm(t.arg))
+            return t if arg is t.arg else type(t)(arg)
         if isinstance(t, Case):
             scrut = norm(t.scrut)
             if isinstance(scrut, Inl):
@@ -489,6 +495,9 @@ def normalize_term(t: TermExpr,
             if lbranch == Inl(Var(t.lvar)) and rbranch == Inr(Var(t.rvar)):
                 spend()
                 return scrut
+            if (scrut is t.scrut and lbranch is t.lbranch
+                    and rbranch is t.rbranch):
+                return t
             return Case(scrut, t.lvar, lbranch, t.rvar, rbranch)
         if isinstance(t, Split):
             scrut = norm(t.scrut)
@@ -500,6 +509,8 @@ def normalize_term(t: TermExpr,
             if t.var1 != t.var2 and body == Pair(Var(t.var1), Var(t.var2)):
                 spend()
                 return scrut
+            if scrut is t.scrut and body is t.body:
+                return t
             return Split(scrut, t.var1, t.var2, body)
         if isinstance(t, Ann):
             return norm(t.term)

@@ -120,6 +120,14 @@ class TestRun:
         report = run(parse("atom a; atom a;"))
         assert [e.status for e in report.entries] == ["ok", "error"]
 
+    def test_telescope_variables_skip_declared_names(self):
+        # regression: a declared x1 made every later pred fail
+        report = run(parse("atom a; atom x1; atom x3; pred p(a);"
+                           "pred q(a, a, a); assume y : a;"
+                           "assume h : q(y, y, y); check h : q(y, y, y);"))
+        assert [e.status for e in report.entries] == ["ok"] * 8
+        assert report.entries[4].payload == "pred q(a, a, a) : U0"
+
     def test_deterministic(self):
         src = ("atom a; atom b; pred p(a); assume x : ~(a->b);\n"
                "infer p1 x; onf ~(Pi v:a. p(v)); dual a * b;\n"

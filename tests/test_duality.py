@@ -102,6 +102,20 @@ def test_onf_idempotent(A):
     assert onf(n) == n
 
 
+@settings(max_examples=100, deadline=None)
+@given(types(max_depth=5))
+def test_onf_shares_normal_subtrees(A):
+    # identity, not just equality: a normal form is returned as it is
+    n = onf(A)
+    assert onf(n) is n
+
+
+def test_onf_shares_normal_atom_arguments():
+    n = onf(parse_type("p(split s as (u, v) => (\\w:a. w) u) <~ ~a"))
+    assert n == parse_type("p(split s as (u, v) => u) <~ ~a")
+    assert onf(n) is n
+
+
 @settings(max_examples=300, deadline=None)
 @given(types(max_depth=5))
 def test_onf_is_normal_and_equal(A):

@@ -1,17 +1,29 @@
 """Judgment checking: formation, typing, equality, derivation soundness."""
 
 import random
+from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from opptypes import (Atom, CoFun, Fun, IllFormedContext, IllFormedType,
-                      NonInferableTerm, Opp, Pi, Prod, Sigma, Sum,
-                      TypeMismatch, UnboundVariable, Var, bounded_inhabit,
-                      check, check_formation, declare_term,
-                      declare_type_const, equivalent, infer, parse_term,
-                      parse_type, recheck, subst_term, subst_type,
-                      term_equal, type_equal, U0, U1)
+import opptypes.kernel as kernel
+import opptypes.script as s
+from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
+                      Derivation, Formation, Fun, IllFormedContext,
+                      IllFormedType, InvalidDerivation, Lam,
+                      NonInferableTerm, Opp, Pi, Prod, Proj1, Proj2, Sigma,
+                      Split, Sum, TermDecl, TermEq, TypeEq, TypeMismatch,
+                      TypeTheoryError, Typing, UnboundVariable, Var,
+                      bounded_inhabit, check, check_duality_principle,
+                      check_formation, declare_term, declare_type_const,
+                      equivalent, infer, onf, parse, parse_term, parse_type,
+                      recheck, subst, subst_term, subst_type, term_equal,
+                      type_equal, U0, U1)
+from opptypes.kernel import _RULES
+from opptypes.runner import _execute
+from opptypes.syntax import all_names
 
 from generators import rand_type, std_ctx, types, unnormalize
 
@@ -374,3 +386,413 @@ def test_excluded_middle_not_inhabited():
 def test_fresh_variable_inhabits_its_own_type(A):
     ctx = declare_term(std_ctx(), "x", A)
     assert recheck(check(ctx, Var("x"), A))
+
+
+# ---------------------------------------------------------------------------
+# Derivation auditing
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+DEMOS = ("scripts/golden.ptt", "scripts/paraconsistency.ptt",
+         "tests/golden/renaming.ptt", "tests/golden/algebra.ptt")
+
+AUDIT_DECLS = (("y", "a"), ("w", "p(y)"), ("k", "~b"), ("e", "a + ~b"),
+               ("x", "~(a -> b)"), ("q0", "a * b"), ("f0", "a -> b"),
+               ("f", "Pi u:a. p(u)"), ("s", "Sg u:a. p(u)"),
+               ("g1", "a -> ~(a -> b)"), ("r", "~(a -> b) * c"))
+
+# judgments whose derivations use every typing rule, in check and in
+# infer shape, with binders that clash with the context and some that
+# do not
+AUDIT_JUDGMENTS = (
+    ("y", "~~a"),
+    ("\\v:a. v", "a -> a"),
+    ("\\y:a. y", "a -> ~~a"),
+    ("\\v:a. f v", "Pi u:a. p(u)"),
+    ("f0 y", "b"),
+    ("f y", "p(y)"),
+    ("<y, w>", "Sg u:a. p(u)"),
+    ("<y, k>", "~(a -> b)"),
+    ("<p1 x, p2 x>", "a * ~b"),
+    ("<p1 q0, p2 q0>", "a * b"),
+    ("<p1 s, p2 s>", "Sg u:a. p(u)"),
+    ("inl y", "a + b"),
+    ("inr k", "a + ~b"),
+    ("case e of { inl u => inr u | inr v => inl v }", "~b + a"),
+    ("case e of { inl y => inr y | inr k => inl k }", "~~(~b + a)"),
+    ("split s as (v, h) => v", "a"),
+    ("split s as (y, h) => <y, h>", "Sg u:a. p(u)"),
+    ("(\\v:a. v : a -> a) y", "a"),
+    ("(<y, w> : Sg u:a. p(u))", "Sg u:a. p(u)"),
+    ("(\\v:a. f0 v) y", "b"),
+    ("(\\y:a. f y) y", "p(y)"),
+    ("(\\v:a. case e of { inl u => f0 u | inr n => f0 v }) y", "b"),
+    ("(\\v:a. split s as (t, h) => f0 t) y", "b"),
+    ("g1 y", "a * ~b"),
+    ("p1 r", "a * ~b"),
+)
+
+AUDIT_TYPES = ("(a -> b) <~ (a * ~c)", "(Sg u:a. p(u)) + (Pi u:a. ~p(u))",
+               "p(y)", "~~(Pi y:a. p(y) -> b)", "Sg z:a. b -> c")
+
+
+def _audit_ctx():
+    return ctx_with(*AUDIT_DECLS)
+
+
+def _demo_derivations():
+    """Derivations of the checks and inferences in the demo scripts."""
+    out = []
+    for rel in DEMOS:
+        ctx = EMPTY
+        for d in parse((REPO / rel).read_text()).directives:
+            if isinstance(d, (s.AtomDecl, s.PredDecl, s.Assume)):
+                ctx, _, _ = _execute(ctx, d)
+                continue
+            try:
+                if isinstance(d, s.CheckDirective):
+                    out.append(check(ctx, d.term, d.type))
+                elif isinstance(d, s.InferDirective):
+                    out.append(check(ctx, d.term, infer(ctx, d.term)))
+            except TypeTheoryError:
+                pass
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Derivations from check on the audit judgments, the demo judgments
+    and searched terms, from check_formation, and of the duality
+    principle."""
+    ctx = _audit_ctx()
+    out = [check(ctx, parse_term(t), parse_type(ty))
+           for t, ty in AUDIT_JUDGMENTS]
+    out += _demo_derivations()
+    rng = random.Random(8080)
+    while len(out) < len(AUDIT_JUDGMENTS) + 40:
+        hyps = _search_ctx(rng)
+        goal = rand_type(rng, rng.randint(0, 3))
+        t = bounded_inhabit(hyps, goal, 3)
+        if t is not None:
+            out.append(check(hyps, t, goal))
+    out += [check_formation(ctx, parse_type(ty), U0) for ty in AUDIT_TYPES]
+    big = declare_type_const(ctx, "big", (), U1)
+    out.append(check_formation(big, parse_type("a -> big -> b"), U1))
+    A = parse_type("(a -> b) * ~(Pi u:a. p(u))")
+    out += [check_duality_principle(A, ctx), check_duality_principle(A)]
+    return out
+
+
+def _nodes(d, path=()):
+    yield path, d
+    for i, p in enumerate(d.premises):
+        yield from _nodes(p, path + (i,))
+
+
+def _put(d, path, node):
+    """d with the node at path replaced."""
+    if not path:
+        return node
+    premises = list(d.premises)
+    premises[path[0]] = _put(premises[path[0]], path[1:], node)
+    return replace(d, premises=tuple(premises))
+
+
+GHOST, NOPE = Var("ghost"), Atom("nope")
+
+# the rules whose first premise must be an inferred typing
+INFERRED_FIRST = {"conv", "fun-elim", "pi-elim", "sum-elim", "sigma-elim",
+                  *(f"{stem}-elim-{side}" for side in (1, 2)
+                    for stem in ("prod", "cofun", "sigma"))}
+
+
+def _corruptions(node, is_root):
+    """Changes to one node that no sound derivation survives."""
+    for rule in ["no-such-rule", *sorted(set(_RULES) - {node.rule})]:
+        yield replace(node, rule=rule)
+    ps = node.premises
+    for i in range(len(ps)):
+        yield replace(node, premises=ps[:i] + ps[i + 1:])
+    for i, j in combinations(range(len(ps)), 2):
+        if ps[i] != ps[j]:
+            swapped = list(ps)
+            swapped[i], swapped[j] = ps[j], ps[i]
+            yield replace(node, premises=tuple(swapped))
+    c = node.conclusion
+    if isinstance(c, Typing):
+        yield replace(node, conclusion=replace(c, term=GHOST))
+        if isinstance(c.term, Lam):
+            lam = replace(c.term, dom=NOPE)
+            yield replace(node, conclusion=replace(c, term=lam))
+    field = "left" if isinstance(c, TypeEq) else "type"
+    yield replace(node, conclusion=replace(c, **{field: NOPE}))
+    if ps or not is_root:
+        # a node with no premises may well hold in a larger context
+        ctx = EMPTY if c.ctx is None else c.ctx
+        bigger = ctx.extended(TermDecl("ghost", a))
+        yield replace(node, conclusion=replace(c, ctx=bigger))
+    for i, p in enumerate(ps):
+        for q in _premise_corruptions(node, i, p):
+            yield replace(node, premises=ps[:i] + (q,) + ps[i + 1:])
+
+
+def _premise_corruptions(node, i, p):
+    """Premise i of node replaced by a derivation that holds on its own
+    but is not the one node's rule asks for."""
+    c, pc = node.conclusion, p.conclusion
+    if isinstance(pc, Formation):
+        # the type formed in the other universe
+        try:
+            yield check_formation(pc.ctx, pc.type, U1 if pc.universe is U0
+                                  else U0)
+        except TypeTheoryError:
+            pass
+    if isinstance(pc, Typing):
+        # another term of the same type
+        yield check(pc.ctx, Ann(pc.term, pc.type), pc.type)
+        if node.rule == "conv" and not type_equal(None, pc.type, c.type):
+            # the inferred type given up for the goal it converts to
+            yield replace(p, conclusion=replace(pc, type=c.type))
+        if i == 0 and node.rule in INFERRED_FIRST \
+                and not isinstance(pc.term, Ann):
+            # a checked typing where an inferred one is needed
+            yield check(pc.ctx, pc.term, pc.type)
+    if not isinstance(pc, (Typing, Formation)):
+        return
+    outer = c.ctx.entries
+    opened = pc.ctx.entries[len(outer):]
+    for j, decl in enumerate(opened):
+        # a bound variable declared at another type
+        entries = list(pc.ctx.entries)
+        entries[len(outer) + j] = TermDecl(decl.name, NOPE)
+        yield _rectx(p, len(pc.ctx.entries), tuple(entries))
+    if len(opened) == 1:
+        # the bound variable named after a declared one it shadows
+        v, = opened
+        names = all_names(pc.term if isinstance(pc, Typing) else pc.type)
+        for e in outer:
+            if not isinstance(e, TermDecl) or e.name in names:
+                continue
+            ctx = c.ctx.extended(TermDecl(e.name, v.type))
+            ren = {v.name: Var(e.name)}
+            try:
+                if isinstance(pc, Typing):
+                    yield check(ctx, subst(pc.term, ren), subst(pc.type, ren))
+                else:
+                    yield check_formation(ctx, subst(pc.type, ren), U0)
+            except TypeTheoryError:
+                continue
+            break
+
+
+def _rectx(d, n, entries):
+    """d with the first n entries of every context replaced by entries."""
+    c = d.conclusion
+    ctx = Context(entries + c.ctx.entries[n:])
+    return Derivation(d.rule, replace(c, ctx=ctx),
+                      tuple(_rectx(p, n, entries) for p in d.premises))
+
+
+class TestRecheck:
+    def test_corpus_rechecks_and_uses_every_rule(self, corpus):
+        used = set()
+        for d in corpus:
+            assert recheck(d)
+            used.update(n.rule for _, n in _nodes(d))
+        # term-equal is for TermEq judgments, which no producer emits
+        assert used == set(_RULES) - {"term-equal"}
+
+    def test_renamed_rule_is_rejected(self):
+        d = check(std_ctx(), parse_term("\\v:a. v"), parse_type("a -> a"))
+        assert d.rule == "fun-intro"
+        for rule in ("pi-intro", "no-such-rule"):
+            with pytest.raises(InvalidDerivation):
+                recheck(replace(d, rule=rule))
+
+    def test_every_corruption_is_rejected(self, corpus):
+        tried = 0
+        for d in corpus:
+            for path, node in _nodes(d):
+                for bad in _corruptions(node, not path):
+                    tried += 1
+                    with pytest.raises(TypeTheoryError):
+                        recheck(_put(d, path, bad))
+        assert tried > 10000
+
+    def test_accepted_mutants_are_accepted_by_check(self, corpus):
+        # soundness: whatever recheck lets through, check accepts too
+        rng = random.Random(4321)
+        pool = [n for d in corpus for _, n in _nodes(d)]
+        typings = [n.conclusion for n in pool
+                   if isinstance(n.conclusion, Typing)]
+        accepted = 0
+        for _ in range(3000):
+            d = rng.choice(corpus)
+            path, node = rng.choice(list(_nodes(d)))
+            mutant = _put(d, path, _mutate(node, rng, pool, typings))
+            try:
+                recheck(mutant)
+            except TypeTheoryError:
+                continue
+            accepted += mutant != d
+            c = mutant.conclusion
+            if isinstance(c, Typing):
+                check(c.ctx, c.term, c.type)
+            elif isinstance(c, Formation):
+                check_formation(c.ctx, c.type, c.universe)
+            else:
+                assert type_equal(None, c.left, c.right)
+        assert accepted > 100
+
+    def test_u1_is_closed_only_under_arrow(self):
+        d = check_formation(std_ctx(), Fun(a, b), U1)
+        assert recheck(d)
+        prod = Derivation("prod-form", Formation(d.conclusion.ctx,
+                                                 Prod(a, b), U1), d.premises)
+        with pytest.raises(IllFormedType):
+            check_formation(std_ctx(), Prod(a, b), U1)
+        with pytest.raises(InvalidDerivation):
+            recheck(prod)
+
+    def test_duality_principle_is_about_the_dual(self):
+        d = check_duality_principle(parse_type("a -> ~b"))
+        e1, e2 = d.premises
+        right = Opp(Opp(d.conclusion.right))   # an equal type, not ~dual
+        e2 = Derivation("onf", TypeEq(None, right, e2.conclusion.right))
+        assert recheck(e2)
+        with pytest.raises(InvalidDerivation):
+            recheck(Derivation("duality-principle",
+                               TypeEq(None, d.conclusion.left, right),
+                               (e1, e2)))
+
+    def test_term_equality_node(self):
+        ctx = ctx_with(("x", "~(a->b)"), ("z", "~(a->b)"))
+        t, A = parse_term("<p1 x, p2 x>"), parse_type("~(a->b)")
+        assert recheck(Derivation("term-equal", TermEq(ctx, t, Var("x"), A)))
+        with pytest.raises(InvalidDerivation):
+            recheck(Derivation("term-equal", TermEq(ctx, t, Var("z"), A)))
+
+    def test_recheck_derives_nothing_again(self, corpus, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("recheck re-derived a judgment")
+
+        for name in ("check", "_infer", "check_formation", "_open",
+                     "term_equal"):
+            monkeypatch.setattr(kernel, name, forbidden)
+        for d in corpus:
+            assert recheck(d)
+
+
+class TestRecheckInference:
+    """Hand-built derivations whose nodes each hold in check mode, but
+    that put a checked typing where the kernel must infer one."""
+
+    F = parse_type("a -> ~(a -> b)")
+    LAM = parse_term("\\v:a. <y, k>")   # its body is a bare pair
+
+    def _applied(self, fn_d):
+        """fn_d's term applied to y, concluded by conversion."""
+        ctx, fn = fn_d.conclusion.ctx, fn_d.conclusion.term
+        t, T = App(fn, Var("y")), onf(self.F).cod
+        d = Derivation("fun-elim", Typing(ctx, t, T),
+                       (fn_d, check(ctx, Var("y"), a)))
+        with pytest.raises(TypeTheoryError):
+            check(ctx, t, T)
+        return Derivation("conv", Typing(ctx, t, T), (d,))
+
+    def test_checked_lambda_is_not_applied(self):
+        d = self._applied(check(_audit_ctx(), self.LAM, self.F))
+        with pytest.raises(InvalidDerivation):
+            recheck(d)
+
+    def test_checked_branch_of_an_inferred_case(self):
+        ctx = _audit_ctx()
+        t = Case(Var("e"), "u", self.LAM, "n", self.LAM)
+        branches = [check(ctx.extended(TermDecl(v, ty)), self.LAM, self.F)
+                    for v, ty in (("u", a), ("n", Opp(b)))]
+        case_d = Derivation("sum-elim", Typing(ctx, t, onf(self.F)),
+                            (kernel._infer(ctx, Var("e"))[1], *branches))
+        with pytest.raises(InvalidDerivation):
+            recheck(self._applied(case_d))
+
+    def test_inferred_type_of_split_mentions_no_bound_variable(self):
+        ctx = _audit_ctx()
+        body = parse_term("(<t, h> : a * p(t))")
+        t = Proj1(Split(Var("s"), "t", "h", body))
+        with pytest.raises(NonInferableTerm):
+            check(ctx, t, a)
+        inner = ctx.extended(TermDecl("t", a)).extended(
+            TermDecl("h", parse_type("p(t)")))
+        split_d = Derivation("sigma-elim", Typing(ctx, t.arg, onf(body.type)),
+                             (kernel._infer(ctx, Var("s"))[1],
+                              kernel._infer(inner, body)[1]))
+        d = Derivation("conv", Typing(ctx, t, a), (
+            Derivation("prod-elim-1", Typing(ctx, t, a), (split_d,)),))
+        with pytest.raises(InvalidDerivation):
+            recheck(d)
+
+    def test_inferred_annotation_has_its_own_type(self):
+        ctx = _audit_ctx()
+        t = parse_term("(x : ~(a -> b))")
+        d = kernel._infer(ctx, t)[1]
+        assert recheck(d)
+        equivalent_d = replace(d, conclusion=replace(
+            d.conclusion, type=parse_type("a * ~b")))
+        assert recheck(equivalent_d)   # checked, an equivalent type is fine
+        proj = Proj2(t)
+        for ann_d, stem in ((d, "cofun"), (equivalent_d, "prod")):
+            proj_d = Derivation(f"{stem}-elim-2", Typing(ctx, proj, Opp(b)),
+                                (ann_d,))
+            root = Derivation("conv", Typing(ctx, proj, Opp(b)), (proj_d,))
+            if ann_d is d:
+                assert recheck(root)
+            else:
+                with pytest.raises(InvalidDerivation):
+                    recheck(root)
+
+
+def _mutate(node, rng, pool, typings):
+    """A random change to one node; it may or may not stay sound."""
+    c, ps = node.conclusion, node.premises
+    kind = rng.randrange(7)
+    if kind == 0:
+        return replace(node, rule=rng.choice(sorted(_RULES)))
+    if kind == 1 and ps:
+        i = rng.randrange(len(ps))
+        return replace(node, premises=ps[:i] + ps[i + 1:])
+    if kind == 2 and ps:
+        premises = list(ps)
+        premises[rng.randrange(len(ps))] = rng.choice(pool)
+        return replace(node, premises=tuple(premises))
+    if kind == 3 and isinstance(c, Typing):
+        return replace(node, conclusion=replace(
+            c, term=rng.choice(typings).term))
+    if kind == 4 and isinstance(c, (Typing, Formation)):
+        other = rng.choice(typings).type
+        return replace(node, conclusion=replace(c, type=other))
+    if kind == 5 and isinstance(c, (Typing, Formation)):
+        return replace(node, conclusion=replace(
+            c, type=unnormalize(rng, c.type, 1)))
+    if kind == 6 and isinstance(c, (Typing, Formation)):
+        return replace(node, conclusion=replace(
+            c, ctx=rng.choice(typings).ctx))
+    return replace(node, premises=ps[::-1])
+
+
+def _lambda_chain(n, var):
+    """\\x0:a. ... \\x{n-1}:a. x0 : a -> ... -> a, binder i named var(i);
+    built with loops, not recursion."""
+    t, T = Var(var(0)), a
+    for i in reversed(range(n)):
+        t, T = Lam(var(i), a, t), Fun(a, T)
+    return t, T
+
+
+@pytest.mark.parametrize("n, var", [(800, "x{}".format),
+                                    (300, lambda i: "x")])
+def test_deep_derivation_rechecks(n, var):
+    # one stack entry per node, no Python frame; the binders named x all
+    # shadow each other, so check renames every one of them
+    ctx = declare_type_const(EMPTY, "a")
+    t, T = _lambda_chain(n, var)
+    assert recheck(check(ctx, t, T))
