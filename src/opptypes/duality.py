@@ -72,10 +72,17 @@ def onf(A: TypeExpr) -> TypeExpr:
             return Fun(gen, body)
         return CoFun(body, _neg(gen))
     if isinstance(A, Opp):
-        inner = onf(A.inner)
-        if inner is A.inner and isinstance(inner, Atom):
+        # a run of ~ is read with a loop, so a deep one costs no stack;
+        # ~~B is B
+        inner, odd = A.inner, True
+        while isinstance(inner, Opp):
+            inner, odd = inner.inner, not odd
+        nf = onf(inner)
+        if not odd:
+            return nf
+        if nf is A.inner and isinstance(nf, Atom):
             return A
-        return _neg(inner)
+        return _neg(nf)
     raise IllFormedType(f"not a type: {A!r}")
 
 

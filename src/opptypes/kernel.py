@@ -256,8 +256,15 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
         rule = "pi-form" if isinstance(A, Pi) else "sigma-form"
         return Derivation(rule, conc, (d1, d2))
     if isinstance(A, Opp):
-        d1 = check_formation(ctx, A.inner, U0)
-        return Derivation("opp-form", conc, (d1,))
+        # a run of ~ is read with a loop, so a deep one costs no stack
+        run = []
+        while isinstance(A, Opp):
+            run.append(A)
+            A = A.inner
+        d = check_formation(ctx, A, U0)
+        for opp in reversed(run):
+            d = Derivation("opp-form", Formation(ctx, opp, U0), (d,))
+        return d
     raise IllFormedType(f"not a type: {A!r}")
 
 
@@ -439,7 +446,7 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
             expected=goal, actual=None)
 
     if isinstance(t, (Case, Split)):
-        dscrut, branches = _open_elim(ctx, t)
+        dscrut, branches = _open_elim(ctx, t, goal)
         premises = [dscrut]
         for ctx2, _, (body,) in branches:
             premises.append(check(ctx2, body, goal))
@@ -471,8 +478,9 @@ def _require_domain(ctx: Context, annotated: TypeExpr, expected: TypeExpr):
             expected=expected, actual=onf(annotated))
 
 
-def _open_elim(ctx: Context, t: Union[Case, Split]):
-    """Derivation of a case or split scrutinee, and t's opened branches."""
+def _open_elim(ctx: Context, t: Union[Case, Split], goal=None):
+    """Derivation of a case or split scrutinee, and t's opened branches
+    (see _open_branches)."""
     styp, dscrut = _infer(ctx, t.scrut)
     if isinstance(t, Case) and not isinstance(styp, Sum):
         raise TypeMismatch(
@@ -482,27 +490,33 @@ def _open_elim(ctx: Context, t: Union[Case, Split]):
         raise TypeMismatch(
             f"split scrutinee must have a dependent-pair-shaped type, "
             f"got {styp}", expected=None, actual=styp)
-    return dscrut, _open_branches(ctx, styp, (t,))
+    return dscrut, _open_branches(ctx, styp, (t,), goal)
 
 
-def _open_branches(ctx: Context, styp: TypeExpr, elims):
+def _open_branches(ctx: Context, styp: TypeExpr, elims, goal=None):
     """Open the branches of case terms over a scrutinee of sum type styp,
     or of split terms over one of dependent pair type styp.
 
-    The binders are named after the first term's.  Returns, per branch, the
-    context extended by its binders, their names, and each term's body.
+    The binders are named after the first term's, but not after a
+    variable free in goal, the type the branches are checked against,
+    which the binders must not capture.  Returns, per branch, the context
+    extended by its binders, their names, and each term's body.
     """
-    if isinstance(elims[0], Case):
+    n, case = len(elims), isinstance(elims[0], Case)
+    # the goal lies in the binders' scope, but none of them binds in it
+    outer = [] if goal is None else [(goal, (None,) * (1 if case else 2))]
+    if case:
         sides = ((styp.left, [(e.lbranch, (e.lvar,)) for e in elims]),
                  (styp.right, [(e.rbranch, (e.rvar,)) for e in elims]))
         branches = []
         for ty, scopes in sides:
-            names, bodies = _open(ctx, scopes[0][1], scopes, [ty])
+            names, bodies = _open(ctx, scopes[0][1], scopes + outer, [ty])
             branches.append((ctx.extended(TermDecl(names[0], ty)),
-                             names, bodies))
+                             names, bodies[:n]))
         return branches
     scopes = [(e.body, (e.var1, e.var2)) for e in elims]
-    (v1, v2), bodies = _open(ctx, scopes[0][1], scopes, [styp])
+    (v1, v2), bodies = _open(ctx, scopes[0][1], scopes + outer, [styp])
+    bodies = bodies[:n]
     snd = onf(subst_type(styp.body, styp.var, Var(v1)))
     ctx2 = ctx.extended(TermDecl(v1, styp.gen)).extended(TermDecl(v2, snd))
     return [(ctx2, (v1, v2), bodies)]
@@ -966,7 +980,8 @@ def _elim(cls, d, nf, infer):
         _bad(d, f"cannot eliminate a scrutinee of type {styp}")
     if not ok:
         _bad(d, f"the branch premises are not the branches of {t}")
-    escaping = free_vars(goal) if infer else frozenset()
+    # checked or inferred, the node's type must not mention a binder
+    escaping = free_vars(goal)
     for i, (b, names) in enumerate(branches, 1):
         if not _has_nf(b.type, goal):
             _bad(d, f"branch {i} does not have type {goal}")

@@ -9,6 +9,13 @@ exhaustive over the rule schemas; an empty result is therefore evidence
 of non-inhabitation at that depth, which is what the paraconsistency and
 non-collapse tests rely on.  Rule order (assumptions left to right, then
 introductions) is fixed, so results are deterministic.
+
+Within one top-level call the hypotheses are normalized once, and each
+(hypotheses, goal) subproblem whose enumeration ran to the end without a
+result is remembered with its depth.  Enumeration only grows with depth,
+so such a subproblem met again at that depth or less is skipped.  Only
+empty enumerations are skipped, so the terms found, and their order, are
+those of the plain enumeration.
 """
 
 from __future__ import annotations
@@ -39,15 +46,37 @@ def bounded_inhabit(ctx: Context, A: TypeExpr, depth: int,
     return next(iter_inhabitants(ctx, onf(A), depth), None)
 
 
-def iter_inhabitants(ctx: Context, goal: TypeExpr,
-                     depth: int) -> Iterator[TermExpr]:
-    """Enumerate all spine-form inhabitants of a normal goal up to depth."""
+def iter_inhabitants(ctx: Context, goal: TypeExpr, depth: int,
+                     _hyps=None, _empty=None) -> Iterator[TermExpr]:
+    """Enumerate all spine-form inhabitants of a normal goal up to depth.
+
+    _hyps and _empty belong to the recursion: the (variable, normal type)
+    pairs of ctx's term declarations, and the empty subproblems met so far
+    in this enumeration, each with the largest depth it was found empty at.
+    """
     if depth <= 0:
         return
+    if _hyps is None:
+        _hyps = tuple((Var(d.name), onf(d.type)) for d in ctx.term_decls())
+        _empty = {}
+    key = (_hyps, goal)
+    if _empty.get(key, 0) >= depth:
+        return
+    found = False
+    for term in _inhabitants(ctx, _hyps, _empty, goal, depth):
+        found = True
+        yield term
+    if not found:
+        _empty[key] = depth
 
-    for decl in ctx.term_decls():
-        yield from _eliminate(ctx, Var(decl.name), onf(decl.type),
-                              goal, depth - 1)
+
+def _inhabitants(ctx: Context, hyps, empty, goal: TypeExpr,
+                 depth: int) -> Iterator[TermExpr]:
+    """The enumeration behind iter_inhabitants: eliminations of each
+    hypothesis in turn, then the goal's introduction rule."""
+    for head, head_type in hyps:
+        yield from _eliminate(ctx, hyps, empty, head, head_type, goal,
+                              depth - 1)
 
     if isinstance(goal, (Fun, Pi)):
         dom, var, cod = _halves(goal)
@@ -55,24 +84,27 @@ def iter_inhabitants(ctx: Context, goal: TypeExpr,
         if var is not None:
             cod = onf(subst_type(cod, var, Var(x)))
         ctx2 = ctx.extended(TermDecl(x, dom))
-        for body in iter_inhabitants(ctx2, cod, depth - 1):
+        hyps2 = hyps + ((Var(x), dom),)
+        for body in iter_inhabitants(ctx2, cod, depth - 1, hyps2, empty):
             yield Lam(x, dom, body)
     elif isinstance(goal, (Prod, CoFun, Sigma)):
         first_type = _halves(goal)[0]
-        for fst in iter_inhabitants(ctx, first_type, depth - 1):
+        for fst in iter_inhabitants(ctx, first_type, depth - 1, hyps, empty):
             _, snd_type = _components(goal, fst)
-            for snd in iter_inhabitants(ctx, snd_type, depth - 1):
+            for snd in iter_inhabitants(ctx, snd_type, depth - 1, hyps,
+                                        empty):
                 yield Pair(fst, snd)
     elif isinstance(goal, Sum):
-        for arg in iter_inhabitants(ctx, goal.left, depth - 1):
+        for arg in iter_inhabitants(ctx, goal.left, depth - 1, hyps, empty):
             yield Inl(arg)
-        for arg in iter_inhabitants(ctx, goal.right, depth - 1):
+        for arg in iter_inhabitants(ctx, goal.right, depth - 1, hyps, empty):
             yield Inr(arg)
     # atoms and opposite atoms: no introduction rule
 
 
-def _eliminate(ctx: Context, head: TermExpr, head_type: TypeExpr,
-               goal: TypeExpr, depth: int) -> Iterator[TermExpr]:
+def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
+               head_type: TypeExpr, goal: TypeExpr,
+               depth: int) -> Iterator[TermExpr]:
     """Extend an elimination spine of the given type toward the goal."""
     if _equiv(head_type, goal):
         yield head
@@ -81,18 +113,24 @@ def _eliminate(ctx: Context, head: TermExpr, head_type: TypeExpr,
 
     if isinstance(head_type, (Fun, Pi)):
         dom, var, cod = _halves(head_type)
-        for arg in iter_inhabitants(ctx, dom, depth):
+        for arg in iter_inhabitants(ctx, dom, depth, hyps, empty):
             res = cod if var is None else onf(subst_type(cod, var, arg))
-            yield from _eliminate(ctx, App(head, arg), res, goal, depth - 1)
+            yield from _eliminate(ctx, hyps, empty, App(head, arg), res,
+                                  goal, depth - 1)
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
         c1, c2 = _components(head_type, Proj1(head))
-        yield from _eliminate(ctx, Proj1(head), c1, goal, depth - 1)
-        yield from _eliminate(ctx, Proj2(head), c2, goal, depth - 1)
+        yield from _eliminate(ctx, hyps, empty, Proj1(head), c1, goal,
+                              depth - 1)
+        yield from _eliminate(ctx, hyps, empty, Proj2(head), c2, goal,
+                              depth - 1)
     elif isinstance(head_type, Sum):
         lv = fresh_name("w", ctx.names)
         rv = fresh_name("w", ctx.names)
         ctxl = ctx.extended(TermDecl(lv, head_type.left))
         ctxr = ctx.extended(TermDecl(rv, head_type.right))
-        for lbody in iter_inhabitants(ctxl, goal, depth - 1):
-            for rbody in iter_inhabitants(ctxr, goal, depth - 1):
+        hypl = hyps + ((Var(lv), head_type.left),)
+        hypr = hyps + ((Var(rv), head_type.right),)
+        for lbody in iter_inhabitants(ctxl, goal, depth - 1, hypl, empty):
+            for rbody in iter_inhabitants(ctxr, goal, depth - 1, hypr,
+                                          empty):
                 yield Case(head, lv, lbody, rv, rbody)

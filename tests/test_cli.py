@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import opptypes.script as s
-from opptypes import (Atom, Fun, Opp, ParseError, Pi, Var, bounded_inhabit,
-                      declare_term, parse, parse_term, parse_type, run,
-                      script_str, term_str, DepthCapExceeded)
+from opptypes import (Atom, Fun, Opp, ParseError, Pi, Proj1, Var,
+                      bounded_inhabit, declare_term, parse, parse_term,
+                      parse_type, run, script_str, term_str,
+                      DepthCapExceeded)
 from opptypes.runner import DEEP_INPUT, report_json, report_text
 
 from generators import rand_script, rand_term, rand_type, std_ctx
@@ -289,16 +290,17 @@ class TestPinnedReports:
                 in pinned)
 
 
-def _deep_opposite(depth):
-    ty = Atom("a")
+def _deep_projection(depth):
+    t = Var("x")
     for _ in range(depth):
-        ty = Opp(ty)
-    return ty
+        t = Proj1(t)
+    return t
 
 
 class TestDeepInput:
     def test_run_records_the_error_and_keeps_going(self):
-        sc = s.Script((s.AtomDecl("a"), s.OnfDirective(_deep_opposite(3000)),
+        sc = s.Script((s.AtomDecl("a"),
+                       s.InferDirective(_deep_projection(3000)),
                        s.AtomDecl("b")))
         report = run(sc)
         assert [e.status for e in report.entries] == ["ok", "error", "ok"]
@@ -311,14 +313,20 @@ class TestDeepInput:
             ty, depth = ty.inner, depth + 1
         assert (ty, depth) == (Atom("a"), 3000)
 
+    def test_check_normalizes_a_deep_tower(self):
+        proc = _cli("check", "-", stdin="atom a; onf " + "~" * 3001 + "a;")
+        assert proc.returncode == 0
+        assert proc.stdout == ("ok    [1:1] atom: atom a : U0\n"
+                               "ok    [1:9] onf: ~a\n")
+
     def test_check_reports_deep_input_and_exits_one(self):
-        proc = _cli("check", "-", stdin="atom a; onf " + "~" * 3000 + "a;")
+        proc = _cli("check", "-", stdin="atom a; infer " + "p1 " * 3000 + "x;")
         assert proc.returncode == 1
         assert proc.stdout == ("ok    [1:1] atom: atom a : U0\n"
-                               f"error [1:9] onf: {DEEP_INPUT}\n")
+                               f"error [1:9] infer: {DEEP_INPUT}\n")
 
     def test_oneshot_prints_one_line_and_exits_one(self):
-        proc = _cli("onf", "~" * 3000 + "a")
+        proc = _cli("dual", "~" * 3000 + "a")
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: {DEEP_INPUT}\n"

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 from opptypes import (Atom, Basis, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
@@ -50,6 +51,14 @@ class TestOnfExamples:
             ("~~a", "a"),
         ]:
             assert alpha_eq(onf(parse_type(lhs)), onf(parse_type(rhs))), lhs
+
+    @pytest.mark.parametrize("n, expected", [(3000, a), (3001, Opp(a))])
+    def test_tower_of_opposites(self, n, expected):
+        # a run of ~ far deeper than the recursion limit, built bottom-up
+        ty = a
+        for _ in range(n):
+            ty = Opp(ty)
+        assert onf(ty) == expected
 
     def test_degenerate_binders_collapse(self):
         assert onf(parse_type("Pi x:a. b")) == Fun(a, b)

@@ -44,6 +44,20 @@ class TestFormation:
     def test_double_opposite_in_u0(self):
         check_formation(std_ctx(), Opp(Opp(a)), U0)
 
+    @pytest.mark.parametrize("n, expected", [(3000, a), (3001, Opp(a))])
+    def test_tower_of_opposites(self, n, expected):
+        # a run of ~ far deeper than the recursion limit, built bottom-up
+        ty = a
+        for _ in range(n):
+            ty = Opp(ty)
+        d = check_formation(std_ctx(), ty, U0)
+        assert recheck(d)
+        assert onf(d.conclusion.type) == expected
+        for _ in range(n):
+            assert d.rule == "opp-form"
+            (d,) = d.premises
+        assert (d.rule, d.conclusion.type) == ("atom-form", a)
+
     def test_opposite_rejected_in_u1(self):
         with pytest.raises(IllFormedType):
             check_formation(std_ctx(), Opp(a), U1)
@@ -206,6 +220,28 @@ class TestSplitBinders:
             check(ctx, parse_term("split s as (v, v) => v"), a)
         with pytest.raises(NonInferableTerm):
             infer(ctx, parse_term("split s as (v, v) => v"))
+
+    @pytest.mark.parametrize("term", [
+        "split s as (v, h) => h",
+        "case e of { inl v => k v | inr v => k v }"])
+    def test_binder_does_not_capture_a_free_variable_of_the_goal(self, term):
+        # p(v) is ill formed: its v is not the binder's
+        ctx = ctx_with(("s", "Sg u:a. p(u)"), ("e", "a + a"),
+                       ("k", "Pi u:a. p(u)"))
+        with pytest.raises(TypeMismatch):
+            check(ctx, parse_term(term), parse_type("p(v)"))
+
+    def test_recheck_rejects_a_binder_free_in_the_goal(self):
+        ctx = ctx_with(("s", "Sg u:a. p(u)"))
+        t, goal = parse_term("split s as (v, h) => h"), parse_type("p(v)")
+        inner = ctx.extended(TermDecl("v", a)).extended(TermDecl("h", goal))
+        scrut = Typing(ctx, Var("s"), parse_type("Sg u:a. p(u)"))
+        body = Typing(inner, Var("h"), goal)
+        d = Derivation("sigma-elim", Typing(ctx, t, goal),
+                       (Derivation("var", scrut),
+                        Derivation("conv", body, (Derivation("var", body),))))
+        with pytest.raises(InvalidDerivation):
+            recheck(d)
 
 
 class TestTypeEqual:

@@ -1,0 +1,127 @@
+"""The inhabitation searcher against the plain enumerator in search_oracle.
+
+The searcher remembers, per top-level call, the subproblems that came up
+empty.  These tests hold it to the plain enumeration: the same first term,
+the same sequence of terms, results that only grow with depth, terms that
+check and recheck, and answers that do not depend on earlier calls.
+"""
+
+import random
+
+import pytest
+
+import opptypes.search as search
+import search_oracle
+from opptypes import (EMPTY, Atom, bounded_inhabit, check, declare_term,
+                      declare_type_const, onf, parse_type, recheck)
+from opptypes.search import iter_inhabitants
+
+from generators import rand_type, std_ctx
+from search_oracle import first_inhabitant, oracle_inhabitants
+
+# the context of the search_sweep benchmark workload: among its hypotheses
+# are the paper's x : a and y : ~a
+SWEEP_CONSTS = ("a", "b", "c", "d")
+SWEEP_HYPS = (("x", "a"), ("y", "~a"), ("f", "c -> d"), ("g", "d <~ c"),
+              ("s", "c + d"), ("r", "~d"), ("k", "Pi u:c. p(u)"))
+SWEEP_GOALS = ("a", "~a", "b", "~b", "d", "b * a", "b + ~b", "a -> b",
+               "a * b + ~c", "~d * a", "Pi u:c. p(u) + d", "Sg u:c. p(u)",
+               "Pi u:c. p(u)", "~(c -> d)", "~(a * ~a)", "a -> ~a -> b")
+
+def _sweep_ctx():
+    ctx = EMPTY
+    for name in SWEEP_CONSTS:
+        ctx = declare_type_const(ctx, name)
+    ctx = declare_type_const(ctx, "p", (("x1", Atom("c")),))
+    for name, ty in SWEEP_HYPS:
+        ctx = declare_term(ctx, name, parse_type(ty))
+    return ctx
+
+
+def _sweep_goals():
+    return [parse_type(g) for g in SWEEP_GOALS]
+
+
+def _generated_cases(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        ctx = std_ctx()
+        for i in range(rng.randint(1, 3)):
+            ctx = declare_term(ctx, f"h{i}",
+                               rand_type(rng, rng.randint(0, 3)))
+        yield ctx, rand_type(rng, rng.randint(0, 3)), rng.randint(1, 6)
+
+
+def test_first_term_matches_oracle_on_generated_goals():
+    found = 0
+    for ctx, goal, depth in _generated_cases(5150, 120):
+        got = bounded_inhabit(ctx, goal, depth)
+        assert got == first_inhabitant(ctx, goal, depth)
+        found += got is not None
+    assert 20 < found < 120
+
+
+def test_first_term_matches_oracle_on_sweep_goals():
+    ctx = _sweep_ctx()
+    for goal in _sweep_goals():
+        for depth in range(1, 7):
+            assert (bounded_inhabit(ctx, goal, depth)
+                    == first_inhabitant(ctx, goal, depth)), (goal, depth)
+
+
+def test_enumeration_matches_oracle_at_small_depths():
+    cases = list(_generated_cases(6160, 60))
+    ctx = _sweep_ctx()
+    cases += [(ctx, goal, 4) for goal in _sweep_goals()]
+    for ctx, goal, depth in cases:
+        nf = onf(goal)
+        for d in range(1, min(depth, 4) + 1):
+            assert (list(iter_inhabitants(ctx, nf, d))
+                    == list(oracle_inhabitants(ctx, nf, d)))
+
+
+def test_results_grow_with_depth_and_check():
+    cases = list(_generated_cases(7170, 40))
+    ctx = _sweep_ctx()
+    cases += [(ctx, goal, 4) for goal in _sweep_goals()]
+    for ctx, goal, _ in cases:
+        nf = onf(goal)
+        previous = []
+        for d in range(1, 5):
+            terms = list(iter_inhabitants(ctx, nf, d))
+            assert set(previous) <= set(terms), (goal, d)
+            for t in terms:
+                assert recheck(check(ctx, t, goal))
+            previous = terms
+
+
+def test_answers_do_not_depend_on_call_order():
+    (c1, g1, d1), (c2, g2, d2) = list(_generated_cases(8180, 2))
+    sweep = _sweep_ctx()
+    runs = [(c1, g1, d1), (c2, g2, d2)] + [(sweep, g, 6)
+                                         for g in _sweep_goals()[:6]]
+    forward = [bounded_inhabit(*run) for run in runs]
+    backward = [bounded_inhabit(*run) for run in reversed(runs)]
+    assert forward == backward[::-1]
+
+
+@pytest.mark.parametrize("goal", ["b", "b + ~b", "Sg u:c. p(u)"])
+def test_empty_subproblems_are_searched_once(goal, monkeypatch):
+    ctx, goal = _sweep_ctx(), onf(parse_type(goal))
+    searched = _count_calls(monkeypatch, search, "iter_inhabitants")
+    plain = _count_calls(monkeypatch, search_oracle, "oracle_inhabitants")
+    assert next(search.iter_inhabitants(ctx, goal, 6), None) is None
+    assert next(search_oracle.oracle_inhabitants(ctx, goal, 6), None) is None
+    assert len(plain) >= 3 * len(searched), (len(plain), len(searched))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, recursive ones included."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
