@@ -201,6 +201,11 @@ class Derivation:
 # Type formation
 # ---------------------------------------------------------------------------
 
+_FORM_RULES = {Fun: "fun-form", CoFun: "cofun-form", Prod: "prod-form",
+               Sum: "sum-form", Pi: "pi-form", Sigma: "sigma-form",
+               Opp: "opp-form"}
+
+
 def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
     """Derivation that A is a type in universe u.
 
@@ -228,33 +233,10 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
         rule = "atom-form" if decl.universe is u else "atom-form-lift"
         return Derivation(rule, conc, tuple(premises))
 
-    if isinstance(A, Fun):
-        d1 = check_formation(ctx, A.dom, u)
-        d2 = check_formation(ctx, A.cod, u)
-        return Derivation("fun-form", conc, (d1, d2))
-
-    if u is U1:
+    if u is U1 and not isinstance(A, Fun):
         raise IllFormedType(
             f"universe U1 is closed only under ->, cannot form {A}")
 
-    if isinstance(A, CoFun):
-        d1 = check_formation(ctx, A.cod, U0)
-        d2 = check_formation(ctx, A.dom, U0)
-        return Derivation("cofun-form", conc, (d1, d2))
-    if isinstance(A, Prod):
-        d1 = check_formation(ctx, A.left, U0)
-        d2 = check_formation(ctx, A.right, U0)
-        return Derivation("prod-form", conc, (d1, d2))
-    if isinstance(A, Sum):
-        d1 = check_formation(ctx, A.left, U0)
-        d2 = check_formation(ctx, A.right, U0)
-        return Derivation("sum-form", conc, (d1, d2))
-    if isinstance(A, (Pi, Sigma)):
-        d1 = check_formation(ctx, A.gen, U0)
-        (var,), (body,) = _open(ctx, (A.var,), [(A.body, (A.var,))], [A.gen])
-        d2 = check_formation(ctx.extended(TermDecl(var, A.gen)), body, U0)
-        rule = "pi-form" if isinstance(A, Pi) else "sigma-form"
-        return Derivation(rule, conc, (d1, d2))
     if isinstance(A, Opp):
         # a run of ~ is read with a loop, so a deep one costs no stack
         run = []
@@ -265,6 +247,18 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
         for opp in reversed(run):
             d = Derivation("opp-form", Formation(ctx, opp, U0), (d,))
         return d
+    if isinstance(A, TypeExpr):
+        # the subtrees of SCOPES in order; a binder's body is formed
+        # under its generating type
+        premises = []
+        for field, *binders in SCOPES[type(A)]:
+            sub, inner = getattr(A, field), ctx
+            if binders:
+                (var,), (sub,) = _open(ctx, (A.var,), [(sub, (A.var,))],
+                                       [A.gen])
+                inner = ctx.extended(TermDecl(var, A.gen))
+            premises.append(check_formation(inner, sub, u))
+        return Derivation(_FORM_RULES[type(A)], conc, tuple(premises))
     raise IllFormedType(f"not a type: {A!r}")
 
 
@@ -1060,9 +1054,7 @@ def _term_eq(d, nf, infer):
 _RULES = {
     "atom-form": partial(_atom_form, False),
     "atom-form-lift": partial(_atom_form, True),
-    **{f"{name}-form": partial(_formation, cls) for name, cls in (
-        ("fun", Fun), ("cofun", CoFun), ("prod", Prod), ("sum", Sum),
-        ("pi", Pi), ("sigma", Sigma), ("opp", Opp))},
+    **{rule: partial(_formation, cls) for cls, rule in _FORM_RULES.items()},
     "var": _var,
     "ann": _ann,
     "conv": _conv,

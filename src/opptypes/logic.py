@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from . import syntax
 from .duality import dual_plans
 from .errors import SortError
 from .kernel import Context, EMPTY, TermDecl, TypeConstDecl, U0, type_equal
@@ -201,6 +202,13 @@ CONNECTIVES = {Impl: Fun, CoImpl: CoFun, And: Prod, Or: Sum,
                Forall: Pi, Exists: Sigma}
 
 _DUAL_CONNECTIVES = dual_plans(CONNECTIVES)
+
+# The connectives' own symbols, each at the level of the constructor that
+# translates it (see syntax.FIXITY); ~ is at the level of Opp.
+FIXITY = {cls: (sym, syntax.FIXITY[CONNECTIVES.get(cls, Opp)][1])
+          for cls, sym in ((Impl, "=>"), (CoImpl, "<~"), (And, "&"),
+                           (Or, "|"), (Neg, "~"), (Forall, "all"),
+                           (Exists, "ex"))}
 
 
 def _formula_type(f: Formula) -> TypeExpr:

@@ -1,14 +1,11 @@
-"""Recursive-descent parser for the concrete syntax.
+"""Parser for the concrete syntax.
 
 Grammar sketch (identifiers are [a-zA-Z][a-zA-Z0-9_]*, `--` starts a line
 comment, directives end with `;`):
 
-    type    ::= sum (('->' | '<~') type)?          -- right assoc, no mixing
-    sum     ::= prod ('+' prod)*
-    prod    ::= prefix ('*' prefix)*
-    prefix  ::= '~' prefix | binder | tatom
-    binder  ::= ('Pi' | 'Sg') ident ':' type '.' type
-    tatom   ::= ident | ident '(' term {',' term} ')' | '(' type ')'
+    type    ::= type ('->' | '<~' | '+' | '*') type | '~' type
+              | ('Pi' | 'Sg') ident ':' type '.' type
+              | ident | ident '(' term {',' term} ')' | '(' type ')'
 
     term    ::= '\\' ident ':' type '.' term
               | 'split' appterm 'as' '(' ident ',' ident ')' '=>' term
@@ -20,18 +17,19 @@ comment, directives end with `;`):
                                        '|' 'inr' ident '=>' term '}'
               | '(' term ':' type ')' | '(' term ')'
 
-    formula ::= orf (('=>' | '<~') formula)?       -- right assoc, no mixing
-    orf     ::= andf ('|' andf)*
-    andf    ::= negf ('&' negf)*
-    negf    ::= '~' negf | ('all'|'ex') ident ':' ident '.' formula | fatom
-    fatom   ::= ident | ident '(' ident {',' ident} ')' | '(' formula ')'
+    formula ::= formula ('=>' | '<~' | '|' | '&') formula | '~' formula
+              | ('all' | 'ex') ident ':' ident '.' formula
+              | ident | ident '(' ident {',' ident} ')' | '(' formula ')'
 
-Prefix `~` binds tightest; `*` binds tighter than `+`; the arrows are
-right-associative at equal precedence and may not be mixed without
-parentheses; binders extend as far right as possible.  An argument list
-attaches to an identifier only when the `(` is adjacent (no space), which
-is what keeps `equal a (b)` unambiguous.  A run of prefix operators is
-read with a loop, not by recursion, so deep towers of `~` parse.
+Types and formulas take precedence and associativity from the fixity
+tables syntax.FIXITY and logic.FIXITY, which the printer reads too.
+Prefix `~` binds tightest; `*` (`&`) binds tighter than `+` (`|`); the
+arrows are right-associative at the lowest infix level and may not be
+mixed without parentheses; binders extend as far right as possible.  One
+precedence loop reads both on an explicit stack, so parentheses, binders
+and `~` nest without using Python frames.  Terms are read by recursive
+descent.  An argument list attaches to an identifier only when the `(` is
+adjacent (no space), which is what keeps `equal a (b)` unambiguous.
 """
 
 from __future__ import annotations
@@ -43,12 +41,36 @@ from typing import List, Optional
 from . import logic, script, syntax
 from .duality import BASIS_NAMES
 from .errors import ParseError
+from .syntax import ARROW, BINDER, PREFIX
 
 RESERVED = frozenset("""
     Pi Sg p1 p2 inl inr case of split as all ex
     atom pred assume check infer dual onf equal expand translate nnf
     inhabit depth basis
 """.split())
+
+_DIRECTIVES = {kw: cls for cls, kw in script.DIRECTIVE_KEYWORDS.items()}
+
+# the level of a bracket on the precedence stack, below every operator
+_OPEN = -1
+
+
+def _operators(fixity):
+    """A fixity table as the parser reads it: infix symbol -> (class,
+    level), the prefix as (symbol, class), binder keyword -> class."""
+    infix, binders = {}, {}
+    for cls, (sym, level) in fixity.items():
+        if level == BINDER:
+            binders[sym] = cls
+        elif level == PREFIX:
+            prefix = (sym, cls)
+        else:
+            infix[sym] = (cls, level)
+    return infix, prefix, binders
+
+
+_TYPE_OPS = _operators(syntax.FIXITY)
+_FORMULA_OPS = _operators(logic.FIXITY)
 
 _PREFIX_TERMS = {"p1": syntax.Proj1, "p2": syntax.Proj2,
                  "inl": syntax.Inl, "inr": syntax.Inr}
@@ -147,84 +169,110 @@ class Parser:
         tok = self.peek()
         return tok.kind == "word" and tok.value in words
 
-    # -- types -------------------------------------------------------------
+    # -- types and formulas ---------------------------------------------------
 
     def type_(self) -> syntax.TypeExpr:
-        first = self.sum_()
-        if not self.at_sym("->", "<~"):
-            return first
-        op = self.advance().value
-        operands = [first]
+        return self._expr(_TYPE_OPS, syntax.Atom, self.term_,
+                          self._type_domain)
+
+    def formula_(self) -> logic.Formula:
+        return self._expr(_FORMULA_OPS, logic.Pred, self.expect_ident,
+                          self._sort_domain)
+
+    def _expr(self, ops, atom, arg, domain):
+        """One type or formula, read by precedence on an explicit stack.
+
+        ops is the parser's view of a fixity table (see _operators); atom
+        is the class of an operand that is no operator application, an
+        identifier with arguments read by arg; domain reads the part of a
+        binder from after its ':' up to its body.  The stack holds
+        (level, cls, args) entries: an infix operator with its left
+        operand, a prefix, or a binder with its variable and domain, each
+        waiting for the operand that completes cls(*args, operand).  A '('
+        or a type binder's ':' is a bracket entry at level _OPEN, with the
+        symbol that closes it and, for a binder, its class and variable.
+        Nesting thus costs stack entries, not Python frames.
+        """
+        infix, prefix, binders = ops
+        tokens, stack = self.tokens, []
         while True:
-            operands.append(self.sum_())
-            if self.at_sym("->", "<~"):
-                nxt = self.peek().value
-                if nxt != op:
-                    self.fail("mixed arrows need parentheses")
-                self.advance()
-            else:
-                break
-        result = operands[-1]
-        for left in reversed(operands[:-1]):
-            if op == "->":
-                result = syntax.Fun(left, result)
-            else:
-                result = syntax.CoFun(left, result)
-        return result
+            # an operand: prefixes, parentheses and binders, then an atom
+            while True:
+                tok = tokens[self.i]
+                if tok.kind == "word" and tok.value in binders:
+                    self.i += 1
+                    var = self.expect_ident()
+                    self.expect_sym(":")
+                    domain(stack, binders[tok.value], var)
+                    continue
+                if tok.kind != "sym":
+                    break
+                if tok.value == prefix[0]:
+                    stack.append((PREFIX, prefix[1], ()))
+                elif tok.value == "(":
+                    stack.append((_OPEN, ")", None))
+                else:
+                    break
+                self.i += 1
+            x = self._applied(atom, arg)
+            # the operators after it
+            while True:
+                tok = tokens[self.i]
+                op = infix.get(tok.value) if tok.kind == "sym" else None
+                if op is not None:
+                    cls, level = op
+                    # tighter operators, and an equal one that associates
+                    # to the left, take x as their last operand
+                    while stack and (stack[-1][0] > level
+                                     or stack[-1][0] == level != ARROW):
+                        _, con, args = stack.pop()
+                        x = con(*args, x)
+                    if (level == ARROW and stack and stack[-1][0] == ARROW
+                            and stack[-1][1] is not cls):
+                        self.fail("mixed arrows need parentheses")
+                    stack.append((level, cls, (x,)))
+                    self.i += 1
+                    break
+                # anything else closes every binder up to the innermost
+                # bracket, or ends the expression
+                while stack and stack[-1][0] >= BINDER:
+                    _, con, args = stack.pop()
+                    x = con(*args, x)
+                if not stack:
+                    return x
+                _, closer, binder = stack.pop()
+                self.expect_sym(closer)
+                if binder is not None:
+                    stack.append((BINDER, binder[0], (binder[1], x)))
+                    break
 
-    def sum_(self) -> syntax.TypeExpr:
-        t = self.prod_()
-        while self.at_sym("+"):
-            self.advance()
-            t = syntax.Sum(t, self.prod_())
-        return t
+    def _type_domain(self, stack, cls, var):
+        stack.append((_OPEN, ".", (cls, var)))
 
-    def prod_(self) -> syntax.TypeExpr:
-        t = self.type_prefix()
-        while self.at_sym("*"):
-            self.advance()
-            t = syntax.Prod(t, self.type_prefix())
-        return t
+    def _sort_domain(self, stack, cls, var):
+        sort = self.expect_ident()
+        self.expect_sym(".")
+        stack.append((BINDER, cls, (var, sort)))
 
-    def type_prefix(self) -> syntax.TypeExpr:
-        opps = 0
-        while self.at_sym("~"):
-            self.advance()
-            opps += 1
-        if self.at_word("Pi", "Sg"):
-            kw = self.advance().value
-            var = self.expect_ident()
-            self.expect_sym(":")
-            gen = self.type_()
-            self.expect_sym(".")
-            body = self.type_()
-            cls = syntax.Pi if kw == "Pi" else syntax.Sigma
-            t = cls(var, gen, body)
-        else:
-            t = self.type_atom()
-        for _ in range(opps):
-            t = syntax.Opp(t)
-        return t
-
-    def type_atom(self) -> syntax.TypeExpr:
-        if self.at_sym("("):
-            self.advance()
-            t = self.type_()
-            self.expect_sym(")")
-            return t
+    def _applied(self, cls, arg):
+        """An identifier, with arguments when '(' follows it unspaced."""
         tok = self.peek()
         name = self.expect_ident()
         nxt = self.peek()
-        if (nxt.kind == "sym" and nxt.value == "("
+        if not (nxt.kind == "sym" and nxt.value == "("
                 and nxt.start == tok.end):
+            return cls(name)
+        self.advance()
+        return cls(name, self._list(arg))
+
+    def _list(self, item) -> tuple:
+        """item {',' item} ')'."""
+        items = [item()]
+        while self.at_sym(","):
             self.advance()
-            args = [self.term_()]
-            while self.at_sym(","):
-                self.advance()
-                args.append(self.term_())
-            self.expect_sym(")")
-            return syntax.Atom(name, tuple(args))
-        return syntax.Atom(name)
+            items.append(item())
+        self.expect_sym(")")
+        return tuple(items)
 
     # -- terms ---------------------------------------------------------------
 
@@ -307,84 +355,6 @@ class Parser:
             return syntax.Case(scrut, lvar, lbranch, rvar, rbranch)
         return syntax.Var(self.expect_ident())
 
-    # -- formulas ------------------------------------------------------------
-
-    def formula_(self) -> logic.Formula:
-        first = self.orf()
-        if not self.at_sym("=>", "<~"):
-            return first
-        op = self.advance().value
-        operands = [first]
-        while True:
-            operands.append(self.orf())
-            if self.at_sym("=>", "<~"):
-                if self.peek().value != op:
-                    self.fail("mixed arrows need parentheses")
-                self.advance()
-            else:
-                break
-        result = operands[-1]
-        for left in reversed(operands[:-1]):
-            if op == "=>":
-                result = logic.Impl(left, result)
-            else:
-                result = logic.CoImpl(left, result)
-        return result
-
-    def orf(self) -> logic.Formula:
-        f = self.andf()
-        while self.at_sym("|"):
-            self.advance()
-            f = logic.Or(f, self.andf())
-        return f
-
-    def andf(self) -> logic.Formula:
-        f = self.negf()
-        while self.at_sym("&"):
-            self.advance()
-            f = logic.And(f, self.negf())
-        return f
-
-    def negf(self) -> logic.Formula:
-        negs = 0
-        while self.at_sym("~"):
-            self.advance()
-            negs += 1
-        if self.at_word("all", "ex"):
-            kw = self.advance().value
-            var = self.expect_ident()
-            self.expect_sym(":")
-            sort = self.expect_ident()
-            self.expect_sym(".")
-            body = self.formula_()
-            cls = logic.Forall if kw == "all" else logic.Exists
-            f = cls(var, sort, body)
-        else:
-            f = self.formula_atom()
-        for _ in range(negs):
-            f = logic.Neg(f)
-        return f
-
-    def formula_atom(self) -> logic.Formula:
-        if self.at_sym("("):
-            self.advance()
-            f = self.formula_()
-            self.expect_sym(")")
-            return f
-        tok = self.peek()
-        name = self.expect_ident()
-        nxt = self.peek()
-        if (nxt.kind == "sym" and nxt.value == "("
-                and nxt.start == tok.end):
-            self.advance()
-            args = [self.expect_ident()]
-            while self.at_sym(","):
-                self.advance()
-                args.append(self.expect_ident())
-            self.expect_sym(")")
-            return logic.Pred(name, tuple(args))
-        return logic.Pred(name)
-
     # -- directives ----------------------------------------------------------
 
     def script_(self) -> script.Script:
@@ -400,46 +370,29 @@ class Parser:
                       else "unexpected end of input",
                       expected=("directive keyword",))
         kw = start.value
+        cls = _DIRECTIVES.get(kw)
+        if cls is None:
+            self.fail(f"unknown directive {kw!r}",
+                      expected=tuple(sorted(_DIRECTIVES)))
+        self.advance()
 
         if kw == "atom":
-            self.advance()
-            name = self.expect_ident()
-            d = script.AtomDecl(name, span=None)
+            fields = (self.expect_ident(),)
         elif kw == "pred":
-            self.advance()
             name = self.expect_ident()
             self.expect_sym("(")
-            args = [self.type_()]
-            while self.at_sym(","):
-                self.advance()
-                args.append(self.type_())
-            self.expect_sym(")")
-            d = script.PredDecl(name, tuple(args), span=None)
-        elif kw == "assume":
-            self.advance()
-            var = self.expect_ident()
+            fields = (name, self._list(self.type_))
+        elif kw in ("assume", "check"):
+            subject = self.expect_ident() if kw == "assume" else self.term_()
             self.expect_sym(":")
-            d = script.Assume(var, self.type_(), span=None)
-        elif kw == "check":
-            self.advance()
-            term = self.term_()
-            self.expect_sym(":")
-            d = script.CheckDirective(term, self.type_(), span=None)
+            fields = (subject, self.type_())
         elif kw == "infer":
-            self.advance()
-            d = script.InferDirective(self.term_(), span=None)
-        elif kw == "dual":
-            self.advance()
-            d = script.DualDirective(self.type_(), span=None)
-        elif kw == "onf":
-            self.advance()
-            d = script.OnfDirective(self.type_(), span=None)
+            fields = (self.term_(),)
+        elif kw in ("dual", "onf"):
+            fields = (self.type_(),)
         elif kw == "equal":
-            self.advance()
-            left = self.type_()
-            d = script.EqualDirective(left, self.type_(), span=None)
+            fields = (self.type_(), self.type_())
         elif kw == "expand":
-            self.advance()
             ty = self.type_()
             self.expect_word("basis")
             btok = self.peek()
@@ -448,34 +401,20 @@ class Parser:
                 raise ParseError(f"unknown basis {bname!r}",
                                  btok.line, btok.col,
                                  expected=tuple(sorted(BASIS_NAMES)))
-            d = script.ExpandDirective(ty, BASIS_NAMES[bname], span=None)
-        elif kw == "translate":
-            self.advance()
-            d = script.TranslateDirective(self.formula_(), span=None)
-        elif kw == "nnf":
-            self.advance()
-            d = script.NnfDirective(self.formula_(), span=None)
-        elif kw == "inhabit":
-            self.advance()
+            fields = (ty, BASIS_NAMES[bname])
+        elif kw in ("translate", "nnf"):
+            fields = (self.formula_(),)
+        else:
             ty = self.type_()
             self.expect_word("depth")
             tok = self.peek()
             if tok.kind != "int":
                 self.fail(f"found {tok.value!r}", expected=("integer",))
-            depth = int(self.advance().value)
-            d = script.InhabitDirective(ty, depth, span=None)
-        else:
-            self.fail(f"unknown directive {kw!r}",
-                      expected=tuple(sorted(script.DIRECTIVE_KEYWORDS.values())))
+            fields = (ty, int(self.advance().value))
 
         end = self.expect_sym(";")
-        span = script.Span(start.line, start.col, end.line, end.col)
-        return type(d)(*_payload_fields(d), span=span)
-
-
-def _payload_fields(d):
-    from dataclasses import fields
-    return tuple(getattr(d, f.name) for f in fields(d) if f.name != "span")
+        return cls(*fields, span=script.Span(start.line, start.col,
+                                              end.line, end.col))
 
 
 def parse(text: str) -> script.Script:

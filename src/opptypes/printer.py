@@ -2,53 +2,64 @@
 
 Output reparses to an alpha-equal tree: parentheses are inserted exactly
 where the grammar demands them (mixed arrows, left operands of arrows,
-lambdas in application position, and so on).
+lambdas in application position, and so on).  Types and formulas are
+printed by one routine from the fixity tables syntax.FIXITY and
+logic.FIXITY, which the parser reads too.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+from operator import attrgetter
+
 from . import logic, syntax
-from .syntax import (Ann, App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp,
-                     Pair, Pi, Prod, Proj1, Proj2, Sigma, Split, Sum, Var)
+from .syntax import (ARROW, BINDER, PREFIX, Ann, App, Atom, Case, Inl, Inr,
+                     Lam, Pair, Proj1, Proj2, Split, Var)
 
-# type precedence levels
-_T_ARROW, _T_SUM, _T_PROD, _T_PREFIX, _T_ATOM = 1, 2, 3, 4, 5
+_FIXITY = {**syntax.FIXITY, **logic.FIXITY}
+_ARROWS = {cls for cls, (_, level) in _FIXITY.items() if level == ARROW}
+# each operator class's fields in order: the operand of a prefix, the two
+# operands of an infix, or a binder's variable, domain and body
+_FIELDS = {cls: attrgetter(*(f.name for f in fields(cls))) for cls in _FIXITY}
 
 
-def type_str(A, prec: int = 0) -> str:
-    if isinstance(A, Atom):
-        if not A.args:
-            return A.name
-        return A.name + "(" + ", ".join(term_str(t) for t in A.args) + ")"
-    if isinstance(A, Opp):
-        return _parens("~" + type_str(A.inner, _T_PREFIX),
-                       _T_PREFIX, prec)
-    if isinstance(A, Fun):
-        rhs = type_str(A.cod, _T_ARROW)
-        if isinstance(A.cod, CoFun):
-            rhs = "(" + rhs + ")"
-        s = type_str(A.dom, _T_SUM) + " -> " + rhs
-        return _parens(s, _T_ARROW, prec)
-    if isinstance(A, CoFun):
-        rhs = type_str(A.dom, _T_ARROW)
-        if isinstance(A.dom, Fun):
-            rhs = "(" + rhs + ")"
-        s = type_str(A.cod, _T_SUM) + " <~ " + rhs
-        return _parens(s, _T_ARROW, prec)
-    if isinstance(A, Sum):
-        s = type_str(A.left, _T_SUM) + " + " + type_str(A.right, _T_SUM + 1)
-        return _parens(s, _T_SUM, prec)
-    if isinstance(A, Prod):
-        s = type_str(A.left, _T_PROD) + " * " + type_str(A.right, _T_PROD + 1)
-        return _parens(s, _T_PROD, prec)
-    if isinstance(A, (Pi, Sigma)):
-        kw = "Pi" if isinstance(A, Pi) else "Sg"
-        gen = type_str(A.gen, _T_ARROW)
-        if isinstance(A.gen, (Pi, Sigma)):
-            gen = "(" + gen + ")"
-        s = f"{kw} {A.var}:{gen}. {type_str(A.body, _T_ARROW)}"
-        return _parens(s, _T_ARROW, prec)
-    raise TypeError(f"not a type: {A!r}")
+def type_str(e, prec: int = 0) -> str:
+    """A type or a formula in concrete syntax, parenthesized when its
+    level is below prec."""
+    cls = type(e)
+    if cls is Atom or cls is logic.Pred:
+        if not e.args:
+            return e.name
+        args = e.args if cls is logic.Pred else map(term_str, e.args)
+        return e.name + "(" + ", ".join(args) + ")"
+    fix = _FIXITY.get(cls)
+    if fix is None:
+        raise TypeError(f"not a type or formula: {e!r}")
+    sym, level = fix
+    if level == PREFIX:
+        s = sym + type_str(_FIELDS[cls](e), PREFIX)
+    elif level == BINDER:
+        var, dom, body = _FIELDS[cls](e)
+        if not isinstance(dom, str):
+            # a binder between ':' and '.' gets parentheses for the
+            # reader's sake; the parser does not need them
+            dom = type_str(dom, ARROW)
+        s = f"{sym} {var}:{dom}. {type_str(body, BINDER)}"
+    else:
+        left, right = _FIELDS[cls](e)
+        if level == ARROW:
+            # right-associative, and the other arrow needs parentheses
+            s = type_str(left, ARROW + 1)
+            r = type_str(right, BINDER)
+            if type(right) is not cls and type(right) in _ARROWS:
+                r = "(" + r + ")"
+        else:
+            s, r = type_str(left, level), type_str(right, level + 1)
+        s += f" {sym} {r}"
+    return "(" + s + ")" if level < prec else s
+
+
+formula_str = type_str
 
 
 def _parens(s: str, level: int, prec: int) -> str:
@@ -85,44 +96,6 @@ def term_str(t, prec: int = 0) -> str:
     if isinstance(t, Ann):
         return f"({term_str(t.term)} : {type_str(t.type)})"
     raise TypeError(f"not a term: {t!r}")
-
-
-# formula precedence levels
-_F_ARROW, _F_OR, _F_AND, _F_NEG, _F_ATOM = 1, 2, 3, 4, 5
-
-
-def formula_str(f, prec: int = 0) -> str:
-    if isinstance(f, logic.Pred):
-        if not f.args:
-            return f.name
-        return f.name + "(" + ", ".join(f.args) + ")"
-    if isinstance(f, logic.Impl):
-        rhs = formula_str(f.rhs, _F_ARROW)
-        if isinstance(f.rhs, logic.CoImpl):
-            rhs = "(" + rhs + ")"
-        s = formula_str(f.lhs, _F_OR) + " => " + rhs
-        return _parens(s, _F_ARROW, prec)
-    if isinstance(f, logic.CoImpl):
-        rhs = formula_str(f.rhs, _F_ARROW)
-        if isinstance(f.rhs, logic.Impl):
-            rhs = "(" + rhs + ")"
-        s = formula_str(f.lhs, _F_OR) + " <~ " + rhs
-        return _parens(s, _F_ARROW, prec)
-    if isinstance(f, logic.Or):
-        s = (formula_str(f.lhs, _F_OR) + " | "
-             + formula_str(f.rhs, _F_OR + 1))
-        return _parens(s, _F_OR, prec)
-    if isinstance(f, logic.And):
-        s = (formula_str(f.lhs, _F_AND) + " & "
-             + formula_str(f.rhs, _F_AND + 1))
-        return _parens(s, _F_AND, prec)
-    if isinstance(f, logic.Neg):
-        return _parens("~" + formula_str(f.body, _F_NEG), _F_NEG, prec)
-    if isinstance(f, (logic.Forall, logic.Exists)):
-        kw = "all" if isinstance(f, logic.Forall) else "ex"
-        s = f"{kw} {f.var}:{f.sort}. {formula_str(f.body, _F_ARROW)}"
-        return _parens(s, _F_ARROW, prec)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def directive_str(d) -> str:

@@ -171,6 +171,27 @@ class Ann(TermExpr):
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax
+# ---------------------------------------------------------------------------
+
+# Levels of the concrete syntax, loosest first.  A binder extends as far
+# right as possible.  The two arrows share level 1, associate to the right
+# and never mix without parentheses; every higher infix level binds
+# tighter and associates to the left.  The prefix ~ binds tightest.
+BINDER, ARROW, PREFIX = 0, 1, 4
+
+# Each type constructor with its symbol and level.  The parser and the
+# printer read this table; logic.FIXITY gives the connectives the levels
+# of the constructors that translate them.
+FIXITY = {
+    Pi: ("Pi", BINDER), Sigma: ("Sg", BINDER),
+    Fun: ("->", ARROW), CoFun: ("<~", ARROW),
+    Sum: ("+", 2), Prod: ("*", 3),
+    Opp: ("~", PREFIX),
+}
+
+
+# ---------------------------------------------------------------------------
 # Binding structure
 # ---------------------------------------------------------------------------
 

@@ -310,3 +310,83 @@ def terms(draw, max_depth: int = 3):
                      draw(st.sampled_from(_TERM_VARS)),
                      draw(st.sampled_from(_TERM_VARS)), draw(sub))
     return Ann(draw(sub), draw(types(max_depth=1)))
+
+
+# ---------------------------------------------------------------------------
+# Malformed concrete syntax
+# ---------------------------------------------------------------------------
+
+_NOISE = ("(", ")", ":", ".", ",", ";", "->", "<~", "=>", "*", "+", "&", "|",
+          "~", "<", ">", "{", "}", "\\", "Pi", "Sg", "all", "ex", "case", "of",
+          "inl", "split", "as", "basis", "depth", "atom", "check", "x", "a",
+          "p", "7", "$")
+
+# hand-written starting points for the error paths random trees rarely reach
+_SEEDS = (
+    ("type", "Pi x:a. b"), ("type", "Sg y:~a -> b. p(y) + c"),
+    ("type", "p(x, \\y:a. y)"), ("type", "(a <~ b) <~ c"),
+    ("type", "a -> b -> (c <~ a)"), ("type", "~Pi x:Pi y:a. b. c * a"),
+    ("formula", "all x:s. ex y:s. R(x) => ~R(y)"),
+    ("formula", "(P => Q) <~ R(x, y)"), ("formula", "P => (Q <~ R) => P"),
+    ("term", "case f x of { inl u => u | inr v => (v : a) }"),
+    ("term", "split z as (u, v) => <v, u>"),
+    ("script", "atom a; expand a + ~a basis sg_prod; inhabit a depth 3;"),
+    ("script", "expand a basis pi_sum; nnf ~(P & Q);"),
+    ("script", "pred p(a, b); assume h : Pi x:a. p(x); check h : a;"),
+)
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """text broken at one random token: the token dropped, doubled, swapped
+    with the next one, replaced or preceded by a noise token, or the text
+    cut off after it.  Edits keep the layout around them, so an argument
+    list stays adjacent to its identifier or not.  Text that does not
+    tokenize is returned as it is."""
+    from opptypes import ParseError
+    from opptypes.parser import tokenize
+    try:
+        toks = tokenize(text)
+    except ParseError:
+        return text
+    i = rng.randrange(len(toks))
+    s, e = toks[i].start, toks[i].end
+    nxt = toks[min(i + 1, len(toks) - 1)]
+    ns, ne = nxt.start, nxt.end
+    noise = rng.choice(_NOISE) + rng.choice(("", " "))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return text[:s] + text[e:]
+    if kind == 1:
+        return text[:e] + text[s:]
+    if kind == 2 and ns >= e:
+        return text[:s] + text[ns:ne] + text[e:ns] + text[s:e] + text[ne:]
+    if kind == 3:
+        return text[:s] + noise + text[e:]
+    if kind == 4:
+        return text[:s] + noise + text[s:]
+    return text[:e]
+
+
+def rand_concrete(rng: random.Random):
+    """(production, text): the printed form of a random type, formula,
+    term or short script, or one of the hand-written seeds, mutated zero
+    to two times; most results do not parse."""
+    from opptypes import Script, formula_str, script_str, term_str, type_str
+    kind = rng.randrange(5)
+    if kind == 0:
+        production, text = "type", type_str(rand_type(rng, rng.randint(0, 3)))
+    elif kind == 1:
+        production, text = "formula", formula_str(
+            rand_formula(rng, rng.randint(0, 3)))
+    elif kind == 2:
+        production, text = "term", term_str(rand_term(rng, rng.randint(0, 2)))
+    elif kind == 3:
+        ds = rand_script(rng).directives
+        picked = sorted(rng.sample(range(len(ds)), 2))
+        production, text = "script", script_str(
+            Script(tuple(ds[i] for i in picked)))
+    else:
+        production, text = rng.choice(_SEEDS)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        text = mutate(rng, text)
+    return production, text
