@@ -9,8 +9,8 @@
 The one-shot subcommands are syntactic: they need no declarations and read
 their operands from the arguments or, when omitted, from standard input.
 Exit status: 0 all directives ok, 1 some directive failed (or a one-shot
-operand was rejected, or input was nested too deeply to read), 2 syntax or
-usage error.
+operand was rejected, or was nested too deeply for the layers after
+parsing, which still recurse), 2 syntax or usage error.
 """
 
 from __future__ import annotations

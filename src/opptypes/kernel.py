@@ -88,7 +88,12 @@ class Context:
 
     @property
     def names(self) -> frozenset:
-        return frozenset(e.name for e in self.entries)
+        # kept beside the fields, so ==, hash and repr ignore it
+        names = self.__dict__.get("_names")
+        if names is None:
+            names = frozenset(e.name for e in self.entries)
+            object.__setattr__(self, "_names", names)
+        return names
 
     def lookup_term(self, name: str) -> Optional[TypeExpr]:
         for e in reversed(self.entries):
@@ -103,7 +108,9 @@ class Context:
         return None
 
     def extended(self, entry: ContextEntry) -> "Context":
-        return Context(self.entries + (entry,))
+        ctx = Context(self.entries + (entry,))
+        object.__setattr__(ctx, "_names", self.names | {entry.name})
+        return ctx
 
     def term_decls(self):
         return tuple(e for e in self.entries if isinstance(e, TermDecl))

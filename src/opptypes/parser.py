@@ -21,59 +21,34 @@ comment, directives end with `;`):
               | ('all' | 'ex') ident ':' ident '.' formula
               | ident | ident '(' ident {',' ident} ')' | '(' formula ')'
 
-Types and formulas take precedence and associativity from the fixity
-tables syntax.FIXITY and logic.FIXITY, which the printer reads too.
-Prefix `~` binds tightest; `*` (`&`) binds tighter than `+` (`|`); the
-arrows are right-associative at the lowest infix level and may not be
-mixed without parentheses; binders extend as far right as possible.  One
-precedence loop reads both on an explicit stack, so parentheses, binders
-and `~` nest without using Python frames.  Terms are read by recursive
-descent.  An argument list attaches to an identifier only when the `(` is
-adjacent (no space), which is what keeps `equal a (b)` unambiguous.
+The fixity tables syntax.FIXITY, logic.FIXITY and syntax.TERM_FIXITY
+state this grammar, and the printer reads them too.  Prefix `~` binds
+tightest; `*` (`&`) binds tighter than `+` (`|`); the arrows are
+right-associative at the lowest infix level and may not be mixed without
+parentheses; binders extend as far right as possible.  In terms, the
+prefixes bind tighter than application, and a binder only starts a term,
+so `f \\x:a. x` is no application.  One precedence loop reads all three
+sorts on one explicit stack, so nesting of any kind, across sorts too,
+uses no Python frames.  An argument list attaches to an identifier only
+when the `(` is adjacent (no space), which keeps `equal a (b)` unambiguous.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from string import Formatter
+from typing import List, NamedTuple, Optional, get_type_hints
 
 from . import logic, script, syntax
 from .duality import BASIS_NAMES
 from .errors import ParseError
-from .syntax import ARROW, BINDER, PREFIX
-
-RESERVED = frozenset("""
-    Pi Sg p1 p2 inl inr case of split as all ex
-    atom pred assume check infer dual onf equal expand translate nnf
-    inhabit depth basis
-""".split())
+from .syntax import ARROW, ATOM, BINDER, PREFIX
 
 _DIRECTIVES = {kw: cls for cls, kw in script.DIRECTIVE_KEYWORDS.items()}
 
 # the level of a bracket on the precedence stack, below every operator
 _OPEN = -1
-
-
-def _operators(fixity):
-    """A fixity table as the parser reads it: infix symbol -> (class,
-    level), the prefix as (symbol, class), binder keyword -> class."""
-    infix, binders = {}, {}
-    for cls, (sym, level) in fixity.items():
-        if level == BINDER:
-            binders[sym] = cls
-        elif level == PREFIX:
-            prefix = (sym, cls)
-        else:
-            infix[sym] = (cls, level)
-    return infix, prefix, binders
-
-
-_TYPE_OPS = _operators(syntax.FIXITY)
-_FORMULA_OPS = _operators(logic.FIXITY)
-
-_PREFIX_TERMS = {"p1": syntax.Proj1, "p2": syntax.Proj2,
-                 "inl": syntax.Inl, "inr": syntax.Inr}
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>[ \t\r]+)
@@ -116,6 +91,27 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
+class _Form(NamedTuple):
+    """A prefix, binder or bracketed form, or parentheses (cls None).  Its
+    steps follow its opening token: a literal token's text, None for an
+    identifier, or (sort, level) for an operand; each read fills a field."""
+    cls: Optional[type]
+    level: int
+    steps: tuple
+
+
+class _Sort(NamedTuple):
+    """The grammar of one sort, as _expr reads it."""
+    infix: dict                 # symbol -> (class, level)
+    forms: dict                 # opening token -> its alternative _Forms
+    atom: type                  # the class of an identifier with arguments
+    apply: Optional[_Form]      # juxtaposition, whose steps are two operands
+
+
+# marks the bracket entry of a type atom's argument list
+_ARGS = object()
+
+
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -123,8 +119,8 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -132,24 +128,25 @@ class Parser:
             self.i += 1
         return tok
 
-    def fail(self, message: str, expected=()):
+    def fail(self, message: Optional[str] = None, expected=()):
+        """Raise a ParseError at the token at hand, by default naming it."""
         tok = self.peek()
+        if message is None:
+            message = (f"found {tok.value!r}" if tok.kind != "eof"
+                       else "unexpected end of input")
         raise ParseError(message, tok.line, tok.col, expected)
 
     def expect_sym(self, sym: str) -> Token:
         tok = self.peek()
         if tok.kind == "sym" and tok.value == sym:
             return self.advance()
-        self.fail(f"found {tok.value!r}" if tok.kind != "eof"
-                  else "unexpected end of input", expected=(repr(sym),))
+        self.fail(expected=(repr(sym),))
 
     def expect_word(self, word: Optional[str] = None) -> Token:
         tok = self.peek()
         if tok.kind == "word" and (word is None or tok.value == word):
             return self.advance()
-        want = word if word is not None else "identifier"
-        self.fail(f"found {tok.value!r}" if tok.kind != "eof"
-                  else "unexpected end of input", expected=(want,))
+        self.fail(expected=(word if word is not None else "identifier",))
 
     def expect_ident(self) -> str:
         tok = self.peek()
@@ -158,112 +155,138 @@ class Parser:
         if tok.kind == "word":
             self.fail(f"{tok.value!r} is a reserved word",
                       expected=("identifier",))
-        self.fail(f"found {tok.value!r}" if tok.kind != "eof"
-                  else "unexpected end of input", expected=("identifier",))
+        self.fail(expected=("identifier",))
 
     def at_sym(self, *syms: str) -> bool:
         tok = self.peek()
         return tok.kind == "sym" and tok.value in syms
 
-    def at_word(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "word" and tok.value in words
-
-    # -- types and formulas ---------------------------------------------------
+    # -- expressions ---------------------------------------------------------
 
     def type_(self) -> syntax.TypeExpr:
-        return self._expr(_TYPE_OPS, syntax.Atom, self.term_,
-                          self._type_domain)
+        return self._expr(_TYPE)
 
     def formula_(self) -> logic.Formula:
-        return self._expr(_FORMULA_OPS, logic.Pred, self.expect_ident,
-                          self._sort_domain)
+        return self._expr(_FORMULA)
 
-    def _expr(self, ops, atom, arg, domain):
-        """One type or formula, read by precedence on an explicit stack.
+    def term_(self) -> syntax.TermExpr:
+        return self._expr(_TERM)
 
-        ops is the parser's view of a fixity table (see _operators); atom
-        is the class of an operand that is no operator application, an
-        identifier with arguments read by arg; domain reads the part of a
-        binder from after its ':' up to its body.  The stack holds
-        (level, cls, args) entries: an infix operator with its left
-        operand, a prefix, or a binder with its variable and domain, each
-        waiting for the operand that completes cls(*args, operand).  A '('
-        or a type binder's ':' is a bracket entry at level _OPEN, with the
-        symbol that closes it and, for a binder, its class and variable.
-        Nesting thus costs stack entries, not Python frames.
+    def _expr(self, sort):
+        """One type, formula or term, read by precedence on an explicit
+        stack.  An operator entry (level, cls, args) is an infix operator
+        with its left operand, or a prefix or binder with its other fields,
+        waiting for the operand x that completes cls(*args, x).  An operand
+        that more text follows (inside '(' or '<', a binder's domain, a
+        type atom's arguments) has a bracket entry at level _OPEN below it:
+        the sort to resume, the form's alternatives, its fields so far and
+        the step to go on with.  The operand's sort may differ, so nesting
+        of any kind, across sorts too, costs entries, not Python frames.
+        A form may open an operand only at a level it reaches (floor): in
+        terms, a binder only where any term may stand.  (Every operand of
+        a type or formula may be at any level.)
         """
-        infix, prefix, binders = ops
         tokens, stack = self.tokens, []
+        x, floor = None, BINDER
         while True:
-            # an operand: prefixes, parentheses and binders, then an atom
-            while True:
-                tok = tokens[self.i]
-                if tok.kind == "word" and tok.value in binders:
+            tok = tokens[self.i]
+            if x is None:
+                # an operand: a form that its first token opens, or an atom
+                forms = sort.forms.get(tok.value)
+                if forms is not None and forms[0].level >= floor:
                     self.i += 1
-                    var = self.expect_ident()
-                    self.expect_sym(":")
-                    domain(stack, binders[tok.value], var)
-                    continue
-                if tok.kind != "sym":
-                    break
-                if tok.value == prefix[0]:
-                    stack.append((PREFIX, prefix[1], ()))
-                elif tok.value == "(":
-                    stack.append((_OPEN, ")", None))
+                    x, sort, floor = self._form(stack, sort, forms, [], 0)
                 else:
-                    break
-                self.i += 1
-            x = self._applied(atom, arg)
-            # the operators after it
-            while True:
-                tok = tokens[self.i]
-                op = infix.get(tok.value) if tok.kind == "sym" else None
-                if op is not None:
-                    cls, level = op
-                    # tighter operators, and an equal one that associates
-                    # to the left, take x as their last operand
-                    while stack and (stack[-1][0] > level
-                                     or stack[-1][0] == level != ARROW):
-                        _, con, args = stack.pop()
-                        x = con(*args, x)
-                    if (level == ARROW and stack and stack[-1][0] == ARROW
-                            and stack[-1][1] is not cls):
-                        self.fail("mixed arrows need parentheses")
-                    stack.append((level, cls, (x,)))
-                    self.i += 1
-                    break
-                # anything else closes every binder up to the innermost
-                # bracket, or ends the expression
-                while stack and stack[-1][0] >= BINDER:
+                    x = self._atom(stack, sort)
+                    if x is None:           # a type atom's term arguments
+                        sort, floor = _TERM, BINDER
+                continue
+            op = sort.infix.get(tok.value) if tok.kind == "sym" else None
+            # an infix operator's right operand may be at any level
+            width, floor = 1, BINDER
+            if op is None and sort.apply is not None:
+                # juxtaposition, when the token starts an operand there
+                at = sort.apply.steps[-1][1]
+                forms = sort.forms.get(tok.value)
+                if (forms[0].level >= at if forms is not None else
+                        tok.kind == "word" and tok.value not in RESERVED):
+                    op, width, floor = sort.apply[:2], 0, at
+            if op is not None:
+                cls, level = op
+                # tighter operators, and an equal one that associates to
+                # the left, take x as their last operand
+                while stack and (stack[-1][0] > level
+                                 or stack[-1][0] == level != ARROW):
                     _, con, args = stack.pop()
                     x = con(*args, x)
-                if not stack:
-                    return x
-                _, closer, binder = stack.pop()
-                self.expect_sym(closer)
-                if binder is not None:
-                    stack.append((BINDER, binder[0], (binder[1], x)))
-                    break
+                if (level == ARROW and stack and stack[-1][0] == ARROW
+                        and stack[-1][1] is not cls):
+                    self.fail("mixed arrows need parentheses")
+                stack.append((level, cls, (x,)))
+                self.i += width
+                x = None
+                continue
+            # anything else closes every operator up to the innermost
+            # bracket, or ends the expression
+            while stack and stack[-1][0] >= BINDER:
+                _, con, args = stack.pop()
+                x = con(*args, x)
+            if not stack:
+                return x
+            _, sort, forms, fields, pos = stack.pop()
+            fields.append(x)
+            if forms is not _ARGS:
+                x, sort, floor = self._form(stack, sort, forms, fields, pos)
+            elif self.at_sym(","):
+                self.advance()
+                stack.append((_OPEN, sort, _ARGS, fields, 0))
+                x, sort, floor = None, _TERM, BINDER
+            else:
+                self.expect_sym(")")
+                x = syntax.Atom(fields[0], tuple(fields[1:]))
 
-    def _type_domain(self, stack, cls, var):
-        stack.append((_OPEN, ".", (cls, var)))
+    def _form(self, stack, sort, forms, fields, pos):
+        """Read a form of sort from its step pos on, up to an operand,
+        whose waiting entry is pushed.  forms are alternatives alike up to
+        pos; at a literal, the first with the token at hand is read, else
+        the last.  Returns the node, or None when an operand is next, and
+        the sort and level to read at."""
+        form = forms[-1]
+        if len(forms) > 1 and type(form.steps[pos]) is str:
+            tok = self.tokens[self.i]
+            form = next((f for f in forms if f.steps[pos] == tok.value), form)
+            forms = (form,)
+        steps = form.steps
+        while pos < len(steps):
+            step = steps[pos]
+            pos += 1
+            if step is None:
+                fields.append(self.expect_ident())
+            elif type(step) is str:
+                (self.expect_word if step[0].isalpha() else
+                 self.expect_sym)(step)
+            else:
+                stack.append((_OPEN, sort, forms, fields, pos)
+                             if pos < len(steps) else
+                             (form.level, form.cls, tuple(fields)))
+                return None, _SORTS[step[0]], step[1]
+        return (form.cls(*fields) if form.cls else fields[0]), sort, BINDER
 
-    def _sort_domain(self, stack, cls, var):
-        sort = self.expect_ident()
-        self.expect_sym(".")
-        stack.append((BINDER, cls, (var, sort)))
-
-    def _applied(self, cls, arg):
-        """An identifier, with arguments when '(' follows it unspaced."""
+    def _atom(self, stack, sort):
+        """An identifier, with arguments when '(' follows it unspaced: a
+        predicate's are identifiers, and a type atom's are terms, which
+        are read on the stack (None is returned then)."""
         tok = self.peek()
         name = self.expect_ident()
         nxt = self.peek()
-        if not (nxt.kind == "sym" and nxt.value == "("
-                and nxt.start == tok.end):
-            return cls(name)
+        if (sort is _TERM or nxt.kind != "sym" or nxt.value != "("
+                or nxt.start != tok.end):
+            return sort.atom(name)
         self.advance()
-        return cls(name, self._list(arg))
+        if sort is _FORMULA:
+            return sort.atom(name, self._list(self.expect_ident))
+        stack.append((_OPEN, sort, _ARGS, [name], 0))
+        return None
 
     def _list(self, item) -> tuple:
         """item {',' item} ')'."""
@@ -273,87 +296,6 @@ class Parser:
             items.append(item())
         self.expect_sym(")")
         return tuple(items)
-
-    # -- terms ---------------------------------------------------------------
-
-    def term_(self) -> syntax.TermExpr:
-        if self.at_sym("\\"):
-            self.advance()
-            var = self.expect_ident()
-            self.expect_sym(":")
-            dom = self.type_()
-            self.expect_sym(".")
-            return syntax.Lam(var, dom, self.term_())
-        if self.at_word("split"):
-            self.advance()
-            scrut = self.appterm()
-            self.expect_word("as")
-            self.expect_sym("(")
-            v1 = self.expect_ident()
-            self.expect_sym(",")
-            v2 = self.expect_ident()
-            self.expect_sym(")")
-            self.expect_sym("=>")
-            return syntax.Split(scrut, v1, v2, self.term_())
-        return self.appterm()
-
-    def _starts_preterm(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "word":
-            return tok.value not in RESERVED or tok.value in (
-                "p1", "p2", "inl", "inr", "case")
-        return tok.kind == "sym" and tok.value in ("(", "<")
-
-    def appterm(self) -> syntax.TermExpr:
-        t = self.preterm()
-        while self._starts_preterm():
-            t = syntax.App(t, self.preterm())
-        return t
-
-    def preterm(self) -> syntax.TermExpr:
-        prefixes = []
-        while self.at_word(*_PREFIX_TERMS):
-            prefixes.append(_PREFIX_TERMS[self.advance().value])
-        t = self.term_atom()
-        for cls in reversed(prefixes):
-            t = cls(t)
-        return t
-
-    def term_atom(self) -> syntax.TermExpr:
-        if self.at_sym("("):
-            self.advance()
-            t = self.term_()
-            if self.at_sym(":"):
-                self.advance()
-                ty = self.type_()
-                self.expect_sym(")")
-                return syntax.Ann(t, ty)
-            self.expect_sym(")")
-            return t
-        if self.at_sym("<"):
-            self.advance()
-            fst = self.term_()
-            self.expect_sym(",")
-            snd = self.term_()
-            self.expect_sym(">")
-            return syntax.Pair(fst, snd)
-        if self.at_word("case"):
-            self.advance()
-            scrut = self.appterm()
-            self.expect_word("of")
-            self.expect_sym("{")
-            self.expect_word("inl")
-            lvar = self.expect_ident()
-            self.expect_sym("=>")
-            lbranch = self.term_()
-            self.expect_sym("|")
-            self.expect_word("inr")
-            rvar = self.expect_ident()
-            self.expect_sym("=>")
-            rbranch = self.term_()
-            self.expect_sym("}")
-            return syntax.Case(scrut, lvar, lbranch, rvar, rbranch)
-        return syntax.Var(self.expect_ident())
 
     # -- directives ----------------------------------------------------------
 
@@ -366,9 +308,7 @@ class Parser:
     def directive(self):
         start = self.peek()
         if start.kind != "word":
-            self.fail(f"found {start.value!r}" if start.kind != "eof"
-                      else "unexpected end of input",
-                      expected=("directive keyword",))
+            self.fail(expected=("directive keyword",))
         kw = start.value
         cls = _DIRECTIVES.get(kw)
         if cls is None:
@@ -415,6 +355,49 @@ class Parser:
         end = self.expect_sym(";")
         return cls(*fields, span=script.Span(start.line, start.col,
                                               end.line, end.col))
+
+
+def _grammar(sort, atom, fixity, terms):
+    """The grammar of a sort, given by its class, from its tables: the
+    infix constructors of fixity go to the precedence loop, and each form
+    (syntax.templates, syntax.TERM_FIXITY) becomes steps.  A template's
+    text becomes tokens, and a field, by its annotation, an identifier
+    (None) or an operand (its sort's class, level).  Only in terms does a
+    spec bound an operand's level."""
+    infix = {sym: (cls, level) for cls, (sym, level) in fixity.items()
+             if level not in (BINDER, PREFIX)}
+    forms, apply = {"(": []}, None
+    for cls, (level, template) in {**syntax.templates(fixity),
+                                   **terms}.items():
+        kinds = get_type_hints(cls)
+        steps = []
+        for text, name, spec, _ in Formatter().parse(template):
+            steps += [t.value for t in tokenize(text)[:-1]]
+            if name is not None:
+                kind = kinds[name]
+                steps.append(None if kind is str else (kind, int(
+                    spec if spec and sort is syntax.TermExpr else BINDER)))
+        if type(steps[0]) is tuple:
+            apply = _Form(cls, level, tuple(steps))
+        else:
+            forms.setdefault(steps[0], []).append(
+                _Form(cls, level, tuple(steps[1:])))
+    forms["("].append(_Form(None, ATOM, ((sort, BINDER), ")")))
+    return _Sort(infix, {k: tuple(v) for k, v in forms.items()}, atom, apply)
+
+
+_SORTS = {cls: _grammar(cls, *tables) for cls, tables in (
+    (syntax.TypeExpr, (syntax.Atom, syntax.FIXITY, {})),
+    (logic.Formula, (logic.Pred, logic.FIXITY, {})),
+    (syntax.TermExpr, (syntax.Var, {}, syntax.TERM_FIXITY)))}
+_TYPE, _FORMULA, _TERM = _SORTS.values()
+
+# the words of the sorts' forms and of the directives, which name nothing
+RESERVED = frozenset(
+    word for sort in _SORTS.values() for opening, alts in sort.forms.items()
+    for word in (opening, *(step for form in alts for step in form.steps))
+    if type(word) is str and word[0].isalpha()
+) | {*script.DIRECTIVE_KEYWORDS.values(), "basis", "depth"}
 
 
 def parse(text: str) -> script.Script:

@@ -2,105 +2,87 @@
 
 Output reparses to an alpha-equal tree: parentheses are inserted exactly
 where the grammar demands them (mixed arrows, left operands of arrows,
-lambdas in application position, and so on).  Types and formulas are
-printed by one routine from the fixity tables syntax.FIXITY and
-logic.FIXITY, which the parser reads too.
+lambdas in application position, and so on).  Types, formulas and terms
+are printed by one routine from the fixity tables syntax.FIXITY,
+logic.FIXITY and syntax.TERM_FIXITY, which the parser reads too.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from operator import attrgetter
+from string import Formatter
 
 from . import logic, syntax
-from .syntax import (ARROW, BINDER, PREFIX, Ann, App, Atom, Case, Inl, Inr,
-                     Lam, Pair, Proj1, Proj2, Split, Var)
+from .duality import BASIS_NAMES
+from .kernel import TermDecl
+from .syntax import ARROW, BINDER, Atom, Var
 
+# each prefix, binder and term class's level and template, as (text,
+# field, level) pieces; the last piece may lack the field
+_FORMS = {cls: (level, [(text, name and attrgetter(name), int(spec or 0))
+                        for text, name, spec, _ in Formatter().parse(tpl)])
+          for cls, (level, tpl) in {**syntax.templates(syntax.FIXITY),
+                                    **syntax.templates(logic.FIXITY),
+                                    **syntax.TERM_FIXITY}.items()}
 _FIXITY = {**syntax.FIXITY, **logic.FIXITY}
 _ARROWS = {cls for cls, (_, level) in _FIXITY.items() if level == ARROW}
-# each operator class's fields in order: the operand of a prefix, the two
-# operands of an infix, or a binder's variable, domain and body
-_FIELDS = {cls: attrgetter(*(f.name for f in fields(cls))) for cls in _FIXITY}
+# each infix class's symbol, level and two operands
+_INFIX = {cls: (sym, level, attrgetter(*(f.name for f in fields(cls))))
+          for cls, (sym, level) in _FIXITY.items() if cls not in _FORMS}
 
 
 def type_str(e, prec: int = 0) -> str:
-    """A type or a formula in concrete syntax, parenthesized when its
+    """A type, formula or term in concrete syntax, parenthesized when its
     level is below prec."""
     cls = type(e)
+    if cls is Var:
+        return e.name
     if cls is Atom or cls is logic.Pred:
         if not e.args:
             return e.name
-        args = e.args if cls is logic.Pred else map(term_str, e.args)
+        args = e.args if cls is logic.Pred else map(type_str, e.args)
         return e.name + "(" + ", ".join(args) + ")"
-    fix = _FIXITY.get(cls)
-    if fix is None:
-        raise TypeError(f"not a type or formula: {e!r}")
-    sym, level = fix
-    if level == PREFIX:
-        s = sym + type_str(_FIELDS[cls](e), PREFIX)
-    elif level == BINDER:
-        var, dom, body = _FIELDS[cls](e)
-        if not isinstance(dom, str):
-            # a binder between ':' and '.' gets parentheses for the
-            # reader's sake; the parser does not need them
-            dom = type_str(dom, ARROW)
-        s = f"{sym} {var}:{dom}. {type_str(body, BINDER)}"
+    form = _FORMS.get(cls)
+    if form is not None:
+        level, pieces = form
+        s = ""
+        for text, get, at in pieces:
+            s += text
+            if get is not None:
+                field = get(e)
+                s += field if type(field) is str else type_str(field, at)
+        return "(" + s + ")" if level < prec else s
+    infix = _INFIX.get(cls)
+    if infix is None:
+        raise TypeError(f"not a type, formula or term: {e!r}")
+    sym, level, operands = infix
+    left, right = operands(e)
+    if level == ARROW:
+        # right-associative, and the other arrow needs parentheses
+        s = type_str(left, ARROW + 1)
+        r = type_str(right, BINDER)
+        if type(right) is not cls and type(right) in _ARROWS:
+            r = "(" + r + ")"
     else:
-        left, right = _FIELDS[cls](e)
-        if level == ARROW:
-            # right-associative, and the other arrow needs parentheses
-            s = type_str(left, ARROW + 1)
-            r = type_str(right, BINDER)
-            if type(right) is not cls and type(right) in _ARROWS:
-                r = "(" + r + ")"
-        else:
-            s, r = type_str(left, level), type_str(right, level + 1)
-        s += f" {sym} {r}"
+        s, r = type_str(left, level), type_str(right, level + 1)
+    s += f" {sym} {r}"
     return "(" + s + ")" if level < prec else s
 
 
 formula_str = type_str
 
 
-def _parens(s: str, level: int, prec: int) -> str:
-    return "(" + s + ")" if level < prec else s
-
-
-# term precedence levels
-_E_OPEN, _E_APP, _E_PREFIX, _E_ATOM = 0, 1, 2, 3
-
-
 def term_str(t, prec: int = 0) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Lam):
-        s = f"\\{t.var}:{type_str(t.dom)}. {term_str(t.body, _E_OPEN)}"
-        return _parens(s, _E_OPEN, prec)
-    if isinstance(t, App):
-        s = term_str(t.fn, _E_APP) + " " + term_str(t.arg, _E_PREFIX)
-        return _parens(s, _E_APP, prec)
-    if isinstance(t, Pair):
-        return f"<{term_str(t.fst)}, {term_str(t.snd)}>"
-    if isinstance(t, (Proj1, Proj2, Inl, Inr)):
-        kw = {Proj1: "p1", Proj2: "p2", Inl: "inl", Inr: "inr"}[type(t)]
-        s = kw + " " + term_str(t.arg, _E_PREFIX)
-        return _parens(s, _E_PREFIX, prec)
-    if isinstance(t, Case):
-        return (f"case {term_str(t.scrut, _E_APP)} of "
-                f"{{ inl {t.lvar} => {term_str(t.lbranch)} "
-                f"| inr {t.rvar} => {term_str(t.rbranch)} }}")
-    if isinstance(t, Split):
-        s = (f"split {term_str(t.scrut, _E_APP)} as "
-             f"({t.var1}, {t.var2}) => {term_str(t.body, _E_OPEN)}")
-        return _parens(s, _E_OPEN, prec)
-    if isinstance(t, Ann):
-        return f"({term_str(t.term)} : {type_str(t.type)})"
-    raise TypeError(f"not a term: {t!r}")
+    """A term in concrete syntax; see type_str, which prints every sort."""
+    return type_str(t, prec)
+
+
+_BASIS_KEYWORDS = {basis: kw for kw, basis in BASIS_NAMES.items()}
 
 
 def directive_str(d) -> str:
     from . import script as s
-    basis_names = {v: k for k, v in _basis_names().items()}
     if isinstance(d, s.AtomDecl):
         return f"atom {d.name};"
     if isinstance(d, s.PredDecl):
@@ -119,7 +101,7 @@ def directive_str(d) -> str:
     if isinstance(d, s.EqualDirective):
         return f"equal {type_str(d.left)} {type_str(d.right)};"
     if isinstance(d, s.ExpandDirective):
-        return f"expand {type_str(d.type)} basis {basis_names[d.basis]};"
+        return f"expand {type_str(d.type)} basis {_BASIS_KEYWORDS[d.basis]};"
     if isinstance(d, s.TranslateDirective):
         return f"translate {formula_str(d.formula)};"
     if isinstance(d, s.NnfDirective):
@@ -129,17 +111,11 @@ def directive_str(d) -> str:
     raise TypeError(f"not a directive: {d!r}")
 
 
-def _basis_names():
-    from .duality import BASIS_NAMES
-    return BASIS_NAMES
-
-
 def script_str(sc) -> str:
     return "\n".join(directive_str(d) for d in sc.directives) + "\n"
 
 
 def context_str(ctx) -> str:
-    from .kernel import TermDecl
     parts = []
     for e in ctx.entries:
         if isinstance(e, TermDecl):

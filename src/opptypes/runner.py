@@ -3,7 +3,8 @@
 Directive errors are collected, never fatal; the report has one entry per
 directive, in order, and running the same bytes twice yields the same
 report, including every generated fresh name.  Input nested too deeply
-for Python's recursion limit is one such error, reported as DEEP_INPUT.
+for Python's recursion limit in the layers after parsing (which uses no
+recursion) is one such error, reported as DEEP_INPUT.
 """
 
 from __future__ import annotations

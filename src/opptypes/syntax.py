@@ -177,8 +177,10 @@ class Ann(TermExpr):
 # Levels of the concrete syntax, loosest first.  A binder extends as far
 # right as possible.  The two arrows share level 1, associate to the right
 # and never mix without parentheses; every higher infix level binds
-# tighter and associates to the left.  The prefix ~ binds tightest.
-BINDER, ARROW, PREFIX = 0, 1, 4
+# tighter and associates to the left.  The prefix ~ binds tightest.  In
+# terms, application (juxtaposition) sits between the binders and the
+# prefixes and associates to the left, and a bracketed form is an atom.
+BINDER, ARROW, APPLY, PREFIX, ATOM = 0, 1, 3, 4, 5
 
 # Each type constructor with its symbol and level.  The parser and the
 # printer read this table; logic.FIXITY gives the connectives the levels
@@ -189,6 +191,36 @@ FIXITY = {
     Sum: ("+", 2), Prod: ("*", 3),
     Opp: ("~", PREFIX),
 }
+
+# Each term constructor with its level and its concrete syntax: literal
+# text around one {field} per field, in field order.  A term field's spec
+# is the loosest level it takes without parentheses; a field with none
+# takes any term, and only there may a term start with a binder.  The
+# parser reads the text as tokens, and the printer writes it as it stands.
+# Here and in templates, a field's annotation says what the parser reads
+# there: an identifier (str) or an operand of the annotated sort.
+TERM_FIXITY = {
+    Lam: (BINDER, "\\{var}:{dom}. {body}"),
+    Split: (BINDER, "split {scrut:3} as ({var1}, {var2}) => {body}"),
+    App: (APPLY, "{fn:3} {arg:4}"),
+    Proj1: (PREFIX, "p1 {arg:4}"), Proj2: (PREFIX, "p2 {arg:4}"),
+    Inl: (PREFIX, "inl {arg:4}"), Inr: (PREFIX, "inr {arg:4}"),
+    Pair: (ATOM, "<{fst}, {snd}>"),
+    Case: (ATOM, "case {scrut:3} of {{ inl {lvar} => {lbranch} "
+                 "| inr {rvar} => {rbranch} }}"),
+    Ann: (ATOM, "({term} : {type})"),
+}
+
+
+def templates(fixity):
+    """The binders and prefix of FIXITY or logic.FIXITY as TERM_FIXITY
+    entries.  Their specs only place the printer's parentheses: an operand
+    of a type or formula may be at any level, and a binder's domain is
+    parenthesized below ARROW for the reader's sake."""
+    forms = {BINDER: "%s {%s}:{%s:1}. {%s}", PREFIX: "%s{%s:4}"}
+    return {cls: (level, forms[level] % (
+                sym, *(f.name for f in dataclasses.fields(cls))))
+            for cls, (sym, level) in fixity.items() if level in forms}
 
 
 # ---------------------------------------------------------------------------

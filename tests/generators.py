@@ -9,6 +9,7 @@ bound at sort a, which the generators track through env.
 from __future__ import annotations
 
 import random
+from dataclasses import fields, is_dataclass, replace
 
 import hypothesis.strategies as st
 
@@ -178,6 +179,21 @@ def rand_term(rng: random.Random, depth: int):
         return Split(rand_term(rng, depth - 1), "u", "v",
                      rand_term(rng, depth - 1))
     return Ann(rand_term(rng, depth - 1), rand_type(rng, 2))
+
+
+def with_term_args(rng: random.Random, e):
+    """e with random terms as the arguments of about half its type atoms,
+    in types and in the types inside terms alike.  For parser round trips
+    only: the result is not well formed."""
+    if isinstance(e, Atom):
+        if rng.random() < 0.5:
+            return e
+        return Atom(e.name, tuple(rand_term(rng, rng.randint(0, 2))
+                                  for _ in range(rng.randint(1, 2))))
+    if not is_dataclass(e):
+        return e
+    return replace(e, **{f.name: with_term_args(rng, getattr(e, f.name))
+                         for f in fields(e)})
 
 
 def rand_script(rng: random.Random):

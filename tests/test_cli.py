@@ -9,15 +9,25 @@ from pathlib import Path
 import pytest
 
 import opptypes.script as s
-from opptypes import (Atom, Fun, Opp, ParseError, Pi, Proj1, Var,
-                      bounded_inhabit, declare_term, parse, parse_term,
-                      parse_type, run, script_str, term_str,
-                      DepthCapExceeded)
+from opptypes import (Ann, App, Atom, Fun, Inl, Lam, Opp, ParseError, Pi,
+                      Proj1, Sigma, Sum, Var, bounded_inhabit, declare_term,
+                      parse, parse_term, parse_type, run, script_str,
+                      term_str, type_str, DepthCapExceeded)
 from opptypes.runner import DEEP_INPUT, report_json, report_text
 
-from generators import rand_script, rand_term, rand_type, std_ctx
+from generators import (rand_script, rand_term, rand_type, std_ctx,
+                        with_term_args)
 
 REPO = Path(__file__).resolve().parents[1]
+# term_str of _pinned_terms(); regenerate with
+# `PYTHONPATH=src:tests python tests/test_cli.py`, and only when the printed
+# form of terms is meant to change
+TERMS = REPO / "tests" / "golden" / "terms.json"
+
+
+def _pinned_terms(n=1200, seed=20261018):
+    rng = random.Random(seed)
+    return [rand_term(rng, rng.randint(0, 5)) for _ in range(n)]
 
 
 class TestParseExamples:
@@ -55,6 +65,23 @@ class TestParseExamples:
         with pytest.raises(ParseError):
             parse("assume of : a;")
 
+    def test_binder_after_term_arguments(self):
+        # a type atom's term arguments, however they end, leave the
+        # operator after them free to take a binder
+        u = Atom("p", (Var("u"),))
+        for arg, tree in (("f x", App(Var("f"), Var("x"))),
+                          ("p1 x", Proj1(Var("x"))),
+                          ("inl x", Inl(Var("x")))):
+            left = Atom("p", (tree,))
+            arrow = Fun(left, Pi("u", Atom("a"), u))
+            text = f"p({arg}) -> Pi u:a. p(u)"
+            assert parse_type(text) == arrow
+            assert type_str(arrow) == text
+            assert parse_type(f"p({arg}) + Sg u:a. p(u)") == Sum(
+                left, Sigma("u", Atom("a"), u))
+            assert parse_term(f"\\y:{text}. y") == Lam("y", arrow, Var("y"))
+            assert parse_term(f"(y : {text})") == Ann(Var("y"), arrow)
+
     def test_terms(self):
         t = parse_term("\\x:a. <p1 x, p2 (f x)>")
         assert term_str(t) == "\\x:a. <p1 x, p2 (f x)>"
@@ -76,6 +103,21 @@ class TestRoundTrip:
         rng = random.Random(11)
         for _ in range(300):
             t = rand_term(rng, rng.randint(0, 4))
+            assert parse_term(term_str(t)) == t
+        # the printed form, spacing included, is pinned too
+        pinned = json.loads(TERMS.read_text(encoding="utf-8"))
+        trees = _pinned_terms()
+        assert len(pinned) == len(trees) >= 1000
+        for t, text in zip(trees, pinned):
+            assert term_str(t) == text
+            assert parse_term(text) == t
+
+    def test_generated_term_arguments(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            ty = with_term_args(rng, rand_type(rng, rng.randint(1, 4)))
+            assert parse_type(type_str(ty)) == ty
+            t = with_term_args(rng, rand_term(rng, rng.randint(1, 4)))
             assert parse_term(term_str(t)) == t
 
     def test_directive_examples(self):
@@ -263,7 +305,8 @@ class TestCommandLine:
 GOLDEN = {"golden": REPO / "scripts" / "golden.ptt",
           "paraconsistency": REPO / "scripts" / "paraconsistency.ptt",
           "renaming": REPO / "tests" / "golden" / "renaming.ptt",
-          "algebra": REPO / "tests" / "golden" / "algebra.ptt"}
+          "algebra": REPO / "tests" / "golden" / "algebra.ptt",
+          "errors": REPO / "tests" / "golden" / "errors.ptt"}
 
 
 class TestPinnedReports:
@@ -330,3 +373,9 @@ class TestDeepInput:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: {DEEP_INPUT}\n"
+
+
+if __name__ == "__main__":
+    TERMS.write_text("[\n" + ",\n".join(
+        json.dumps(term_str(t)) for t in _pinned_terms()) + "\n]\n",
+        encoding="utf-8")

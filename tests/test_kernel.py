@@ -37,6 +37,23 @@ def ctx_with(*decls):
     return ctx
 
 
+class TestContext:
+    def test_names_of_a_context_built_directly(self):
+        built = std_ctx().extended(TermDecl("x", a))
+        direct = Context(built.entries)
+        assert direct.names == built.names == {"a", "b", "c", "p", "x"}
+        assert Context().names == frozenset()
+        assert replace(built, entries=built.entries[:2]).names == {"a", "b"}
+
+    def test_names_leave_equality_and_hash_alone(self):
+        built = std_ctx().extended(TermDecl("x", a))
+        direct = Context(built.entries)
+        assert direct == built and hash(direct) == hash(built)
+        assert repr(direct) == repr(built)
+        assert built != std_ctx()
+        assert isinstance(Context.__dict__["names"], property)
+
+
 class TestFormation:
     def test_fun_in_u0(self):
         check_formation(std_ctx(), Fun(a, b), U0)

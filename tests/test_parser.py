@@ -12,8 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from opptypes import (Atom, Formula, ParseError, Pi, Pred, TypeExpr, Forall,
-                      parse, parse_formula, parse_term, parse_type)
+from dataclasses import fields
+from string import Formatter
+from typing import get_type_hints
+
+from opptypes import (Ann, App, Atom, Case, Formula, Inl, Lam, Pair,
+                      ParseError, Pi, Pred, Proj1, Split, TermExpr, TypeExpr,
+                      Forall, Var, parse, parse_formula, parse_term,
+                      parse_type)
 from opptypes import logic, syntax
 
 from generators import rand_concrete
@@ -54,19 +60,38 @@ def test_fixity_table_covers_every_operator_class():
     for table in (syntax.FIXITY, logic.FIXITY):
         symbols = [sym for sym, _ in table.values()]
         assert len(set(symbols)) == len(symbols)
+    # one entry for each term class but Var, whose template names each
+    # field once, in field order
+    assert set(syntax.TERM_FIXITY) == set(TermExpr.__subclasses__()) - {Var}
+    for cls, (_, template) in syntax.TERM_FIXITY.items():
+        named = [name for _, name, _, _ in Formatter().parse(template)
+                 if name is not None]
+        assert named == [f.name for f in fields(cls)], cls
+    # a field's annotation decides what the parser reads there: an
+    # identifier, or an operand of one of the three sorts
+    for cls in (*syntax.FIXITY, *logic.FIXITY, *syntax.TERM_FIXITY):
+        for hint in get_type_hints(cls).values():
+            assert hint in (str, TypeExpr, Formula, TermExpr), cls
 
 
 def _unwrap(tree, cls, field):
     """Depth of a chain of cls nodes through field, and what ends it; read
-    with a loop, because == on a deep chain would recurse."""
+    with a loop, because == on a deep chain would recurse.  field is a
+    field name, or a function from a node to the next."""
+    step = field if callable(field) else lambda node: getattr(node, field)
     depth = 0
     while isinstance(tree, cls):
-        tree, depth = getattr(tree, field), depth + 1
+        tree, depth = step(tree), depth + 1
     return depth, tree
 
 
+def _nest(opening, closing):
+    """x inside DEEP pairs of the strings opening(i) and closing(i)."""
+    return ("".join(map(opening, range(DEEP))) + "x"
+            + "".join(map(closing, reversed(range(DEEP)))))
+
+
 class TestDeepNesting:
-    # terms still nest through Python frames, about 247 parentheses deep
     def test_type_parentheses(self):
         assert parse_type("(" * DEEP + "a" + ")" * DEEP) == Atom("a")
 
@@ -81,6 +106,52 @@ class TestDeepNesting:
         chain = parse_formula("all x:s. " * DEEP + "R(x)")
         assert _unwrap(chain, Forall, "body") == (DEEP, Pred("R", ("x",)))
 
+    def test_term_parentheses(self):
+        assert parse_term("(" * DEEP + "x" + ")" * DEEP) == Var("x")
+
+    def test_pairs(self):
+        pairs = parse_term(_nest(lambda i: "<x, ", lambda i: ">"))
+        assert _unwrap(pairs, Pair, "snd") == (DEEP, Var("x"))
+        assert pairs.fst == Var("x")
+
+    def test_lambda_chain(self):
+        chain = parse_term("\\x:a. " * DEEP + "x")
+        assert _unwrap(chain, Lam, "body") == (DEEP, Var("x"))
+        assert chain.dom == Atom("a")
+
+    def test_split_chain(self):
+        chain = parse_term("split s as (u, v) => " * DEEP + "x")
+        assert _unwrap(chain, Split, "body") == (DEEP, Var("x"))
+        assert (chain.scrut, chain.var1, chain.var2) == (Var("s"), "u", "v")
+
+    def test_case_nested_in_both_branches(self):
+        # the even levels nest in the right branch, the odd in the left
+        tree = parse_term(_nest(
+            lambda i: ("case x of { inl u => " if i % 2 else
+                       "case x of { inl u => u | inr v => "),
+            lambda i: " | inr v => v }" if i % 2 else " }"))
+        depth, end = _unwrap(tree, Case, lambda c: (
+            c.lbranch if isinstance(c.rbranch, Var) else c.rbranch))
+        assert (depth, end) == (DEEP, Var("x"))
+
+    def test_prefixes_mixed_with_application(self):
+        # p1 inl (f (p1 inl (f ... x)))
+        tree = parse_term(_nest(lambda i: "p1 inl (f ", lambda i: ")"))
+        depth, end = _unwrap(tree, Proj1, lambda p: p.arg.arg.arg)
+        assert (depth, end) == (DEEP, Var("x"))
+        assert isinstance(tree.arg, Inl) and tree.arg.arg.fn == Var("f")
+        # prefixes bind tighter: p1 inl ... p1 inl f x is an application
+        tree = parse_term("p1 inl " * DEEP + "f x")
+        assert isinstance(tree, App) and tree.arg == Var("x")
+        assert _unwrap(tree.fn, (Proj1, Inl), "arg") == (2 * DEEP, Var("f"))
+
+    def test_sorts_alternate(self):
+        # (x : p((x : p(... x ...)))): term, type, term, ...
+        tree = parse_term(_nest(lambda i: "(x : p(", lambda i: "))"))
+        depth, end = _unwrap(tree, Ann, lambda a: a.type.args[0])
+        assert (depth, end) == (DEEP, Var("x"))
+        assert tree.term == Var("x") and tree.type.name == "p"
+
     def test_check_reads_deep_parentheses(self):
         proc = subprocess.run(
             [sys.executable, "-m", "opptypes", "check", "-"],
@@ -89,6 +160,17 @@ class TestDeepNesting:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == ("ok    [1:1] atom: atom a : U0\n"
                                "ok    [1:9] onf: a\n")
+
+    def test_check_reads_parenthesized_terms(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opptypes", "check", "-"],
+            input="atom a; assume x : a; infer " + "(" * 300 + "x"
+                  + ")" * 300 + ";",
+            capture_output=True, text=True, cwd=REPO)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("ok    [1:1] atom: atom a : U0\n"
+                               "ok    [1:9] assume: assumed x : a\n"
+                               "ok    [1:23] infer: x : a\n")
 
 
 def _record(n=1500, seed=20261018):
