@@ -83,33 +83,52 @@ ContextEntry = Union[TermDecl, TypeConstDecl]
 
 @dataclass(frozen=True)
 class Context:
-    """Ordered telescope of term declarations and type-constant declarations."""
+    """Ordered telescope of term declarations and type-constant declarations.
+
+    Each context keeps an index from every name to the last entry under
+    that name, beside the fields, so ==, hash, repr and replace ignore
+    it.  extended copies the parent's index and adds the new entry; a
+    context built directly indexes its entries on first use.  A lookup
+    reads the index and scans the entries only when the last entry under
+    the name is of the other kind, which only a context built by hand can
+    give.
+    """
     entries: Tuple[ContextEntry, ...] = ()
 
+    def _index(self) -> dict:
+        index = self.__dict__.get("_by_name")
+        if index is None:
+            index = {e.name: e for e in self.entries}
+            object.__setattr__(self, "_by_name", index)
+        return index
+
     @property
-    def names(self) -> frozenset:
-        # kept beside the fields, so ==, hash and repr ignore it
-        names = self.__dict__.get("_names")
-        if names is None:
-            names = frozenset(e.name for e in self.entries)
-            object.__setattr__(self, "_names", names)
-        return names
+    def names(self):
+        return self._index().keys()
 
     def lookup_term(self, name: str) -> Optional[TypeExpr]:
-        for e in reversed(self.entries):
-            if isinstance(e, TermDecl) and e.name == name:
-                return e.type
-        return None
+        e = self._index().get(name)
+        if e is not None and not isinstance(e, TermDecl):
+            e = self._scan(TermDecl, name)
+        return None if e is None else e.type
 
     def lookup_const(self, name: str) -> Optional[TypeConstDecl]:
+        e = self._index().get(name)
+        if e is not None and not isinstance(e, TypeConstDecl):
+            e = self._scan(TypeConstDecl, name)
+        return e
+
+    def _scan(self, kind, name: str):
         for e in reversed(self.entries):
-            if isinstance(e, TypeConstDecl) and e.name == name:
+            if isinstance(e, kind) and e.name == name:
                 return e
         return None
 
     def extended(self, entry: ContextEntry) -> "Context":
         ctx = Context(self.entries + (entry,))
-        object.__setattr__(ctx, "_names", self.names | {entry.name})
+        index = self._index().copy()
+        index[entry.name] = entry
+        object.__setattr__(ctx, "_by_name", index)
         return ctx
 
     def term_decls(self):
@@ -295,7 +314,7 @@ def _open(ctx: Context, hints, scopes, near):
         if clash:
             if avoid is None:
                 exprs = [body for body, _ in scopes] + list(near)
-                avoid = taken.union(*map(all_names, exprs))
+                avoid = set(taken).union(*map(all_names, exprs))
             later = hints[len(names) + 1:]
             hint = fresh_name(hint, avoid.union(names, later))
         names.append(hint)

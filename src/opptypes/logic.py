@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 from . import syntax
 from .duality import dual_plans
 from .errors import SortError
-from .kernel import Context, EMPTY, TermDecl, TypeConstDecl, U0, type_equal
+from .kernel import Context, TermDecl, TypeConstDecl, U0, type_equal
 from .syntax import (Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum, TypeExpr,
                      Var)
 
@@ -184,15 +184,13 @@ def translation_context(sig: Signature, *formulas: Formula) -> Context:
 
 
 def _signature_context(sig: Signature) -> Context:
-    ctx = EMPTY
-    for s in sorted(sig.sorts):
-        ctx = ctx.extended(TypeConstDecl(s, (), U0))
+    entries = [TypeConstDecl(s, (), U0) for s in sorted(sig.sorts)]
     for p in sorted(sig.predicates):
         telescope = tuple(
             (f"x{i + 1}", Atom(s))
             for i, s in enumerate(sig.predicates[p]))
-        ctx = ctx.extended(TypeConstDecl(p, telescope, U0))
-    return ctx
+        entries.append(TypeConstDecl(p, telescope, U0))
+    return Context(tuple(entries))
 
 
 # Each connective with the type constructor that translates it.  Their

@@ -36,7 +36,6 @@ when the `(` is adjacent (no space), which keeps `equal a (b)` unambiguous.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from string import Formatter
 from typing import List, NamedTuple, Optional, get_type_hints
 
@@ -60,8 +59,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # "word" | "int" | "sym" | "eof"
     value: str
     line: int

@@ -123,7 +123,7 @@ def context_str(ctx) -> str:
         else:
             if e.telescope:
                 tel = ", ".join(f"{v}:{type_str(s)}" for v, s in e.telescope)
-                parts.append(f"{e.name}({tel}) : {e.universe}")
+                parts.append(f"{e.name}({tel}) : {e.universe!s}")
             else:
-                parts.append(f"{e.name} : {e.universe}")
+                parts.append(f"{e.name} : {e.universe!s}")
     return ", ".join(parts)

@@ -1,6 +1,7 @@
 """Judgment checking: formation, typing, equality, derivation soundness."""
 
 import random
+import time
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -14,14 +15,15 @@ from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       Derivation, Formation, Fun, IllFormedContext,
                       IllFormedType, InvalidDerivation, Lam,
                       NonInferableTerm, Opp, Pi, Prod, Proj1, Proj2, Sigma,
-                      Split, Sum, TermDecl, TermEq, TypeEq, TypeMismatch,
-                      TypeTheoryError, Typing, UnboundVariable, Var,
-                      bounded_inhabit, check, check_duality_principle,
+                      Split, Sum, TermDecl, TermEq, TypeConstDecl, TypeEq,
+                      TypeMismatch, TypeTheoryError, Typing, UnboundVariable,
+                      Var, bounded_inhabit, check, check_duality_principle,
                       check_formation, declare_term, declare_type_const,
                       equivalent, infer, onf, parse, parse_term, parse_type,
                       recheck, subst, subst_term, subst_type, term_equal,
                       type_equal, U0, U1)
 from opptypes.kernel import _RULES
+from opptypes.logic import Signature, _signature_context
 from opptypes.runner import _execute
 from opptypes.syntax import all_names
 
@@ -52,6 +54,100 @@ class TestContext:
         assert repr(direct) == repr(built)
         assert built != std_ctx()
         assert isinstance(Context.__dict__["names"], property)
+
+    def test_lookups_agree_with_a_reversed_scan(self):
+        rng = random.Random(8)
+        pool = ("a", "b", "p", "x", "y")
+        for _ in range(200):
+            built = EMPTY
+            for _ in range(rng.randrange(8)):
+                built = built.extended(_rand_entry(rng, pool))
+            k = rng.randrange(len(built.entries) + 1)
+            cut = replace(built, entries=built.entries[:k])
+            for ctx in (built, Context(built.entries), cut,
+                        cut.extended(_rand_entry(rng, pool))):
+                _assert_scan_agrees(ctx, pool + ("zz",))
+
+    def test_lookups_of_hand_built_contexts(self):
+        x_a, x_b = TermDecl("x", a), TermDecl("x", b)
+        x_const = TypeConstDecl("x")
+        for entries in ((x_a, x_b), (x_a, x_const), (x_const, x_a),
+                        (x_a, x_const, x_b),
+                        (x_const, x_b, TypeConstDecl("x", (), U1))):
+            built = EMPTY
+            for e in entries:
+                built = built.extended(e)
+            _assert_scan_agrees(built, ("x", "y"))
+            _assert_scan_agrees(Context(entries), ("x", "y"))
+        assert Context((x_a, x_b)).lookup_term("x") == b
+        both = Context((x_a, x_const))
+        assert both.lookup_term("x") == a and both.lookup_const("x") is x_const
+        assert both.names == {"x"}
+        assert both.lookup_term("y") is None and both.lookup_const("y") is None
+
+    def test_signature_context_matches_declaring_one_by_one(self):
+        rng = random.Random(8)
+        pool = ("a", "b", "c", "d", "s", "t")
+        for _ in range(100):
+            sorts = rng.sample(pool, rng.randrange(len(pool) + 1))
+            preds = {}
+            for name in rng.sample(pool, rng.randrange(len(pool) + 1)):
+                # a zero-arity name may be a sort as well as a predicate
+                arity = rng.randrange(3) if sorts else 0
+                preds[name] = tuple(rng.choice(sorts) for _ in range(arity))
+            sig = Signature(sorts, preds)
+            one_pass = _signature_context(sig)
+            assert one_pass.entries == _signature_by_extension(sig).entries
+            _assert_scan_agrees(one_pass, pool + ("x1",))
+
+    def test_lookup_cost_does_not_grow_with_the_context(self):
+        def best_time(n):
+            ctx = Context((TypeConstDecl("s"),)
+                          + tuple(TermDecl(f"x{i}", a) for i in range(n)))
+            assert ctx.lookup_term("x0") == a   # indexes the entries
+            best = float("inf")
+            for _ in range(7):
+                start = time.perf_counter()
+                for _ in range(100):
+                    ctx.lookup_term("x0")
+                    ctx.lookup_const("s")
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        # a reversed scan to the first entry costs about 1000x here
+        assert best_time(100_000) < 10 * best_time(100)
+
+
+def _rand_entry(rng, pool):
+    name = rng.choice(pool)
+    if rng.random() < 0.5:
+        return TermDecl(name, rng.choice((a, b, Opp(c))))
+    return TypeConstDecl(name, (), rng.choice((U0, U1)))
+
+
+def _assert_scan_agrees(ctx, probes):
+    """ctx's names and lookups give what a reversed scan of its entries
+    gives."""
+    assert ctx.names == frozenset(e.name for e in ctx.entries)
+    for name in probes:
+        terms = [e.type for e in reversed(ctx.entries)
+                 if isinstance(e, TermDecl) and e.name == name]
+        consts = [e for e in reversed(ctx.entries)
+                  if isinstance(e, TypeConstDecl) and e.name == name]
+        assert ctx.lookup_term(name) == (terms[0] if terms else None)
+        assert ctx.lookup_const(name) is (consts[0] if consts else None)
+
+
+def _signature_by_extension(sig):
+    """The signature context declared one entry at a time."""
+    ctx = EMPTY
+    for sort in sorted(sig.sorts):
+        ctx = ctx.extended(TypeConstDecl(sort, (), U0))
+    for p in sorted(sig.predicates):
+        telescope = tuple((f"x{i + 1}", Atom(sort))
+                          for i, sort in enumerate(sig.predicates[p]))
+        ctx = ctx.extended(TypeConstDecl(p, telescope, U0))
+    return ctx
 
 
 class TestFormation:
