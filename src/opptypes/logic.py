@@ -92,18 +92,39 @@ class Exists(Formula):
 @dataclass
 class Signature:
     """Sorts plus predicate arities.  A nullary predicate is an atomic
-    proposition; its translation is a plain type variable."""
-    sorts: frozenset
+    proposition; its translation is a plain type variable.
+
+    A signature grows in place: sorts is a set, and add_predicate, like
+    the constructor, rejects an arity that uses an undeclared sort.
+    Beside its fields (so == and repr ignore it) each signature keeps a
+    memo from (name, arity) to the declaration _signature_context gives
+    that name, sorts under arity ().  A declaration depends on its key
+    alone, so growing the signature leaves every memo entry valid.
+    """
+    sorts: set
     predicates: Dict[str, Tuple[str, ...]]
 
     def __init__(self, sorts=(), predicates=None):
-        self.sorts = frozenset(sorts)
-        self.predicates = dict(predicates or {})
-        for name, arity in self.predicates.items():
-            for s in arity:
-                if s not in self.sorts:
-                    raise SortError(
-                        f"predicate {name} uses undeclared sort {s}")
+        self.sorts = set(sorts)
+        self.predicates = {}
+        self._decls = {}
+        for name, arity in (predicates or {}).items():
+            self.add_predicate(name, arity)
+
+    def add_predicate(self, name: str, arity: Tuple[str, ...]) -> None:
+        for s in arity:
+            if s not in self.sorts:
+                raise SortError(f"predicate {name} uses undeclared sort {s}")
+        self.predicates[name] = tuple(arity)
+
+    def _decl(self, name: str, arity: Tuple[str, ...]) -> TypeConstDecl:
+        decl = self._decls.get((name, arity))
+        if decl is None:
+            telescope = tuple((f"x{i + 1}", Atom(s))
+                              for i, s in enumerate(arity))
+            decl = self._decls[name, arity] = TypeConstDecl(
+                name, telescope, U0)
+        return decl
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +205,9 @@ def translation_context(sig: Signature, *formulas: Formula) -> Context:
 
 
 def _signature_context(sig: Signature) -> Context:
-    entries = [TypeConstDecl(s, (), U0) for s in sorted(sig.sorts)]
-    for p in sorted(sig.predicates):
-        telescope = tuple(
-            (f"x{i + 1}", Atom(s))
-            for i, s in enumerate(sig.predicates[p]))
-        entries.append(TypeConstDecl(p, telescope, U0))
+    decl, preds = sig._decl, sig.predicates
+    entries = [decl(s, ()) for s in sorted(sig.sorts)]
+    entries += [decl(p, preds[p]) for p in sorted(preds)]
     return Context(tuple(entries))
 
 

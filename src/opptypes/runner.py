@@ -5,19 +5,23 @@ directive, in order, and running the same bytes twice yields the same
 report, including every generated fresh name.  Input nested too deeply
 for Python's recursion limit in the layers after parsing (which uses no
 recursion) is one such error, reported as DEEP_INPUT.
+
+Beside the context, a run keeps the signature that translate and nnf read,
+growing it as atom and pred directives succeed: an atom is a sort and a
+nullary predicate, and a pred is a predicate when each of its argument
+types is a declared sort.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import count
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import script as s
 from .duality import dual, expand_in_basis, onf
 from .errors import TypeTheoryError
-from .kernel import (Context, EMPTY, TypeConstDecl, U0, check,
-                     check_formation, declare_term, declare_type_const,
-                     infer, type_equal)
+from .kernel import (Context, EMPTY, U0, check, check_formation,
+                     declare_term, declare_type_const, infer, type_equal)
 from .logic import Signature, check_sorts, formula_nnf, translate
 from .printer import context_str, formula_str, term_str, type_str
 from .search import bounded_inhabit
@@ -28,12 +32,12 @@ DEEP_INPUT = "RecursionError: input nested too deeply"
 
 def run(sc: s.Script) -> s.Report:
     """Execute a parsed script and collect one report entry per directive."""
-    ctx = EMPTY
+    ctx, sig = EMPTY, Signature()
     entries = []
     for d in sc.directives:
         kw = s.DIRECTIVE_KEYWORDS[type(d)]
         try:
-            ctx, payload, status = _execute(ctx, d)
+            ctx, payload, status = _execute(ctx, sig, d)
         except TypeTheoryError as e:
             payload = f"{type(e).__name__}: {e}"
             status = "error"
@@ -44,9 +48,10 @@ def run(sc: s.Script) -> s.Report:
     return s.Report(tuple(entries))
 
 
-def _execute(ctx: Context, d):
+def _execute(ctx: Context, sig: Signature, d):
+    """Run one directive; a declaration that succeeds also grows sig."""
     if isinstance(d, s.AtomDecl):
-        ctx = declare_type_const(ctx, d.name, (), U0)
+        ctx = _declare(ctx, sig, d.name, ())
         return ctx, f"atom {d.name} : U0", "ok"
 
     if isinstance(d, s.PredDecl):
@@ -54,7 +59,7 @@ def _execute(ctx: Context, d):
         taken = ctx.names
         free = (v for v in map("x{}".format, count(1)) if v not in taken)
         telescope = tuple(zip(free, d.arg_types))
-        ctx = declare_type_const(ctx, d.name, telescope, U0)
+        ctx = _declare(ctx, sig, d.name, telescope)
         args = ", ".join(type_str(a) for a in d.arg_types)
         return ctx, f"pred {d.name}({args}) : U0", "ok"
 
@@ -93,12 +98,11 @@ def _execute(ctx: Context, d):
         return ctx, type_str(expanded), "ok"
 
     if isinstance(d, s.TranslateDirective):
-        sig = _signature_of(ctx)
         tctx, ty = translate(sig, d.formula)
         return ctx, f"{context_str(tctx)} |- {type_str(ty)}", "ok"
 
     if isinstance(d, s.NnfDirective):
-        check_sorts(_signature_of(ctx), d.formula)
+        check_sorts(sig, d.formula)
         return ctx, formula_str(formula_nnf(d.formula)), "ok"
 
     if isinstance(d, s.InhabitDirective):
@@ -113,32 +117,20 @@ def _execute(ctx: Context, d):
     raise TypeError(f"not a directive: {d!r}")
 
 
-def _signature_of(ctx: Context) -> Signature:
-    """Signature view of the declared constants.
-
-    Zero-arity constants double as sorts and as atomic propositions;
-    constants whose telescope entries are plain sort atoms are predicates.
+def _declare(ctx: Context, sig: Signature, name: str, telescope) -> Context:
+    """Declare a type constant of U0, then add it to sig: with no
+    arguments it is a sort and a nullary predicate, and with arguments
+    that are all declared sorts it is a predicate over them.  (A sort
+    takes no arguments, so formation has rejected a sort applied to any.)
     """
-    sorts = set()
-    predicates = {}
-    for e in ctx.entries:
-        if not isinstance(e, TypeConstDecl) or e.universe is not U0:
-            continue
-        if not e.telescope:
-            sorts.add(e.name)
-            predicates[e.name] = ()
-    for e in ctx.entries:
-        if not isinstance(e, TypeConstDecl) or not e.telescope:
-            continue
-        arg_sorts = []
-        for _, ty in e.telescope:
-            if isinstance(ty, Atom) and not ty.args and ty.name in sorts:
-                arg_sorts.append(ty.name)
-            else:
-                break
-        else:
-            predicates[e.name] = tuple(arg_sorts)
-    return Signature(sorts, predicates)
+    ctx = declare_type_const(ctx, name, telescope, U0)
+    arity = tuple(ty.name for _, ty in telescope
+                  if isinstance(ty, Atom) and ty.name in sig.sorts)
+    if len(arity) == len(telescope):
+        if not arity:
+            sig.sorts.add(name)
+        sig.add_predicate(name, arity)
+    return ctx
 
 
 def report_text(report: s.Report) -> str:
@@ -149,14 +141,28 @@ def report_text(report: s.Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The layout json.dumps(items, indent=2) gives a report's items.
+_ENTRY = ('  {\n    "status": %s,\n    "directive": %s,\n    "payload": %s,'
+          '\n    "span": %s\n  }')
+_SPAN = ('{\n      "line": %d,\n      "col": %d,\n      "end_line": %d,'
+         '\n      "end_col": %d\n    }')
+
+
 def report_json(report: s.Report) -> str:
-    """Stable machine-readable rendering; see docs/report_schema.json."""
+    """Stable machine-readable rendering; see docs/report_schema.json.
+
+    Each entry is written from a fixed template, and only its strings go
+    through the JSON string encoder, so the result is, byte for byte,
+    json.dumps of the list of entry objects with indent=2, plus a
+    newline.
+    """
     items = []
     for e in report.entries:
-        span = None
-        if e.span is not None:
-            span = {"line": e.span.line, "col": e.span.col,
-                    "end_line": e.span.end_line, "end_col": e.span.end_col}
-        items.append({"status": e.status, "directive": e.directive,
-                      "payload": e.payload, "span": span})
-    return json.dumps(items, indent=2) + "\n"
+        sp = e.span
+        span = "null" if sp is None else _SPAN % (
+            sp.line, sp.col, sp.end_line, sp.end_col)
+        items.append(_ENTRY % (_quote(e.status), _quote(e.directive),
+                               _quote(e.payload), span))
+    if not items:
+        return "[]\n"
+    return "[\n" + ",\n".join(items) + "\n]\n"

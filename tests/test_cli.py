@@ -181,6 +181,52 @@ class TestRun:
         assert report_text(r1) == report_text(r2)
 
 
+def _json_reference(report):
+    """report_json as json.dumps writes it."""
+    items = []
+    for e in report.entries:
+        span = None
+        if e.span is not None:
+            span = {"line": e.span.line, "col": e.span.col,
+                    "end_line": e.span.end_line, "end_col": e.span.end_col}
+        items.append({"status": e.status, "directive": e.directive,
+                      "payload": e.payload, "span": span})
+    return json.dumps(items, indent=2) + "\n"
+
+
+class TestReportJson:
+    def _assert_as_json_dumps(self, entries):
+        report = s.Report(tuple(entries))
+        assert report_json(report) == _json_reference(report)
+
+    def test_empty_and_spanless_reports(self):
+        assert report_json(s.Report(())) == "[]\n"
+        span = s.Span(1, 1, 1, 8)
+        self._assert_as_json_dumps([])
+        self._assert_as_json_dumps(
+            [s.ReportEntry("ok", "atom", "atom a : U0", None)])
+        self._assert_as_json_dumps(
+            [s.ReportEntry("ok", "atom", "atom a : U0", span),
+             s.ReportEntry("error", "check", "x", None),
+             s.ReportEntry("ok", "infer", "y : a", s.Span(2, 3, 4, 15))])
+
+    def test_strings_are_escaped_as_json_dumps_does(self):
+        payloads = ['say "hi"', "back\\slash \\u0041", "line\nbreak\ttab\r",
+                    "".join(map(chr, range(32))), "\x7f/", "é ∀ → ¬ 𝔸",
+                    "lone \ud800 and \udfff surrogates", ""]
+        for text in payloads:
+            self._assert_as_json_dumps(
+                [s.ReportEntry(text, text, text, s.Span(1, 2, 3, 4)),
+                 s.ReportEntry("ok", "nnf", text, None)])
+
+    def test_generated_reports(self):
+        rng = random.Random(4711)
+        for _ in range(300):
+            # printed and parsed again, so that the directives carry spans
+            report = run(parse(script_str(rand_script(rng))))
+            assert report_json(report) == _json_reference(report)
+
+
 class TestBoundedInhabit:
     def test_assumption(self):
         ctx = declare_term(std_ctx(), "x", Atom("a"))

@@ -380,6 +380,20 @@ class TestTypeEqual:
         with pytest.raises(IllFormedType):
             type_equal(std_ctx(), Atom("nope"), a)
 
+    def test_family_args_compared_up_to_beta_and_alpha_not_eta(self):
+        # h and its eta expansion are equal terms at a -> a, but family
+        # arguments are converted by beta and alpha only
+        a_to_a = Fun(a, a)
+        ctx = declare_type_const(EMPTY, "a")
+        ctx = declare_type_const(ctx, "p", (("x1", a_to_a),))
+        ctx = declare_term(ctx, "h", a_to_a)
+        h, eta = Var("h"), parse_term("\\y:a. h y")
+        assert term_equal(ctx, h, eta, a_to_a)
+        assert not type_equal(ctx, Atom("p", (h,)), Atom("p", (eta,)))
+        assert type_equal(ctx, Atom("p", (h,)),
+                          parse_type("p((\\g:a -> a. g) h)"))
+        assert type_equal(ctx, Atom("p", (eta,)), parse_type("p(\\z:a. h z)"))
+
 
 class TestTermEqual:
     def test_surjective_pairing_at_opp_fun(self):
@@ -593,10 +607,10 @@ def _demo_derivations():
     """Derivations of the checks and inferences in the demo scripts."""
     out = []
     for rel in DEMOS:
-        ctx = EMPTY
+        ctx, sig = EMPTY, Signature()
         for d in parse((REPO / rel).read_text()).directives:
             if isinstance(d, (s.AtomDecl, s.PredDecl, s.Assume)):
-                ctx, _, _ = _execute(ctx, d)
+                ctx, _, _ = _execute(ctx, sig, d)
                 continue
             try:
                 if isinstance(d, s.CheckDirective):

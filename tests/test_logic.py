@@ -4,14 +4,19 @@ import random
 
 import pytest
 
+import opptypes.logic as logic
+import opptypes.runner as runner
+import opptypes.script as s
 from opptypes import (And, Atom, CoFun, CoImpl, Forall, Impl, Neg, Opp,
-                      Or, Pi, Pred, Prod, Signature, SortError, Var,
-                      check_context, check_formation, formula_nnf,
-                      parse_formula, strong_equiv_check, translate,
+                      Or, Pi, Pred, Prod, Script, Signature, SortError, Var,
+                      check_context, check_formation, formula_nnf, parse,
+                      parse_formula, run, strong_equiv_check, translate,
                       type_equal, U0)
 from opptypes.logic import _formula_type, translation_context
+from opptypes.runner import _execute
 
-from generators import STD_SIG, rand_formula
+from generators import STD_SIG, rand_formula, rand_script
+from signature_oracle import signature_of
 
 P, Q = Pred("P"), Pred("Q")
 
@@ -121,3 +126,114 @@ class TestStrongEquiv:
         for _ in range(200):
             f = rand_formula(rng, rng.randint(0, 4))
             assert strong_equiv_check(STD_SIG, f, formula_nnf(f))
+
+
+# Names and argument types for scripts heavy in declarations: repeated
+# names fail as duplicates, and argument types that are no declared sort
+# (undeclared, compound, or a family applied to a term) leave a pred out
+# of the signature.
+DECL_NAMES = ("a", "b", "c", "p", "q", "r", "w", "x", "x1", "x2")
+ARG_TYPES = ("a", "b", "c", "zz", "a -> a", "~a", "a * b", "p(x)", "p(x1)",
+             "q(x, x)", "Pi v:a. p(v)")
+FORMULAS = ("a", "~(a & b)", "(a => c) <~ b", "all v:a. p(v)",
+            "ex v:a. ~p(v) | q(v, v)", "all v:b. q(v, v)", "r", "w(x)",
+            "x1 & p(y)")
+
+
+def _rand_decl_script(rng):
+    lines = []
+    for _ in range(rng.randint(1, 16)):
+        kind, name = rng.random(), rng.choice(DECL_NAMES)
+        if kind < 0.3:
+            lines.append(f"atom {name};")
+        elif kind < 0.6:
+            args = ", ".join(rng.choice(ARG_TYPES)
+                             for _ in range(rng.randint(1, 3)))
+            lines.append(f"pred {name}({args});")
+        elif kind < 0.75:
+            ty = rng.choice(("a", "b", "p(x)", "a -> a"))
+            lines.append(f"assume {name} : {ty};")
+        else:
+            kw = rng.choice(("translate", "nnf"))
+            lines.append(f"{kw} {rng.choice(FORMULAS)};")
+    return parse("\n".join(lines))
+
+
+class TestRunnerSignature:
+    def _run_checked(self, monkeypatch, sc):
+        """run sc, comparing the signature the run keeps with the oracle's
+        reading of the context after every directive."""
+        calls = []
+
+        def checked(ctx, sig, d):
+            after = ctx
+            try:
+                after, payload, status = _execute(ctx, sig, d)
+                return after, payload, status
+            finally:
+                calls.append(d)
+                oracle = signature_of(after)
+                assert sig == oracle, (d, sig, oracle)
+
+        monkeypatch.setattr(runner, "_execute", checked)
+        report = run(sc)
+        assert len(calls) == len(sc.directives)
+        return report
+
+    def test_kept_signature_matches_the_oracle(self, monkeypatch):
+        rng = random.Random(909)
+        statuses = set()
+        for _ in range(300):
+            report = self._run_checked(monkeypatch, _rand_decl_script(rng))
+            statuses.update((e.directive, e.status) for e in report.entries)
+        for _ in range(100):
+            self._run_checked(monkeypatch, rand_script(rng))
+        # the scripts reached failing and succeeding declarations and reads
+        for kw in ("atom", "pred", "translate", "nnf"):
+            assert {(kw, "ok"), (kw, "error")} <= statuses, kw
+
+    def test_declarations_that_are_not_predicates(self, monkeypatch):
+        report = self._run_checked(monkeypatch, parse(
+            "atom a; atom x1; assume x : a; pred p(a); pred w(a -> a);"
+            "pred r(p(x)); pred v(a, a -> a); pred q(a, x1); atom a;"
+            "pred p(a); pred z(a(x)); translate all u:a. ex y:x1. q(u, y);"
+            "nnf ~w; nnf ~r(x);"))
+        assert [e.status for e in report.entries] == (
+            ["ok"] * 8 + ["error"] * 3 + ["ok", "error", "error"])
+        assert report.entries[11].payload == (
+            "a : U0, x1 : U0, a : U0, p(x1:a) : U0, q(x1:a, x2:x1) : U0, "
+            "x1 : U0 |- Pi u:a. Sg y:x1. q(u, y)")
+
+    def test_pred_without_arguments_is_a_sort(self, monkeypatch):
+        # the parser gives no such pred, but a script built directly can
+        report = self._run_checked(monkeypatch, Script((
+            s.PredDecl("o", ()), s.PredDecl("f", (Atom("o"),)),
+            s.TranslateDirective(parse_formula("all u:o. f(u) => o")))))
+        assert report.ok
+
+    def test_add_predicate_rejects_an_undeclared_sort(self):
+        sig = Signature({"s"})
+        sig.add_predicate("R", ("s",))
+        with pytest.raises(SortError):
+            sig.add_predicate("T", ("s", "t"))
+        sig.sorts.add("t")
+        sig.add_predicate("T", ("s", "t"))
+        assert sig == Signature({"s", "t"}, {"R": ("s",), "T": ("s", "t")})
+
+    def test_signature_context_declares_each_name_once(self, monkeypatch):
+        made = []
+        real = logic.TypeConstDecl
+
+        def counting(*args, **kwargs):
+            made.append(args[:1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(logic, "TypeConstDecl", counting)
+        k = 12
+        reads = " ".join(["translate all v:s. R(v) & t;"] * k)
+        report = run(parse(f"atom s; atom t; pred R(s); {reads}"
+                           f"pred S(s, t); {reads} nnf ~S(u, v);"))
+        assert report.ok
+        # (s, ()), (t, ()), (R, (s,)) and (S, (s, t)): a zero-arity name
+        # is a sort and a predicate under one key
+        assert len(made) == 4
