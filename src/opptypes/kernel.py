@@ -449,20 +449,13 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         raise TypeMismatch(
             f"a pair cannot have type {goal}", expected=goal, actual=None)
 
-    if isinstance(t, Inl):
+    if isinstance(t, (Inl, Inr)):
+        side = "left" if isinstance(t, Inl) else "right"
         if isinstance(goal, Sum):
-            return Derivation("sum-intro-left", conc,
-                              (check(ctx, t.arg, goal.left),))
+            return Derivation(f"sum-intro-{side}", conc,
+                              (check(ctx, t.arg, getattr(goal, side)),))
         raise TypeMismatch(
-            f"a left injection cannot have type {goal}",
-            expected=goal, actual=None)
-
-    if isinstance(t, Inr):
-        if isinstance(goal, Sum):
-            return Derivation("sum-intro-right", conc,
-                              (check(ctx, t.arg, goal.right),))
-        raise TypeMismatch(
-            f"a right injection cannot have type {goal}",
+            f"a {side} injection cannot have type {goal}",
             expected=goal, actual=None)
 
     if isinstance(t, (Case, Split)):
@@ -646,18 +639,20 @@ def _infer(ctx: Context, t: TermExpr):
 def term_equal(ctx: Context, t: TermExpr, u: TermExpr, A: TypeExpr) -> bool:
     """Definitional term equality at type A.
 
-    Both terms are checked against A first (errors propagate), reduced to
-    beta normal form, and compared type-directed: at function-like types by
-    applying to a fresh variable, at pair-like types by comparing
-    projections, and at sums and atoms structurally, with the identity
-    case and split collapsed by the normalizer.
+    Both terms are checked against A first (errors propagate), then
+    reduced to normal form and compared type-directed.  The theory is
+    beta, the identity contractions of case and split (see
+    normalize_term), and eta at function-like types (Fun, Pi; compared by
+    applying to a fresh variable) and at pair-like types (Prod, Sigma,
+    and CoFun, which opposites of function types become; compared by
+    projections).  At sums and atoms terms are compared structurally:
+    there is no eta at sums and no commuting conversion, so a case at a
+    function type is not equal to the case of its branches' eta
+    expansions.
     """
     check(ctx, t, A)
     check(ctx, u, A)
-    goal = onf(A)
-    nt = normalize_term(t, type_norm=onf)
-    nu = normalize_term(u, type_norm=onf)
-    return _teq(ctx, nt, nu, goal)
+    return _teq(ctx, _norm(t), _norm(u), onf(A))
 
 
 def _norm(t: TermExpr) -> TermExpr:
@@ -665,6 +660,7 @@ def _norm(t: TermExpr) -> TermExpr:
 
 
 def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
+    """Compare normal forms t and u, both of type T."""
     if alpha_eq(t, u):
         return True
 
@@ -682,33 +678,18 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
             return False
         return _teq(ctx, _norm(Proj2(t)), _norm(Proj2(u)), c2)
 
-    if isinstance(T, Sum):
-        if isinstance(t, Inl) and isinstance(u, Inl):
-            return _teq(ctx, t.arg, u.arg, T.left)
-        if isinstance(t, Inr) and isinstance(u, Inr):
-            return _teq(ctx, t.arg, u.arg, T.right)
-        if isinstance(t, (Inl, Inr)) or isinstance(u, (Inl, Inr)):
-            return False
-        return _atomic_eq(ctx, t, u, T)
-
-    return _atomic_eq(ctx, t, u, T)
-
-
-def _atomic_eq(ctx: Context, t: TermExpr, u: TermExpr,
-               goal: TypeExpr) -> bool:
-    """Comparison at a type with no applicable eta rule."""
     if type(t) is not type(u):
         return False
-
+    if isinstance(t, (Inl, Inr)):
+        # an injection has a sum type
+        side = T.left if isinstance(t, Inl) else T.right
+        return _teq(ctx, t.arg, u.arg, side)
     if isinstance(t, (Case, Split)):
         styp = _neutral_eq(ctx, t.scrut, u.scrut)
         if not isinstance(styp, Sum if isinstance(t, Case) else Sigma):
             return False
-        for ctx2, _, (tb, ub) in _open_branches(ctx, styp, (t, u)):
-            if not _teq(ctx2, tb, ub, goal):
-                return False
-        return True
-
+        return all(_teq(ctx2, tb, ub, T) for ctx2, _, (tb, ub)
+                   in _open_branches(ctx, styp, (t, u)))
     return _neutral_eq(ctx, t, u) is not None
 
 
@@ -717,31 +698,19 @@ def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
     if type(n) is not type(m):
         return None
     if isinstance(n, Var):
-        if n.name != m.name:
-            return None
-        ty = ctx.lookup_term(n.name)
-        return onf(ty) if ty is not None else None
+        ty = ctx.lookup_term(n.name) if n.name == m.name else None
+        return None if ty is None else onf(ty)
     if isinstance(n, App):
         fty = _neutral_eq(ctx, n.fn, m.fn)
-        if isinstance(fty, Fun):
-            if not _teq(ctx, n.arg, m.arg, fty.dom):
-                return None
-            return fty.cod
-        if isinstance(fty, Pi):
-            if not _teq(ctx, n.arg, m.arg, fty.gen):
-                return None
-            return onf(subst_type(fty.body, fty.var, n.arg))
-        return None
-    if isinstance(n, Proj1):
+        if (not isinstance(fty, (Fun, Pi))
+                or not _teq(ctx, n.arg, m.arg, _halves(fty)[0])):
+            return None
+        return _components(fty, n.arg)[1]
+    if isinstance(n, (Proj1, Proj2)):
         sty = _neutral_eq(ctx, n.arg, m.arg)
-        if isinstance(sty, (Prod, CoFun, Sigma)):
-            return _components(sty, Proj1(n.arg))[0]
-        return None
-    if isinstance(n, Proj2):
-        sty = _neutral_eq(ctx, n.arg, m.arg)
-        if isinstance(sty, (Prod, CoFun, Sigma)):
-            return _components(sty, Proj1(n.arg))[1]
-        return None
+        if not isinstance(sty, (Prod, CoFun, Sigma)):
+            return None
+        return _components(sty, Proj1(n.arg))[isinstance(n, Proj2)]
     return None
 
 

@@ -106,11 +106,6 @@ class InhabitDirective:
     span: Optional[Span] = _span_field()
 
 
-Directive = (AtomDecl, PredDecl, Assume, CheckDirective, InferDirective,
-             DualDirective, OnfDirective, EqualDirective, ExpandDirective,
-             TranslateDirective, NnfDirective, InhabitDirective)
-
-
 @dataclass(frozen=True)
 class Script:
     directives: tuple = ()

@@ -3,7 +3,7 @@
 import random
 import time
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import pytest
@@ -13,8 +13,8 @@ import opptypes.kernel as kernel
 import opptypes.script as s
 from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       Derivation, Formation, Fun, IllFormedContext,
-                      IllFormedType, InvalidDerivation, Lam,
-                      NonInferableTerm, Opp, Pi, Prod, Proj1, Proj2, Sigma,
+                      IllFormedType, InvalidDerivation, Lam, NonInferableTerm,
+                      Opp, Pair, Pi, Prod, Proj1, Proj2, Sigma,
                       Split, Sum, TermDecl, TermEq, TypeConstDecl, TypeEq,
                       TypeMismatch, TypeTheoryError, Typing, UnboundVariable,
                       Var, bounded_inhabit, check, check_duality_principle,
@@ -25,9 +25,12 @@ from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
 from opptypes.kernel import _RULES
 from opptypes.logic import Signature, _signature_context
 from opptypes.runner import _execute
-from opptypes.syntax import all_names
+from opptypes.search import iter_inhabitants
+from opptypes.syntax import all_names, alpha_eq, fresh_name, normalize_term
 
+import teq_oracle
 from generators import rand_type, std_ctx, types, unnormalize
+from test_search import SWEEP_GOALS, _sweep_ctx
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -430,6 +433,103 @@ class TestTermEqual:
         ctx = ctx_with(("x", "a"))
         with pytest.raises(TypeMismatch):
             term_equal(ctx, Var("x"), Var("x"), b)
+
+    # each pair differs only by the eta expansion \z:a. g z of g, placed
+    # so that one arm of the comparison has to see through it
+    @pytest.mark.parametrize("left, right, type_", [
+        # application with a Fun head, then with a Pi head
+        ("k (\\z:a. g z)", "k g", "c"),
+        ("kk x (\\z:a. g z)", "kk x g", "r(x)"),
+        # both projections of a neutral pair
+        ("p1 (f (\\z:a. g z))", "p1 (f g)", "a"),
+        ("p2 (f (\\z:a. g z))", "p2 (f g)", "b"),
+        # a projection whose type the spine goes on to apply
+        ("p2 m (\\z:a. g z)", "p2 m g", "c"),
+        # case and split, compared by scrutinee and then branches
+        ("case s of { inl y => k (\\z:a. g z) | inr y => k g }",
+         "case s of { inl y => k g | inr y => k (\\z:a. g z) }", "c"),
+        ("split w as (u, v) => k (\\z:a. g z)", "split w as (u, v) => k g",
+         "c"),
+        # the same injection, compared at its side of the sum
+        ("(inl (\\z:a. g z) : (a -> a) + b)", "(inl g : (a -> a) + b)",
+         "(a -> a) + b"),
+        ("(inr (\\z:a. g z) : b + (a -> a))", "(inr g : b + (a -> a))",
+         "b + (a -> a)"),
+        # a neutral term at a sum
+        ("q (\\z:a. g z)", "q g", "c + c"),
+    ])
+    def test_every_arm_sees_through_eta(self, left, right, type_):
+        ctx, A = _arm_ctx(), parse_type(type_)
+        t, u = parse_term(left), parse_term(right)
+        assert not alpha_eq(normalize_term(t), normalize_term(u))
+        assert term_equal(ctx, t, u, A)
+        assert term_equal(ctx, u, t, A)
+
+    @pytest.mark.parametrize("left, right, type_", [
+        # an injection against a neutral term at a sum
+        ("(inl x : a + b)", "s", "a + b"),
+        ("q g", "(inr (k g) : c + c)", "c + c"),
+        # cases on different scrutinees
+        ("case q g of { inl y => y | inr y => y }",
+         "case q (\\z:a. x) of { inl y => y | inr y => y }", "c"),
+        # no commuting conversion: a case at a function type is not
+        # equal to the case of the branches' eta expansions
+        ("case s of { inl y => \\z:a. h1 y z | inr y => \\z:a. h2 y z }",
+         "case s of { inl y => h1 y | inr y => h2 y }", "a -> c"),
+    ])
+    def test_unequal(self, left, right, type_):
+        ctx, A = _arm_ctx(), parse_type(type_)
+        t, u = parse_term(left), parse_term(right)
+        assert not term_equal(ctx, t, u, A)
+        assert not term_equal(ctx, u, t, A)
+
+    def test_agrees_with_the_three_function_walk(self):
+        # up to 40 inhabitants per goal, each alone and eta-expanded, all
+        # compared in both orders with the walk kept in teq_oracle
+        ctx = _sweep_ctx()
+        goals = SWEEP_GOALS + ("(c -> d) -> d", "c * d", "Pi u:c. p(u) * d",
+                               "~c * d")
+        pairs = equal_not_alpha = 0
+        for goal in map(onf, map(parse_type, goals)):
+            terms = []
+            for t in islice(iter_inhabitants(ctx, goal, 5), 40):
+                terms.append(t)
+                if isinstance(goal, (Fun, Pi, Prod, CoFun, Sigma)):
+                    terms.append(_eta_expand(ctx, t, goal))
+                    assert term_equal(ctx, t, terms[-1], goal)
+            for t in terms:
+                check(ctx, t, goal)
+            normal = [kernel._norm(t) for t in terms]
+            for nt, nu in product(normal, repeat=2):
+                equal = teq_oracle._teq(ctx, nt, nu, goal)
+                assert kernel._teq(ctx, nt, nu, goal) == equal, (nt, nu)
+                pairs += 1
+                equal_not_alpha += equal and not alpha_eq(nt, nu)
+        assert pairs >= 3000 and equal_not_alpha >= 50
+
+
+def _eta_expand(ctx, t, goal):
+    """\\e:dom. t e at a function-like goal, <p1 t, p2 t> at a pair-like
+    one, with t annotated so that it infers."""
+    t = Ann(t, goal)
+    if isinstance(goal, (Fun, Pi)):
+        e = fresh_name("e", set(ctx.names) | all_names(t))
+        return Lam(e, kernel._halves(goal)[0], App(t, Var(e)))
+    return Pair(Proj1(t), Proj2(t))
+
+
+_ARM_HYPS = (("x", "a"), ("s", "a + b"), ("g", "a -> a"),
+             ("k", "(a -> a) -> c"), ("f", "(a -> a) -> a * b"),
+             ("kk", "Pi u:a. (a -> a) -> r(u)"), ("w", "Sg u:a. r(u)"),
+             ("q", "(a -> a) -> c + c"), ("h1", "a -> a -> c"),
+             ("h2", "b -> a -> c"), ("m", "a * ((a -> a) -> c)"))
+
+
+def _arm_ctx():
+    ctx = declare_type_const(std_ctx(), "r", (("x1", a),))
+    for name, ty in _ARM_HYPS:
+        ctx = declare_term(ctx, name, parse_type(ty))
+    return ctx
 
 
 # ---------------------------------------------------------------------------
