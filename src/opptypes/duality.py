@@ -43,47 +43,56 @@ def onf(A: TypeExpr) -> TypeExpr:
     degenerate binders, and beta-normalizes atom arguments.  A subtree
     already in normal form is returned as it is, not rebuilt, so
     onf(onf(A)) is onf(A).
+
+    Each node onf returns is marked normal, outside the dataclass fields
+    (TypeExpr._nf), and a marked input is returned at once.  Invariant: a
+    marked node is its own normal form, and so is every subtree of it.
+    Nodes are immutable, so a mark cannot go stale; ==, hash, repr and
+    dataclasses.replace ignore it.
     """
+    try:
+        if A._nf:
+            return A
+    except AttributeError:
+        raise IllFormedType(f"not a type: {A!r}") from None
     if isinstance(A, Atom):
-        if not A.args:
-            return A
-        args = tuple([normalize_term(t, type_norm=onf) for t in A.args])
-        if all(map(is_, args, A.args)):
-            return A
-        return Atom(A.name, args)
-    if isinstance(A, Fun):
+        nf = A
+        if A.args:
+            args = tuple([normalize_term(t, type_norm=onf) for t in A.args])
+            if not all(map(is_, args, A.args)):
+                nf = Atom(A.name, args)
+    elif isinstance(A, Fun):
         dom, cod = onf(A.dom), onf(A.cod)
-        return A if dom is A.dom and cod is A.cod else Fun(dom, cod)
-    if isinstance(A, CoFun):
+        nf = A if dom is A.dom and cod is A.cod else Fun(dom, cod)
+    elif isinstance(A, CoFun):
         cod, dom = onf(A.cod), onf(A.dom)
-        return A if cod is A.cod and dom is A.dom else CoFun(cod, dom)
-    if isinstance(A, (Prod, Sum)):
+        nf = A if cod is A.cod and dom is A.dom else CoFun(cod, dom)
+    elif isinstance(A, (Prod, Sum)):
         left, right = onf(A.left), onf(A.right)
-        if left is A.left and right is A.right:
-            return A
-        return type(A)(left, right)
-    if isinstance(A, (Pi, Sigma)):
+        nf = (A if left is A.left and right is A.right
+              else type(A)(left, right))
+    elif isinstance(A, (Pi, Sigma)):
         gen, body = onf(A.gen), onf(A.body)
         if A.var in free_vars(body):
-            if gen is A.gen and body is A.body:
-                return A
-            return type(A)(A.var, gen, body)
-        if isinstance(A, Pi):
-            return Fun(gen, body)
-        return CoFun(body, _neg(gen))
-    if isinstance(A, Opp):
+            nf = (A if gen is A.gen and body is A.body
+                  else type(A)(A.var, gen, body))
+        elif isinstance(A, Pi):
+            nf = Fun(gen, body)
+        else:
+            nf = CoFun(body, _neg(gen))
+    elif isinstance(A, Opp):
         # a run of ~ is read with a loop, so a deep one costs no stack;
         # ~~B is B
         inner, odd = A.inner, True
         while isinstance(inner, Opp):
             inner, odd = inner.inner, not odd
         nf = onf(inner)
-        if not odd:
-            return nf
-        if nf is A.inner and isinstance(nf, Atom):
-            return A
-        return _neg(nf)
-    raise IllFormedType(f"not a type: {A!r}")
+        if odd:
+            nf = A if nf is A.inner and isinstance(nf, Atom) else _neg(nf)
+    else:
+        raise IllFormedType(f"not a type: {A!r}")
+    object.__setattr__(nf, "_nf", True)
+    return nf
 
 
 # ~ sends each binary constructor to its dual.  An entry gives the dual's
@@ -279,7 +288,10 @@ def _every_node(A: TypeExpr, holds) -> bool:
 
 
 def is_onf(A: TypeExpr) -> bool:
-    """True iff the opposite constructor is applied only to atoms in A."""
+    """True iff the opposite constructor is applied only to atoms in A.
+    A node marked by onf is normal throughout, so it is not walked."""
+    if getattr(A, "_nf", False):
+        return True
     return _every_node(A, lambda T: type(T) is not Opp
                        or type(T.inner) is Atom)
 

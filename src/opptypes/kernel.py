@@ -34,7 +34,8 @@ from typing import Optional, Tuple, Union
 
 from .duality import _neg, dual, onf
 from .errors import (IllFormedContext, IllFormedType, InvalidDerivation,
-                     NonInferableTerm, TypeMismatch, UnboundVariable)
+                     NonInferableTerm, TypeMismatch, TypeTheoryError,
+                     UnboundVariable)
 from .syntax import (SCOPES, Ann, App, Atom, Case, CoFun, Fun, Inl, Inr,
                      Lam, Opp, Pair, Pi, Prod, Proj1, Proj2, Sigma, Split,
                      Sum, TermExpr, TypeExpr, Var, all_names, alpha_eq,
@@ -694,7 +695,13 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
 
 
 def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
-    """Compare two neutral spines; return their common type or None."""
+    """Compare two neutral spines; return their common type up to family
+    arguments, or None.
+
+    A dependent codomain or second component is returned with its bound
+    variable left free, not instantiated: types depend on terms only
+    through family arguments, and _teq never looks inside an atom.
+    """
     if type(n) is not type(m):
         return None
     if isinstance(n, Var):
@@ -705,12 +712,12 @@ def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
         if (not isinstance(fty, (Fun, Pi))
                 or not _teq(ctx, n.arg, m.arg, _halves(fty)[0])):
             return None
-        return _components(fty, n.arg)[1]
+        return _halves(fty)[2]
     if isinstance(n, (Proj1, Proj2)):
         sty = _neutral_eq(ctx, n.arg, m.arg)
         if not isinstance(sty, (Prod, CoFun, Sigma)):
             return None
-        return _components(sty, Proj1(n.arg))[isinstance(n, Proj2)]
+        return _halves(sty)[2 if isinstance(n, Proj2) else 0]
     return None
 
 
@@ -732,9 +739,21 @@ def recheck(d: Derivation) -> bool:
     equality.  The walk keeps its own stack, so a deep derivation adds
     no Python frames.
 
+    A root that concludes a typing must also have a type formed in its
+    context, checked once: check takes its goal as formed, and no rule
+    checks a premise's type for formation, so a binder could otherwise
+    capture a variable the goal leaves unbound.
+
     Raises InvalidDerivation at the first node that does not follow, so
     a True result means the whole tree is sound evidence.
     """
+    c = getattr(d, "conclusion", None)
+    if type(c) is Typing and type(c.ctx) is Context:
+        try:
+            check_formation(c.ctx, c.type, U0)
+        except TypeTheoryError as e:
+            raise InvalidDerivation(
+                f"the root's type is not formed: {e}") from None
     # each entry is a node, the normal form of its type when the parent
     # has computed it, and whether the parent needs its typing inferred
     todo = [(d, None, False)]

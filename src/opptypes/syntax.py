@@ -28,6 +28,9 @@ from .errors import NormalizationOverflow
 class TypeExpr:
     """Base class of type expressions."""
 
+    # set on each node duality.onf returns: the node is its own normal form
+    _nf = False
+
     def __str__(self) -> str:
         from .printer import type_str
         return type_str(self)

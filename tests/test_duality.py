@@ -1,23 +1,28 @@
 """Opposite normal forms, duals, the duality principle and the bases."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from opptypes import (Atom, Basis, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
-                      Var, alpha_eq, check_duality_principle, dual,
-                      expand_in_basis, is_onf, onf, parse_type, recheck,
-                      type_equal, uses_only_basis)
+import opptypes.duality as duality
+from opptypes import (Atom, Basis, CoFun, Fun, IllFormedType, Opp, Pi, Prod,
+                      Sigma, Sum, Var, alpha_eq, check_duality_principle,
+                      dual, expand_in_basis, is_onf, onf, parse_type,
+                      recheck, type_equal, uses_only_basis)
 from opptypes.duality import DUALS, _neg
 from opptypes.logic import CONNECTIVES, Formula, Neg, Pred
-from opptypes.syntax import TypeExpr
+from opptypes.syntax import TypeExpr, normalize_term
 
-from generators import rand_type, std_ctx, types, unnormalize
+from generators import (rand_type, std_ctx, types, unnormalize,
+                        with_term_args)
 from rewrite_oracle import (rewrite_to_fixpoint, step_innermost,
                             step_outermost)
 
@@ -123,6 +128,83 @@ def test_onf_shares_normal_atom_arguments():
     n = onf(parse_type("p(split s as (u, v) => (\\w:a. w) u) <~ ~a"))
     assert n == parse_type("p(split s as (u, v) => u) <~ ~a")
     assert onf(n) is n
+
+
+@pytest.mark.parametrize("x", [Var("x"), "a", None])
+def test_onf_rejects_what_is_not_a_type(x):
+    with pytest.raises(IllFormedType, match="not a type"):
+        onf(x)
+
+
+def _rewrite_nf(A):
+    """The normal form by rewriting to a fixpoint, after beta-normalizing
+    the atom arguments, which the rewrite rules leave alone."""
+    return rewrite_to_fixpoint(_args_normalized(A), step_innermost)
+
+
+def _args_normalized(A):
+    if isinstance(A, Atom):
+        return Atom(A.name, tuple(normalize_term(t, type_norm=_rewrite_nf)
+                                  for t in A.args))
+    return dataclasses.replace(A, **{
+        f.name: _args_normalized(getattr(A, f.name))
+        for f in dataclasses.fields(A)
+        if isinstance(getattr(A, f.name), TypeExpr)})
+
+
+def _type_nodes(e):
+    """Every type node of e, those inside atom arguments included."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, TypeExpr):
+            yield e
+        if isinstance(e, tuple):
+            todo.extend(e)
+        elif dataclasses.is_dataclass(e):
+            todo.extend(getattr(e, f.name) for f in dataclasses.fields(e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(types(max_depth=5), st.integers(0, 2 ** 32))
+def test_the_normal_form_mark_is_sound(A, seed):
+    # a marked node is its own normal form: onf returns it at once
+    rng = random.Random(seed)
+    B = unnormalize(rng, A, rng.randint(1, 3))
+    for T in (A, B, with_term_args(rng, A), with_term_args(rng, B)):
+        expected = _rewrite_nf(T)
+        n = onf(T)
+        assert n == expected
+        assert onf(T) == expected      # again, with T's normal parts marked
+        assert onf(n) is n
+        assert n._nf
+        for N in (*_type_nodes(T), *_type_nodes(n)):
+            if N._nf:
+                assert _rewrite_nf(N) == N
+
+
+@settings(max_examples=100, deadline=None)
+@given(types(max_depth=5))
+def test_the_normal_form_mark_is_invisible(A):
+    n = onf(Opp(A))
+    fresh = dataclasses.replace(n)
+    assert not fresh._nf and n._nf
+    assert fresh == n and hash(fresh) == hash(n)
+    assert repr(fresh) == repr(n) and str(fresh) == str(n)
+    for T in (A, n):
+        for twin in (pickle.loads(pickle.dumps(T)), copy.deepcopy(T)):
+            assert twin == T and hash(twin) == hash(T)
+            assert repr(twin) == repr(T) and str(twin) == str(T)
+            assert onf(twin) == onf(T)
+    assert onf(fresh) is fresh and fresh._nf
+
+
+def test_is_onf_reads_the_mark(monkeypatch):
+    A = parse_type("~(a -> b)")
+    n = onf(A)
+    assert not A._nf and not is_onf(A)
+    monkeypatch.setattr(duality, "_every_node", None)
+    assert is_onf(n)
 
 
 @settings(max_examples=300, deadline=None)

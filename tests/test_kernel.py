@@ -907,6 +907,16 @@ class TestRecheck:
                 assert type_equal(None, c.left, c.right)
         assert accepted > 100
 
+    def test_goal_must_be_formed(self):
+        # check takes its goal as formed, so it accepts this lambda,
+        # whose binder captures the goal's unbound v
+        ctx = ctx_with(("k", "Pi u:a. p(u)"))
+        t = parse_term("\\v:a. k v")
+        d = check(ctx, t, parse_type("a -> p(v)"))
+        with pytest.raises(InvalidDerivation, match="unbound variable: v"):
+            recheck(d)
+        assert recheck(check(ctx, t, parse_type("Pi v:a. p(v)")))
+
     def test_u1_is_closed_only_under_arrow(self):
         d = check_formation(std_ctx(), Fun(a, b), U1)
         assert recheck(d)
@@ -936,14 +946,39 @@ class TestRecheck:
             recheck(Derivation("term-equal", TermEq(ctx, t, Var("z"), A)))
 
     def test_recheck_derives_nothing_again(self, corpus, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("recheck re-derived a judgment")
+        # the one judgment recheck derives is the formation of the root's
+        # type, which no node of the tree states; while it runs, the
+        # kernel may check the type's family arguments
+        formed, inside = [], []
 
-        for name in ("check", "_infer", "check_formation", "_open",
-                     "term_equal"):
-            monkeypatch.setattr(kernel, name, forbidden)
+        def guarded(name, orig):
+            def call(*args):
+                if not inside:
+                    raise AssertionError(f"recheck re-derived a judgment "
+                                         f"through {name}")
+                return orig(*args)
+            return call
+
+        def root_formation(ctx, A, u):
+            if not inside:
+                formed.append((ctx, A, u))
+            inside.append(True)
+            try:
+                return formation(ctx, A, u)
+            finally:
+                inside.pop()
+
+        formation = kernel.check_formation
+        for name in ("check", "_infer", "_open", "term_equal"):
+            monkeypatch.setattr(kernel, name,
+                                guarded(name, getattr(kernel, name)))
+        monkeypatch.setattr(kernel, "check_formation", root_formation)
         for d in corpus:
+            formed.clear()
             assert recheck(d)
+            c = d.conclusion
+            assert formed == ([(c.ctx, c.type, U0)]
+                              if isinstance(c, Typing) else [])
 
 
 class TestRecheckInference:
