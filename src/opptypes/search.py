@@ -13,9 +13,21 @@ introductions) is fixed, so results are deterministic.
 Within one top-level call the hypotheses are normalized once, and each
 (hypotheses, goal) subproblem whose enumeration ran to the end without a
 result is remembered with its depth.  Enumeration only grows with depth,
-so such a subproblem met again at that depth or less is skipped.  Only
-empty enumerations are skipped, so the terms found, and their order, are
-those of the plain enumeration.
+so such a subproblem met again at that depth or less is skipped.
+
+An elimination spine is focused on the goal (Liang and Miller, TCS 2009):
+before the argument of a function-typed spine is enumerated, _reaches
+asks whether any spine from its codomain can end in the goal's head.  An
+atom or an opposite atom matches by name and polarity, any other normal
+form by the constructor family _equiv compares (Fun/Pi, Prod/CoFun/Sigma,
+Sum), and a Sum on the way reaches every goal, because a case can.
+Family arguments are not looked at, so a dependent substitution cannot
+change the answer.
+
+The memo and the reach test skip only enumerations that are provably
+empty: a skipped branch could yield only terms whose type _equiv accepts
+against the goal, and there are none.  So the terms found, and their
+order, are those of the plain enumeration.
 """
 
 from __future__ import annotations
@@ -26,9 +38,9 @@ from .duality import onf
 from .errors import DepthCapExceeded
 from .kernel import (Context, TermDecl, U0, _components, _equiv, _halves,
                      check_formation)
-from .syntax import (App, Case, CoFun, Fun, Inl, Inr, Lam, Pair, Pi, Prod,
-                     Proj1, Proj2, Sigma, Sum, TermExpr, TypeExpr, Var,
-                     fresh_name, subst_type)
+from .syntax import (App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp, Pair,
+                     Pi, Prod, Proj1, Proj2, Sigma, Sum, TermExpr, TypeExpr,
+                     Var, fresh_name, subst_type)
 
 DEFAULT_DEPTH_CAP = 8
 
@@ -113,6 +125,8 @@ def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
 
     if isinstance(head_type, (Fun, Pi)):
         dom, var, cod = _halves(head_type)
+        if not _reaches(cod, goal):
+            return
         for arg in iter_inhabitants(ctx, dom, depth, hyps, empty):
             res = cod if var is None else onf(subst_type(cod, var, arg))
             yield from _eliminate(ctx, hyps, empty, App(head, arg), res,
@@ -134,3 +148,34 @@ def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
             for rbody in iter_inhabitants(ctxr, goal, depth - 1, hypr,
                                           empty):
                 yield Case(head, lv, lbody, rv, rbody)
+
+
+# the head of a normal form that _equiv can accept: constructor families
+_FAMILY = {Fun: Fun, Pi: Fun, Prod: Prod, CoFun: Prod, Sigma: Prod, Sum: Sum}
+
+
+def _head(T: TypeExpr):
+    """Atoms by name and polarity, every other normal form by family."""
+    if isinstance(T, Atom):
+        return T.name, True
+    if isinstance(T, Opp):
+        return T.inner.name, False
+    return _FAMILY[type(T)]
+
+
+def _reaches(T: TypeExpr, goal: TypeExpr) -> bool:
+    """Whether an elimination spine from a term of normal type T can end
+    in a type with the goal's head.  A spine applies a function-like type
+    and projects a pair-like one; a Sum reaches every goal."""
+    want = _head(goal)
+    stack = [T]
+    while stack:
+        T = stack.pop()
+        if isinstance(T, Sum) or _head(T) == want:
+            return True
+        if isinstance(T, (Fun, Pi)):
+            stack.append(_halves(T)[2])
+        elif isinstance(T, (Prod, CoFun, Sigma)):
+            first, _, second = _halves(T)
+            stack += (first, second)
+    return False

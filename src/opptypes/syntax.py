@@ -4,10 +4,11 @@ Types are built from named atoms (type variables, possibly applied to term
 arguments when they stand for dependent families) and eight constructors:
 functions, co-functions, products, sums, Pi, Sigma and the opposite-type
 marker.  Terms are the usual lambda-calculus forms with pairs, injections,
-case and split.  Everything is an immutable dataclass.  Binders are
-named; which fields bind over which subtrees is stated once, in SCOPES,
-and free_vars, all_names, alpha_eq and the simultaneous substitution
-subst all read that table.  Substitution freshens binders on demand, so
+case and split.  Everything is an immutable dataclass, hashed on an
+explicit stack once per node (see _hash).  Binders are named; which
+fields bind over which subtrees is stated once, in SCOPES, and free_vars,
+all_names, alpha_eq and the simultaneous substitution subst all read
+that table.  Substitution freshens binders on demand, so
 alpha_eq is the only equality client code should rely on.
 """
 
@@ -25,7 +26,20 @@ from .errors import NormalizationOverflow
 # Trees
 # ---------------------------------------------------------------------------
 
-class TypeExpr:
+class _Node:
+    """Base class of trees.  A node keeps its hash once computed (see
+    _hash), outside the dataclass fields; pickling and copying drop it,
+    since string hashes differ between processes."""
+
+    _hash = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+class TypeExpr(_Node):
     """Base class of type expressions."""
 
     # set on each node duality.onf returns: the node is its own normal form
@@ -36,7 +50,7 @@ class TypeExpr:
         return type_str(self)
 
 
-class TermExpr:
+class TermExpr(_Node):
     """Base class of term expressions."""
 
     def __str__(self) -> str:
@@ -275,6 +289,50 @@ def _plan(cls, subtrees):
 
 _PLANS = _Plans((cls, _plan(cls, subtrees))
                 for cls, subtrees in SCOPES.items())
+
+
+# ---------------------------------------------------------------------------
+# Hashing
+# ---------------------------------------------------------------------------
+
+def _hash(e: Expr) -> int:
+    """Hash of a tree, consistent with the dataclasses' ==.  It is worked
+    out bottom-up on an explicit stack, so a deep tree cannot overflow it,
+    and kept on each node, so a node is hashed once."""
+    if e._hash is None:
+        stack = [e]
+        while stack:
+            todo = [s for s in _subtrees(stack[-1]) if s._hash is None]
+            if todo:
+                stack += todo
+                continue
+            node = stack.pop()
+            cls = type(node)
+            if cls is Atom:
+                h = hash((node.name, node.args))
+            elif cls is Var:
+                h = hash(node.name)
+            else:
+                h = hash((cls, _PLANS[cls][0](node)))
+            object.__setattr__(node, "_hash", h)
+    return e._hash
+
+
+def _subtrees(e: Expr):
+    cls = type(e)
+    if cls is Atom:
+        return e.args
+    if cls is Var:
+        return ()
+    get, one, plan = _PLANS[cls]
+    if one:
+        return (get(e),)
+    vals = get(e)
+    return [vals[i] for i, _ in plan]
+
+
+for _cls in (Atom, Var, *SCOPES):
+    _cls.__hash__ = _hash
 
 
 # ---------------------------------------------------------------------------

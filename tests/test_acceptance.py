@@ -170,6 +170,7 @@ def test_criterion_7_paraconsistency():
         start = time.perf_counter()
         ctx = _ctx_with(("x", "a"), ("y", "~a"))
         assert bounded_inhabit(ctx, b, 6) is None
+        assert bounded_inhabit(ctx, b, 8) is None
         assert bounded_inhabit(ctx, a, 1) == Var("x")
         assert bounded_inhabit(ctx, Opp(a), 1) == Var("y")
         elapsed = time.perf_counter() - start

@@ -240,6 +240,7 @@ class TestBoundedInhabit:
         ctx = declare_term(declare_term(std_ctx(), "x", Atom("a")),
                            "y", parse_type("~a"))
         assert bounded_inhabit(ctx, Atom("b"), 6) is None
+        assert bounded_inhabit(ctx, Atom("b"), 8) is None
 
     def test_depth_cap(self):
         with pytest.raises(DepthCapExceeded):

@@ -12,8 +12,9 @@ import pytest
 
 import opptypes.search as search
 import search_oracle
-from opptypes import (EMPTY, Atom, bounded_inhabit, check, declare_term,
-                      declare_type_const, onf, parse_type, recheck)
+from opptypes import (EMPTY, Atom, Fun, bounded_inhabit, check,
+                      declare_term, declare_type_const, onf, parse_type,
+                      recheck)
 from opptypes.search import iter_inhabitants
 
 from generators import rand_type, std_ctx
@@ -28,12 +29,12 @@ SWEEP_GOALS = ("a", "~a", "b", "~b", "d", "b * a", "b + ~b", "a -> b",
                "a * b + ~c", "~d * a", "Pi u:c. p(u) + d", "Sg u:c. p(u)",
                "Pi u:c. p(u)", "~(c -> d)", "~(a * ~a)", "a -> ~a -> b")
 
-def _sweep_ctx():
+def _sweep_ctx(hyps=SWEEP_HYPS):
     ctx = EMPTY
     for name in SWEEP_CONSTS:
         ctx = declare_type_const(ctx, name)
     ctx = declare_type_const(ctx, "p", (("x1", Atom("c")),))
-    for name, ty in SWEEP_HYPS:
+    for name, ty in hyps:
         ctx = declare_term(ctx, name, parse_type(ty))
     return ctx
 
@@ -113,6 +114,47 @@ def test_empty_subproblems_are_searched_once(goal, monkeypatch):
     assert next(search.iter_inhabitants(ctx, goal, 6), None) is None
     assert next(search_oracle.oracle_inhabitants(ctx, goal, 6), None) is None
     assert len(plain) >= 3 * len(searched), (len(plain), len(searched))
+
+
+def test_non_collapse_at_the_cap_prunes_unreachable_heads(monkeypatch):
+    ctx, goal = _sweep_ctx(), onf(parse_type("b"))
+    searched = _count_calls(monkeypatch, search, "iter_inhabitants")
+    assert next(search.iter_inhabitants(ctx, goal, 8), None) is None
+    assert len(searched) <= 50, len(searched)
+
+
+# one small context per arm of the reach test: hypotheses, goal, and
+# whether the goal has an inhabitant at depth 5
+REACH_CASES = {
+    "sum_in_codomain": ((("x", "a"), ("f", "a -> b + b")), "b", True),
+    "sum_in_pair": ((("x", "a"), ("f", "a -> c * (b + b)")), "b", True),
+    "cofun_second": ((("x", "a"), ("f", "a -> (b <~ c)")), "b", True),
+    "cofun_first": ((("x", "a"), ("f", "a -> (b <~ c)")), "~c", True),
+    "family": ((("k", "Pi u:c. p(u)"), ("z", "c")), "p(z)", True),
+    "family_in_codomain": ((("x", "a"), ("k", "a -> Pi u:c. p(u)"),
+                            ("z", "c")), "p(z)", True),
+    "polarity_other": ((("x", "a"), ("f", "a -> ~b")), "b", False),
+    "polarity_same": ((("x", "a"), ("f", "a -> ~b")), "~b", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REACH_CASES))
+def test_pruned_enumeration_matches_oracle(case):
+    hyps, goal, inhabited = REACH_CASES[case]
+    ctx, goal = _sweep_ctx(hyps), onf(parse_type(goal))
+    for depth in range(1, 6):
+        assert (list(iter_inhabitants(ctx, goal, depth))
+                == list(oracle_inhabitants(ctx, goal, depth))), depth
+    assert (bounded_inhabit(ctx, goal, 5) is not None) == inhabited
+
+
+def test_reach_walk_is_stack_safe():
+    # the chain reaches the memo's hash too, which once overflowed at 498
+    chain = Atom("d")
+    for _ in range(500):
+        chain = Fun(Atom("c"), chain)
+    ctx = declare_term(_sweep_ctx(), "h", chain)
+    assert bounded_inhabit(ctx, Atom("b"), 8) is None
 
 
 def _count_calls(monkeypatch, module, name):

@@ -1,6 +1,8 @@
-"""Binding, substitution, alpha-equality and reduction."""
+"""Binding, substitution, alpha-equality, hashing and reduction."""
 
+import copy
 import dataclasses
+import pickle
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -145,6 +147,29 @@ def test_subst_respects_alpha(t, x, u):
 @given(types(max_depth=3))
 def test_alpha_eq_reflexive(A):
     assert alpha_eq(A, A)
+
+
+@settings(max_examples=150)
+@given(types(max_depth=3), terms())
+def test_hash_is_structural(A, t):
+    for e in (A, t):
+        h = hash(e)
+        twin = copy.deepcopy(e)     # fresh nodes, no hash kept
+        assert twin._hash is None and twin == e and hash(twin) == h
+        assert "_hash" not in e.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_hash_of_a_deep_tree():
+    def trees():
+        T, t = Atom("d"), Var("x")
+        for _ in range(3000):
+            T = Fun(Atom("p", (Var("u"),)), T)
+            t = App(t, Lam("y", a, Var("y")))
+        return T, t
+    (T1, t1), (T2, t2) = trees(), trees()
+    assert hash(T1) == hash(T2) and hash(t1) == hash(t2)
+    assert len({T1: 0, t1: 1}) == 2
 
 
 class TestNormalize:
