@@ -180,11 +180,7 @@ def translate(sig: Signature, f: Formula) -> Tuple[Context, TypeExpr]:
     every predicate as a dependent family over its sorts, and the free
     variables of f as terms of their sorts.
     """
-    free = check_sorts(sig, f)
-    ctx = _signature_context(sig)
-    for v, sort in free.items():
-        ctx = ctx.extended(TermDecl(v, Atom(sort)))
-    return ctx, _formula_type(f)
+    return translation_context(sig, f), _formula_type(f)
 
 
 def translation_context(sig: Signature, *formulas: Formula) -> Context:

@@ -31,20 +31,23 @@ so `f \\x:a. x` is no application.  One precedence loop reads all three
 sorts on one explicit stack, so nesting of any kind, across sorts too,
 uses no Python frames.  An argument list attaches to an identifier only
 when the `(` is adjacent (no space), which keeps `equal a (b)` unambiguous.
+
+Directives are read from their templates in script.DIRECTIVES, which the
+printer writes too: a keyword, literal tokens and fields up to `;`, each
+field read by its annotation (an identifier, a type, term or formula, a
+comma list of types, a basis name or an integer).
 """
 
 from __future__ import annotations
 
 import re
 from string import Formatter
-from typing import List, NamedTuple, Optional, get_type_hints
+from typing import List, NamedTuple, Optional, Tuple, get_type_hints
 
 from . import logic, script, syntax
-from .duality import BASIS_NAMES
+from .duality import BASIS_NAMES, Basis
 from .errors import ParseError
 from .syntax import ARROW, ATOM, BINDER, PREFIX
-
-_DIRECTIVES = {kw: cls for cls, kw in script.DIRECTIVE_KEYWORDS.items()}
 
 # the level of a bracket on the precedence stack, below every operator
 _OPEN = -1
@@ -282,18 +285,31 @@ class Parser:
             return sort.atom(name)
         self.advance()
         if sort is _FORMULA:
-            return sort.atom(name, self._list(self.expect_ident))
+            args = self._list(self.expect_ident)
+            self.expect_sym(")")
+            return sort.atom(name, args)
         stack.append((_OPEN, sort, _ARGS, [name], 0))
         return None
 
     def _list(self, item) -> tuple:
-        """item {',' item} ')'."""
+        """item {',' item}."""
         items = [item()]
         while self.at_sym(","):
             self.advance()
             items.append(item())
-        self.expect_sym(")")
         return tuple(items)
+
+    def basis_(self) -> Basis:
+        tok = self.expect_word()
+        if tok.value not in BASIS_NAMES:
+            raise ParseError(f"unknown basis {tok.value!r}", tok.line,
+                             tok.col, expected=tuple(sorted(BASIS_NAMES)))
+        return BASIS_NAMES[tok.value]
+
+    def integer_(self) -> int:
+        if self.peek().kind != "int":
+            self.fail(expected=("integer",))
+        return int(self.advance().value)
 
     # -- directives ----------------------------------------------------------
 
@@ -304,82 +320,58 @@ class Parser:
         return script.Script(tuple(directives))
 
     def directive(self):
+        """One directive, read by its template in script.DIRECTIVES."""
         start = self.peek()
         if start.kind != "word":
             self.fail(expected=("directive keyword",))
-        kw = start.value
-        cls = _DIRECTIVES.get(kw)
-        if cls is None:
-            self.fail(f"unknown directive {kw!r}",
+        form = _DIRECTIVES.get(start.value)
+        if form is None:
+            self.fail(f"unknown directive {start.value!r}",
                       expected=tuple(sorted(_DIRECTIVES)))
-        self.advance()
-
-        if kw == "atom":
-            fields = (self.expect_ident(),)
-        elif kw == "pred":
-            name = self.expect_ident()
-            self.expect_sym("(")
-            fields = (name, self._list(self.type_))
-        elif kw in ("assume", "check"):
-            subject = self.expect_ident() if kw == "assume" else self.term_()
-            self.expect_sym(":")
-            fields = (subject, self.type_())
-        elif kw == "infer":
-            fields = (self.term_(),)
-        elif kw in ("dual", "onf"):
-            fields = (self.type_(),)
-        elif kw == "equal":
-            fields = (self.type_(), self.type_())
-        elif kw == "expand":
-            ty = self.type_()
-            self.expect_word("basis")
-            btok = self.peek()
-            bname = self.expect_word().value
-            if bname not in BASIS_NAMES:
-                raise ParseError(f"unknown basis {bname!r}",
-                                 btok.line, btok.col,
-                                 expected=tuple(sorted(BASIS_NAMES)))
-            fields = (ty, BASIS_NAMES[bname])
-        elif kw in ("translate", "nnf"):
-            fields = (self.formula_(),)
-        else:
-            ty = self.type_()
-            self.expect_word("depth")
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail(f"found {tok.value!r}", expected=("integer",))
-            fields = (ty, int(self.advance().value))
-
-        end = self.expect_sym(";")
+        cls, steps = form
+        fields = []
+        for step in steps:          # the first reads the keyword
+            if type(step) is str:
+                end = (self.expect_word if step[0].isalpha() else
+                       self.expect_sym)(step)
+            else:
+                fields.append(step(self))
         return cls(*fields, span=script.Span(start.line, start.col,
                                               end.line, end.col))
+
+
+def _steps(cls, template, bounded=False):
+    """A template's steps: its text as tokens, and each field, by its
+    annotation, as an identifier (None) or a slot (the annotation, level).
+    Only when bounded does a spec bound a slot's level."""
+    kinds = get_type_hints(cls)
+    steps = []
+    for text, name, spec, _ in Formatter().parse(template):
+        steps += [t.value for t in tokenize(text)[:-1]]
+        if name is not None:
+            kind = kinds[name]
+            steps.append(None if kind is str else
+                         (kind, int(spec if spec and bounded else BINDER)))
+    return tuple(steps)
 
 
 def _grammar(sort, atom, fixity, terms):
     """The grammar of a sort, given by its class, from its tables: the
     infix constructors of fixity go to the precedence loop, and each form
-    (syntax.templates, syntax.TERM_FIXITY) becomes steps.  A template's
-    text becomes tokens, and a field, by its annotation, an identifier
-    (None) or an operand (its sort's class, level).  Only in terms does a
-    spec bound an operand's level."""
+    (syntax.templates, syntax.TERM_FIXITY) becomes steps, whose slots are
+    operands of a sort.  Only in terms does a spec bound an operand's
+    level."""
     infix = {sym: (cls, level) for cls, (sym, level) in fixity.items()
              if level not in (BINDER, PREFIX)}
     forms, apply = {"(": []}, None
     for cls, (level, template) in {**syntax.templates(fixity),
                                    **terms}.items():
-        kinds = get_type_hints(cls)
-        steps = []
-        for text, name, spec, _ in Formatter().parse(template):
-            steps += [t.value for t in tokenize(text)[:-1]]
-            if name is not None:
-                kind = kinds[name]
-                steps.append(None if kind is str else (kind, int(
-                    spec if spec and sort is syntax.TermExpr else BINDER)))
+        steps = _steps(cls, template, sort is syntax.TermExpr)
         if type(steps[0]) is tuple:
-            apply = _Form(cls, level, tuple(steps))
+            apply = _Form(cls, level, steps)
         else:
             forms.setdefault(steps[0], []).append(
-                _Form(cls, level, tuple(steps[1:])))
+                _Form(cls, level, steps[1:]))
     forms["("].append(_Form(None, ATOM, ((sort, BINDER), ")")))
     return _Sort(infix, {k: tuple(v) for k, v in forms.items()}, atom, apply)
 
@@ -390,12 +382,25 @@ _SORTS = {cls: _grammar(cls, *tables) for cls, tables in (
     (syntax.TermExpr, (syntax.Var, {}, syntax.TERM_FIXITY)))}
 _TYPE, _FORMULA, _TERM = _SORTS.values()
 
+# what a directive reads at a field, by its annotation
+_SLOTS = {str: Parser.expect_ident, syntax.TypeExpr: Parser.type_,
+          syntax.TermExpr: Parser.term_, logic.Formula: Parser.formula_,
+          Tuple[syntax.TypeExpr, ...]: lambda p: p._list(p.type_),
+          Basis: Parser.basis_, int: Parser.integer_}
+# each directive's keyword, with its class and steps: a literal token's
+# text, or the reader of a field
+_DIRECTIVES = {kw: (cls, tuple(
+    step if type(step) is str else _SLOTS[step[0] if step else str]
+    for step in _steps(cls, script.DIRECTIVES[cls])))
+    for cls, kw in script.DIRECTIVE_KEYWORDS.items()}
+
 # the words of the sorts' forms and of the directives, which name nothing
 RESERVED = frozenset(
-    word for sort in _SORTS.values() for opening, alts in sort.forms.items()
-    for word in (opening, *(step for form in alts for step in form.steps))
-    if type(word) is str and word[0].isalpha()
-) | {*script.DIRECTIVE_KEYWORDS.values(), "basis", "depth"}
+    word for steps in (
+        *((opening, *form.steps) for sort in _SORTS.values()
+          for opening, alts in sort.forms.items() for form in alts),
+        *(steps for _, steps in _DIRECTIVES.values()))
+    for word in steps if type(word) is str and word[0].isalpha())
 
 
 def parse(text: str) -> script.Script:

@@ -4,7 +4,8 @@ Output reparses to an alpha-equal tree: parentheses are inserted exactly
 where the grammar demands them (mixed arrows, left operands of arrows,
 lambdas in application position, and so on).  Types, formulas and terms
 are printed by one routine from the fixity tables syntax.FIXITY,
-logic.FIXITY and syntax.TERM_FIXITY, which the parser reads too.
+logic.FIXITY and syntax.TERM_FIXITY, and directives from the templates
+of script.DIRECTIVES; the parser reads the same tables.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 from dataclasses import fields
 from operator import attrgetter
 from string import Formatter
+from typing import Tuple, get_type_hints
 
-from . import logic, syntax
-from .duality import BASIS_NAMES
+from . import logic, script, syntax
+from .duality import BASIS_NAMES, Basis
 from .kernel import TermDecl
 from .syntax import ARROW, BINDER, Atom, Var
 
@@ -79,36 +81,19 @@ def term_str(t, prec: int = 0) -> str:
 
 
 _BASIS_KEYWORDS = {basis: kw for kw, basis in BASIS_NAMES.items()}
+# how a directive's field prints, by its annotation; any other by type_str
+_SLOTS = {str: str, int: str, Basis: _BASIS_KEYWORDS.__getitem__,
+          Tuple[syntax.TypeExpr, ...]: lambda ts: ", ".join(map(type_str, ts))}
+# each directive class's template, as (text, field, printer) pieces
+_DIRECTIVES = {cls: [(text, name and attrgetter(name),
+                      name and _SLOTS.get(get_type_hints(cls)[name], type_str))
+                     for text, name, _, _ in Formatter().parse(template)]
+               for cls, template in script.DIRECTIVES.items()}
 
 
 def directive_str(d) -> str:
-    from . import script as s
-    if isinstance(d, s.AtomDecl):
-        return f"atom {d.name};"
-    if isinstance(d, s.PredDecl):
-        args = ", ".join(type_str(a) for a in d.arg_types)
-        return f"pred {d.name}({args});"
-    if isinstance(d, s.Assume):
-        return f"assume {d.var} : {type_str(d.type)};"
-    if isinstance(d, s.CheckDirective):
-        return f"check {term_str(d.term)} : {type_str(d.type)};"
-    if isinstance(d, s.InferDirective):
-        return f"infer {term_str(d.term)};"
-    if isinstance(d, s.DualDirective):
-        return f"dual {type_str(d.type)};"
-    if isinstance(d, s.OnfDirective):
-        return f"onf {type_str(d.type)};"
-    if isinstance(d, s.EqualDirective):
-        return f"equal {type_str(d.left)} {type_str(d.right)};"
-    if isinstance(d, s.ExpandDirective):
-        return f"expand {type_str(d.type)} basis {_BASIS_KEYWORDS[d.basis]};"
-    if isinstance(d, s.TranslateDirective):
-        return f"translate {formula_str(d.formula)};"
-    if isinstance(d, s.NnfDirective):
-        return f"nnf {formula_str(d.formula)};"
-    if isinstance(d, s.InhabitDirective):
-        return f"inhabit {type_str(d.type)} depth {d.depth};"
-    raise TypeError(f"not a directive: {d!r}")
+    return "".join(text + (show(get(d)) if get else "")
+                   for text, get, show in _DIRECTIVES[type(d)])
 
 
 def script_str(sc) -> str:

@@ -111,20 +111,24 @@ class Script:
     directives: tuple = ()
 
 
-DIRECTIVE_KEYWORDS = {
-    AtomDecl: "atom",
-    PredDecl: "pred",
-    Assume: "assume",
-    CheckDirective: "check",
-    InferDirective: "infer",
-    DualDirective: "dual",
-    OnfDirective: "onf",
-    EqualDirective: "equal",
-    ExpandDirective: "expand",
-    TranslateDirective: "translate",
-    NnfDirective: "nnf",
-    InhabitDirective: "inhabit",
+# The concrete syntax of each directive, stated once: its keyword is the
+# first word, and each field but the span stands where it is named, read
+# and printed by its annotation.  The parser and the printer read these.
+DIRECTIVES = {
+    AtomDecl: "atom {name};",
+    PredDecl: "pred {name}({arg_types});",
+    Assume: "assume {var} : {type};",
+    CheckDirective: "check {term} : {type};",
+    InferDirective: "infer {term};",
+    DualDirective: "dual {type};",
+    OnfDirective: "onf {type};",
+    EqualDirective: "equal {left} {right};",
+    ExpandDirective: "expand {type} basis {basis};",
+    TranslateDirective: "translate {formula};",
+    NnfDirective: "nnf {formula};",
+    InhabitDirective: "inhabit {type} depth {depth};",
 }
+DIRECTIVE_KEYWORDS = {cls: tpl.split()[0] for cls, tpl in DIRECTIVES.items()}
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,14 @@ from pathlib import Path
 
 from dataclasses import fields
 from string import Formatter
-from typing import get_type_hints
+from typing import Tuple, get_type_hints
 
-from opptypes import (Ann, App, Atom, Case, Formula, Inl, Lam, Pair,
+from opptypes import (Ann, App, Atom, Basis, Case, Formula, Inl, Lam, Pair,
                       ParseError, Pi, Pred, Proj1, Split, TermExpr, TypeExpr,
                       Forall, Var, parse, parse_formula, parse_term,
-                      parse_type)
-from opptypes import logic, syntax
+                      parse_type, script_str)
+from opptypes import logic, script, syntax
+from opptypes.parser import RESERVED
 
 from generators import rand_concrete
 
@@ -72,6 +73,69 @@ def test_fixity_table_covers_every_operator_class():
     for cls in (*syntax.FIXITY, *logic.FIXITY, *syntax.TERM_FIXITY):
         for hint in get_type_hints(cls).values():
             assert hint in (str, TypeExpr, Formula, TermExpr), cls
+
+
+def test_directive_table_covers_every_directive_class():
+    others = {script.Span, script.Script, script.ReportEntry, script.Report}
+    directives = {cls for cls in vars(script).values()
+                  if isinstance(cls, type)
+                  and cls.__module__ == script.__name__} - others
+    assert set(script.DIRECTIVES) == directives
+    keywords = list(script.DIRECTIVE_KEYWORDS.values())
+    assert len(set(keywords)) == len(keywords)
+    # a keyword, then each field but the span once, in field order, and ';'
+    slots = (str, TypeExpr, TermExpr, Formula, Tuple[TypeExpr, ...], Basis,
+             int)
+    for cls, template in script.DIRECTIVES.items():
+        keyword = script.DIRECTIVE_KEYWORDS[cls]
+        assert template.startswith(keyword + " ") and keyword.isalpha()
+        assert template.endswith(";"), cls
+        named = [name for _, name, _, _ in Formatter().parse(template)
+                 if name is not None]
+        assert named == [f.name for f in fields(cls)
+                         if f.name != "span"], cls
+        hints = get_type_hints(cls)
+        assert all(hints[name] in slots for name in named), cls
+    assert RESERVED == {
+        "Pi", "Sg", "all", "as", "assume", "atom", "basis", "case", "check",
+        "depth", "dual", "equal", "ex", "expand", "infer", "inhabit", "inl",
+        "inr", "nnf", "of", "onf", "p1", "p2", "pred", "split", "translate"}
+
+
+def test_script_language_is_listed_once_per_keyword():
+    # README's "Script language" block has one directive per keyword, and
+    # the report schema's directive enum lists the same keywords
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Script language")[1].split("```")[1]
+    keywords = [script.DIRECTIVE_KEYWORDS[type(d)]
+                for d in parse(block.removeprefix("text")).directives]
+    assert sorted(keywords) == sorted(script.DIRECTIVE_KEYWORDS.values())
+    schema = json.loads((REPO / "docs" / "report_schema.json").read_text(
+        encoding="utf-8"))
+    enum = schema["items"]["properties"]["directive"]["enum"]
+    assert enum == list(script.DIRECTIVE_KEYWORDS.values())
+
+
+def test_slot_kinds_round_trip():
+    # what rand_script never builds: compound and several predicate
+    # argument types, every basis, and depths of one to three digits
+    src = ("atom a;\natom b;\natom c;\npred r(a, b -> c, ~a * b);\n"
+           "expand a basis pi_prod;\nexpand a basis pi_sum;\n"
+           "expand a basis sg_prod;\nexpand a basis sg_sum;\n"
+           "inhabit a depth 0;\ninhabit a depth 7;\ninhabit a depth 123;\n")
+    sc = parse(src)
+    assert script_str(sc) == src
+    pred, *rest = sc.directives[3:]
+    assert len(pred.arg_types) == 3
+    assert [d.basis for d in rest[:4]] == list(Basis)
+    assert [d.depth for d in rest[4:]] == [0, 7, 123]
+
+
+def test_integer_slot_errors_name_the_token():
+    assert _error("script", "atom a; inhabit a depth") == (
+        "1:24: unexpected end of input (expected integer)")
+    assert _error("script", "inhabit a depth x;") == (
+        "1:17: found 'x' (expected integer)")
 
 
 def _unwrap(tree, cls, field):
