@@ -1,8 +1,8 @@
 """Proof checker and type algebra for a paraconsistent type theory with
 opposite and co-function types."""
 
-from .duality import (Basis, check_duality_principle, dual, expand_in_basis,
-                      is_onf, onf, uses_only_basis)
+from .duality import (Basis, dual, expand_in_basis, is_onf, onf,
+                      uses_only_basis)
 from .errors import (DepthCapExceeded, IllFormedContext, IllFormedType,
                      InternalInvariantViolation, InvalidDerivation,
                      NonInferableTerm, NormalizationOverflow, ParseError,
@@ -10,9 +10,9 @@ from .errors import (DepthCapExceeded, IllFormedContext, IllFormedType,
                      UnboundVariable)
 from .kernel import (Context, Derivation, EMPTY, Formation, TermDecl, TermEq,
                      TypeConstDecl, TypeEq, Typing, U0, U1, Universe, check,
-                     check_context, check_formation, declare_term,
-                     declare_type_const, equivalent, infer, recheck,
-                     term_equal, type_equal)
+                     check_context, check_duality_principle, check_formation,
+                     declare_term, declare_type_const, equivalent, infer,
+                     recheck, term_equal, type_equal)
 from .logic import (And, CoImpl, Exists, Forall, Formula, Impl, Neg, Or,
                     Pred, Signature, check_sorts, formula_nnf,
                     strong_equiv_check, translate)

@@ -21,9 +21,15 @@ dual() and the normalizer's negation _neg() read it: both exchange each
 constructor with its partner and mark every atom with ~, leaving
 generating types and term arguments untouched, and they differ only at
 an ~ already present, which dual keeps and _neg cancels.  The round trip
-law  A = ~(dual A)  is checked by check_duality_principle.  Basis
+law  A = ~(dual A)  is checked by kernel.check_duality_principle.  Basis
 expansion writes a constructor the basis lacks as ~ of its dual, and
 logic.formula_nnf reads the same table through dual_plans.
+
+The kernel and the search read normal forms here too: FAMILY sorts the
+constructors that head those other than atoms and their opposites by
+elimination, application (-> and Pi), projection (*, <~ and Sg) or case
+(+); halves gives the two sides of such a head, components instantiates
+a dependent second side with a term, and equiv decides equivalence.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from operator import attrgetter, is_
 
 from .errors import IllFormedType
 from .syntax import (SCOPES, Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
-                     TypeExpr, all_names, free_vars, normalize_term)
+                     TermExpr, TypeExpr, all_names, alpha_eq, free_vars,
+                     normalize_term, open_binders, subst_type)
 
 
 def onf(A: TypeExpr) -> TypeExpr:
@@ -171,31 +178,55 @@ def dual(A: TypeExpr) -> TypeExpr:
     return _opposite(A, True)
 
 
-def check_duality_principle(A: TypeExpr, ctx=None):
-    """Derivation of the judgment A = ~(dual A) : U0.
+FAMILY = {Fun: Fun, Pi: Fun, Prod: Prod, CoFun: Prod, Sigma: Prod, Sum: Sum}
 
-    With a context the input is first validated; without one the check is
-    purely syntactic.  Failure on a well-formed input would mean the
-    normalizer and the dual operation disagree, which is a bug, so it is
-    reported as InternalInvariantViolation.
-    """
-    from .errors import InternalInvariantViolation
-    from .kernel import Derivation, TypeEq, U0, check_formation
-    from .syntax import alpha_eq
 
-    premises = []
-    if ctx is not None:
-        premises.append(check_formation(ctx, A, U0))
-    rhs = Opp(dual(A))
-    left, right = onf(A), onf(rhs)
-    if not alpha_eq(left, right):
-        raise InternalInvariantViolation(
-            f"duality principle failed: onf({A}) = {left} "
-            f"but onf(~dual) = {right}")
-    premises.append(Derivation("onf", TypeEq(ctx, A, left), ()))
-    premises.append(Derivation("onf", TypeEq(ctx, rhs, right), ()))
-    return Derivation("duality-principle", TypeEq(ctx, A, rhs),
-                      tuple(premises))
+def halves(T: TypeExpr):
+    """(first, var, second) of a normal form with a FAMILY head: the
+    domain and codomain, the component types or the summands.  var is
+    None but for Pi and Sg; in second it stands for the argument or the
+    first projection."""
+    if isinstance(T, Fun):
+        return T.dom, None, T.cod
+    if isinstance(T, (Prod, Sum)):
+        return T.left, None, T.right
+    if isinstance(T, CoFun):
+        return _neg(T.dom), None, T.cod
+    if isinstance(T, (Pi, Sigma)):
+        return T.gen, T.var, T.body
+    raise AssertionError(f"not function-, pair- or sum-like: {T!r}")
+
+
+def components(T: TypeExpr, term: TermExpr):
+    """First and second half of T (see halves), with term for var and the
+    second normalized: the argument and result types of an application
+    to term, or the projections' types of a pair whose first is term."""
+    first, var, second = halves(T)
+    if var is not None:
+        second = onf(subst_type(second, var, term))
+    return first, second
+
+
+def equiv(X: TypeExpr, Y: TypeExpr) -> bool:
+    """Inhabitation equivalence of normal forms, the closure of equality
+    under the eta and co-eta conversions: alpha-equal, or of one FAMILY
+    with equivalent halves, the second halves read under one binder.
+    Equivalent types carry exactly the same inhabitants but are not
+    inter-substitutable, because their opposites may differ: e.g.
+    ~(A -> B) and A * ~B."""
+    if alpha_eq(X, Y):
+        return True
+    family = FAMILY.get(type(X))
+    if family is None or family is not FAMILY.get(type(Y)):
+        return False
+    x1, xv, x2 = halves(X)
+    y1, yv, y2 = halves(Y)
+    if not equiv(x1, y1):
+        return False
+    if xv or yv:
+        _, (x2, y2) = open_binders((), (xv or yv,),
+                                   [(x2, (xv,)), (y2, (yv,))], [])
+    return equiv(x2, y2)
 
 
 class Basis(enum.Enum):

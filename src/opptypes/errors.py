@@ -45,7 +45,7 @@ class InvalidDerivation(TypeTheoryError):
 
 
 class DepthCapExceeded(TypeTheoryError):
-    """Requested inhabitation search depth exceeds the configured cap."""
+    """Requested inhabitation search depth exceeds the depth cap."""
 
 
 class InternalInvariantViolation(TypeTheoryError):

@@ -19,10 +19,7 @@ reduce to the rules of the seven head constructors:
 Since, for example, ~(A -> B) normalizes to ~B <~ ~A, pairing a proof of
 A with a refutation of B refutes A -> B, exactly as the refutation
 reading demands.  Beyond normal-form equality, checking also accepts a
-term whose inferred type is *equivalent* to the goal: equivalence is the
-component-wise closure induced by the eta and co-eta conversions, under
-which e.g. ~(A -> B) and A * ~B have the same inhabitants even though
-they are not equal (their opposites differ).
+term whose inferred type is equivalent to the goal (see duality.equiv).
 """
 
 from __future__ import annotations
@@ -32,15 +29,15 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple, Union
 
-from .duality import _neg, dual, onf
-from .errors import (IllFormedContext, IllFormedType, InvalidDerivation,
+from .duality import components, dual, equiv, halves, onf
+from .errors import (IllFormedContext, IllFormedType,
+                     InternalInvariantViolation, InvalidDerivation,
                      NonInferableTerm, TypeMismatch, TypeTheoryError,
                      UnboundVariable)
 from .syntax import (SCOPES, Ann, App, Atom, Case, CoFun, Fun, Inl, Inr,
                      Lam, Opp, Pair, Pi, Prod, Proj1, Proj2, Sigma, Split,
-                     Sum, TermExpr, TypeExpr, Var, all_names, alpha_eq,
-                     free_vars, fresh_name, normalize_term, subst,
-                     subst_type)
+                     Sum, TermExpr, TypeExpr, Var, alpha_eq, free_vars,
+                     normalize_term, open_binders, subst)
 
 
 class Universe(enum.Enum):
@@ -281,53 +278,12 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
         for field, *binders in SCOPES[type(A)]:
             sub, inner = getattr(A, field), ctx
             if binders:
-                (var,), (sub,) = _open(ctx, (A.var,), [(sub, (A.var,))],
-                                       [A.gen])
+                (var,), (sub,) = open_binders(
+                    ctx.names, (A.var,), [(sub, (A.var,))], [A.gen])
                 inner = ctx.extended(TermDecl(var, A.gen))
             premises.append(check_formation(inner, sub, u))
         return Derivation(_FORM_RULES[type(A)], conc, tuple(premises))
     raise IllFormedType(f"not a type: {A!r}")
-
-
-def _open(ctx: Context, hints, scopes, near):
-    """Name a group of binders apart from ctx and rename their scopes.
-
-    hints are the binders' preferred names, in binding order.  Each scope
-    is a (body, vars) pair: vars gives, binder by binder, the name body
-    uses for it, or None where the binder does not scope over body.  A
-    hint is kept unless ctx declares it, an earlier binder of the group
-    took it, or a scope has it free other than as one of the group.  It
-    is then replaced by the first of hint, hint1, hint2, ... that is
-    outside ctx, the group's other names, and every name in the scopes and
-    in the expressions near.  Each scope is renamed with one simultaneous
-    subst, so of repeated binders the last is the one its body sees.
-    Returns the names and the renamed bodies.
-    """
-    taken = ctx.names
-    names = []
-    avoid = None
-    for hint in hints:
-        clash = hint in taken or hint in names
-        for body, vs in scopes:
-            if clash:
-                break
-            clash = hint not in vs and hint in free_vars(body)
-        if clash:
-            if avoid is None:
-                exprs = [body for body, _ in scopes] + list(near)
-                avoid = set(taken).union(*map(all_names, exprs))
-            later = hints[len(names) + 1:]
-            hint = fresh_name(hint, avoid.union(names, later))
-        names.append(hint)
-    names = tuple(names)
-    bodies = []
-    for body, vs in scopes:
-        if vs != names:
-            ren = dict(zip(vs, names))
-            body = subst(body, {v: Var(n) for v, n in ren.items()
-                                if v is not None and v != n})
-        bodies.append(body)
-    return names, bodies
 
 
 # ---------------------------------------------------------------------------
@@ -350,67 +306,39 @@ def _type_equal(A: TypeExpr, B: TypeExpr) -> bool:
 
 
 def equivalent(ctx: Optional[Context], A: TypeExpr, B: TypeExpr) -> bool:
-    """Inhabitation equivalence: the closure of type equality under the
-    eta and co-eta conversions.
-
-    Two types are related when their normal forms have the same head
-    family (function-like, pair-like, or sum-like) and equivalent
-    components; e.g. ~(A -> B) and A * ~B are equivalent but not equal.
-    Equivalent types carry exactly the same inhabitants, but they are not
-    inter-substitutable, because their opposites may differ.
-    """
+    """Inhabitation equivalence: duality.equiv of the normal forms, once
+    both types are validated in U0 when a context is supplied."""
     if ctx is not None:
         check_formation(ctx, A, U0)
         check_formation(ctx, B, U0)
-    return _equiv(onf(A), onf(B))
+    return equiv(onf(A), onf(B))
 
 
-def _halves(T: TypeExpr):
-    """(first, var, second) of a function- or pair-like normal form.
+def check_duality_principle(A: TypeExpr, ctx=None):
+    """Derivation of the judgment A = ~(dual A) : U0.
 
-    first is the domain or first component type, second the codomain or
-    second component type, in which var (None for the non-dependent
-    constructors) stands for the argument or the first projection.
+    With a context the input is first validated; without one the check is
+    purely syntactic.  Failure on a well-formed input would mean the
+    normalizer and the dual operation disagree, which is a bug, so it is
+    reported as InternalInvariantViolation.
     """
-    if isinstance(T, Fun):
-        return T.dom, None, T.cod
-    if isinstance(T, Prod):
-        return T.left, None, T.right
-    if isinstance(T, CoFun):
-        return _neg(T.dom), None, T.cod
-    if isinstance(T, (Pi, Sigma)):
-        return T.gen, T.var, T.body
-    raise AssertionError(f"not function- or pair-like: {T!r}")
-
-
-def _components(T: TypeExpr, term: TermExpr):
-    """First and second half of T (see _halves), with term for var."""
-    first, var, second = _halves(T)
-    if var is not None:
-        second = onf(subst_type(second, var, term))
-    return first, second
+    premises = []
+    if ctx is not None:
+        premises.append(check_formation(ctx, A, U0))
+    rhs = Opp(dual(A))
+    left, right = onf(A), onf(rhs)
+    if not alpha_eq(left, right):
+        raise InternalInvariantViolation(
+            f"duality principle failed: onf({A}) = {left} "
+            f"but onf(~dual) = {right}")
+    premises.append(Derivation("onf", TypeEq(ctx, A, left), ()))
+    premises.append(Derivation("onf", TypeEq(ctx, rhs, right), ()))
+    return Derivation("duality-principle", TypeEq(ctx, A, rhs),
+                      tuple(premises))
 
 
 # rule-name stems of the pair-like constructors
 _PAIR_RULES = {Prod: "prod", CoFun: "cofun", Sigma: "sigma"}
-
-
-def _equiv(X: TypeExpr, Y: TypeExpr) -> bool:
-    if alpha_eq(X, Y):
-        return True
-    if isinstance(X, Sum) and isinstance(Y, Sum):
-        return _equiv(X.left, Y.left) and _equiv(X.right, Y.right)
-    for family in ((Fun, Pi), (Prod, CoFun, Sigma)):
-        if isinstance(X, family) and isinstance(Y, family):
-            x1, xv, x2 = _halves(X)
-            y1, yv, y2 = _halves(Y)
-            if not _equiv(x1, y1):
-                return False
-            if xv or yv:
-                _, (x2, y2) = _open(EMPTY, (xv or yv,),
-                                    [(x2, (xv,)), (y2, (yv,))], [])
-            return _equiv(x2, y2)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +359,20 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         if not isinstance(goal, (Fun, Pi)):
             raise TypeMismatch(
                 f"a lambda cannot have type {goal}", expected=goal, actual=None)
-        dom, gvar, cod = _halves(goal)
-        _require_domain(ctx, t.dom, dom)
-        (var,), (body,) = _open(ctx, (t.var,), ((t.body, (t.var,)),), (dom,))
-        if gvar is not None:
-            cod = onf(subst_type(cod, gvar, Var(var)))
-        rule = "fun-intro" if gvar is None else "pi-intro"
+        dom, ann = halves(goal)[0], onf(t.dom)
+        if not equiv(ann, dom):
+            raise TypeMismatch(f"lambda domain {ann} does not match {dom}",
+                               expected=dom, actual=ann)
+        (var,), (body,) = open_binders(ctx.names, (t.var,),
+                                       ((t.body, (t.var,)),), (dom,))
+        _, cod = components(goal, Var(var))
+        rule = "fun-intro" if isinstance(goal, Fun) else "pi-intro"
         return Derivation(
             rule, conc, (check(ctx.extended(TermDecl(var, dom)), body, cod),))
 
     if isinstance(t, Pair):
         if isinstance(goal, (Prod, CoFun, Sigma)):
-            c1, c2 = _components(goal, t.fst)
+            c1, c2 = components(goal, t.fst)
             rule = f"{_PAIR_RULES[type(goal)]}-intro"
             d1 = check(ctx, t.fst, c1)
             d2 = check(ctx, t.snd, c2)
@@ -470,7 +400,7 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
     if isinstance(t, Ann):
         df = check_formation(ctx, t.type, U0)
         dt = check(ctx, t.term, t.type)
-        if not _equiv(onf(t.type), goal):
+        if not equiv(onf(t.type), goal):
             raise TypeMismatch(
                 f"annotation {onf(t.type)} does not match expected {goal}",
                 expected=goal, actual=onf(t.type))
@@ -478,18 +408,11 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
 
     # elimination or variable: infer then convert
     ity, d = _infer(ctx, t)
-    if not _equiv(ity, goal):
+    if not equiv(ity, goal):
         raise TypeMismatch(
             f"term {t} has type {ity}, expected {goal}",
             expected=goal, actual=ity)
     return Derivation("conv", conc, (d,))
-
-
-def _require_domain(ctx: Context, annotated: TypeExpr, expected: TypeExpr):
-    if not _equiv(onf(annotated), expected):
-        raise TypeMismatch(
-            f"lambda domain {onf(annotated)} does not match {expected}",
-            expected=expected, actual=onf(annotated))
 
 
 def _open_elim(ctx: Context, t: Union[Case, Split], goal=None):
@@ -524,16 +447,17 @@ def _open_branches(ctx: Context, styp: TypeExpr, elims, goal=None):
                  (styp.right, [(e.rbranch, (e.rvar,)) for e in elims]))
         branches = []
         for ty, scopes in sides:
-            names, bodies = _open(ctx, scopes[0][1], scopes + outer, [ty])
+            names, bodies = open_binders(ctx.names, scopes[0][1],
+                                         scopes + outer, [ty])
             branches.append((ctx.extended(TermDecl(names[0], ty)),
                              names, bodies[:n]))
         return branches
     scopes = [(e.body, (e.var1, e.var2)) for e in elims]
-    (v1, v2), bodies = _open(ctx, scopes[0][1], scopes + outer, [styp])
-    bodies = bodies[:n]
-    snd = onf(subst_type(styp.body, styp.var, Var(v1)))
-    ctx2 = ctx.extended(TermDecl(v1, styp.gen)).extended(TermDecl(v2, snd))
-    return [(ctx2, (v1, v2), bodies)]
+    (v1, v2), bodies = open_binders(ctx.names, scopes[0][1], scopes + outer,
+                                    [styp])
+    gen, snd = components(styp, Var(v1))
+    ctx2 = ctx.extended(TermDecl(v1, gen)).extended(TermDecl(v2, snd))
+    return [(ctx2, (v1, v2), bodies[:n])]
 
 
 def infer(ctx: Context, t: TermExpr) -> TypeExpr:
@@ -565,11 +489,9 @@ def _infer(ctx: Context, t: TermExpr):
         if not isinstance(fty, (Fun, Pi)):
             raise TypeMismatch(f"cannot apply a term of type {fty}",
                                expected=None, actual=fty)
-        dom, var, res = _halves(fty)
-        da = check(ctx, t.arg, dom)
-        if var is not None:
-            res = onf(subst_type(res, var, t.arg))
-        rule = "fun-elim" if var is None else "pi-elim"
+        da = check(ctx, t.arg, halves(fty)[0])
+        _, res = components(fty, t.arg)
+        rule = "fun-elim" if isinstance(fty, Fun) else "pi-elim"
         return res, Derivation(rule, Typing(ctx, t, res), (df, da))
 
     if isinstance(t, (Proj1, Proj2)):
@@ -578,13 +500,10 @@ def _infer(ctx: Context, t: TermExpr):
             raise TypeMismatch(
                 f"cannot project from a term of type {sty}",
                 expected=None, actual=sty)
-        first, var, second = _halves(sty)
         if isinstance(t, Proj1):
-            res, side = first, 1
+            res, side = halves(sty)[0], 1
         else:
-            res, side = second, 2
-            if var is not None:
-                res = onf(subst_type(second, var, Proj1(t.arg)))
+            res, side = components(sty, Proj1(t.arg))[1], 2
         rule = f"{_PAIR_RULES[type(sty)]}-elim-{side}"
         return res, Derivation(rule, Typing(ctx, t, res), (d,))
 
@@ -612,13 +531,10 @@ def _infer(ctx: Context, t: TermExpr):
 
     if isinstance(t, Lam):
         df = check_formation(ctx, t.dom, U0)
-        (var,), (body,) = _open(ctx, (t.var,), [(t.body, (t.var,))], [t.dom])
+        (var,), (body,) = open_binders(ctx.names, (t.var,),
+                                       [(t.body, (t.var,))], [t.dom])
         bty, db = _infer(ctx.extended(TermDecl(var, t.dom)), body)
-        dom = onf(t.dom)
-        if var in free_vars(bty):
-            res: TypeExpr = Pi(var, dom, bty)
-        else:
-            res = Fun(dom, bty)
+        res = onf(Pi(var, t.dom, bty))
         rule = "pi-intro" if isinstance(res, Pi) else "fun-intro"
         return res, Derivation(rule, Typing(ctx, t, res), (df, db))
 
@@ -667,14 +583,15 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
 
     if isinstance(T, (Fun, Pi)):
         # t and u are well scoped in ctx, so a name outside ctx is fresh
-        dom, var, cod = _halves(T)
-        (z,), (cod,) = _open(ctx, (var or "z",), [(cod, (var,))], [])
+        dom, var, cod = halves(T)
+        (z,), (cod,) = open_binders(ctx.names, (var or "z",),
+                                    [(cod, (var,))], [])
         ctx2 = ctx.extended(TermDecl(z, dom))
         return _teq(ctx2, _norm(App(t, Var(z))), _norm(App(u, Var(z))), cod)
 
     if isinstance(T, (Prod, CoFun, Sigma)):
         p1t, p1u = _norm(Proj1(t)), _norm(Proj1(u))
-        c1, c2 = _components(T, p1t)
+        c1, c2 = components(T, p1t)
         if not _teq(ctx, p1t, p1u, c1):
             return False
         return _teq(ctx, _norm(Proj2(t)), _norm(Proj2(u)), c2)
@@ -710,14 +627,14 @@ def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
     if isinstance(n, App):
         fty = _neutral_eq(ctx, n.fn, m.fn)
         if (not isinstance(fty, (Fun, Pi))
-                or not _teq(ctx, n.arg, m.arg, _halves(fty)[0])):
+                or not _teq(ctx, n.arg, m.arg, halves(fty)[0])):
             return None
-        return _halves(fty)[2]
+        return halves(fty)[2]
     if isinstance(n, (Proj1, Proj2)):
         sty = _neutral_eq(ctx, n.arg, m.arg)
         if not isinstance(sty, (Prod, CoFun, Sigma)):
             return None
-        return _halves(sty)[2 if isinstance(n, Proj2) else 0]
+        return halves(sty)[2 if isinstance(n, Proj2) else 0]
     return None
 
 
@@ -903,7 +820,7 @@ def _var(d, nf, infer):
 def _ann(d, nf, infer):
     t, goal = _typing(d, nf, Ann, 2)
     ann = onf(t.type)
-    if not (alpha_eq(ann, goal) if infer else _equiv(ann, goal)):
+    if not (alpha_eq(ann, goal) if infer else equiv(ann, goal)):
         _bad(d, f"annotation {ann} does not match {goal}")
     return _formed(d, 0, t.type, U0), _typed_as(d, 1, t.term, ann)
 
@@ -913,7 +830,7 @@ def _conv(d, nf, infer):
     _checks(d, infer)
     pc, _ = _typed(d, 0, t)
     ity = onf(pc.type)
-    if not _equiv(ity, goal):
+    if not equiv(ity, goal):
         _bad(d, f"cannot convert {ity} to {goal}")
     return [(d.premises[0], ity, True)]
 
@@ -934,8 +851,8 @@ def _lam(kind, d, nf, infer):
         _checks(d, infer)
         if type(goal) is not kind:
             _bad(d, f"cannot check a lambda against {goal}")
-        dom, gvar, cod = _halves(goal)
-        if not _equiv(onf(t.dom), dom):
+        dom, gvar, cod = halves(goal)
+        if not equiv(onf(t.dom), dom):
             _bad(d, f"lambda domain {onf(t.dom)} does not match {dom}")
         bty = cod if body.type is cod else onf(body.type)
         rebuilt = Fun(dom, bty) if gvar is None else Pi(decl.name, dom, bty)
@@ -953,7 +870,7 @@ def _pair(cls, d, nf, infer):
     _checks(d, infer)
     if type(goal) is not cls:
         _bad(d, f"cannot check a pair against {goal}")
-    c1, c2 = _components(goal, t.fst)
+    c1, c2 = components(goal, t.fst)
     return _typed_as(d, 0, t.fst, c1), _typed_as(d, 1, t.snd, c2)
 
 
@@ -1005,9 +922,7 @@ def _app(kind, d, nf, infer):
     fty = onf(fn.type)
     if type(fty) is not kind:
         _bad(d, f"cannot apply a term of type {fty}")
-    dom, var, res = _halves(fty)
-    if var is not None:
-        res = onf(subst_type(res, var, t.arg))
+    dom, res = components(fty, t.arg)
     if not alpha_eq(res, goal):
         _bad(d, f"{t} has type {res}, not {goal}")
     return (d.premises[0], fty, True), _typed_as(d, 1, t.arg, dom)
@@ -1019,11 +934,8 @@ def _proj(cls, proj, d, nf, infer):
     sty = onf(pc.type)
     if type(sty) is not cls:
         _bad(d, f"cannot project from a term of type {sty}")
-    first, var, res = _halves(sty)
-    if proj is Proj1:
-        res = first
-    elif var is not None:
-        res = onf(subst_type(res, var, Proj1(t.arg)))
+    res = (halves(sty)[0] if proj is Proj1
+           else components(sty, Proj1(t.arg))[1])
     if not alpha_eq(res, goal):
         _bad(d, f"{t} has type {res}, not {goal}")
     return [(d.premises[0], sty, True)]

@@ -19,13 +19,12 @@ An elimination spine is focused on the goal (Liang and Miller, TCS 2009):
 before the argument of a function-typed spine is enumerated, _reaches
 asks whether any spine from its codomain can end in the goal's head.  An
 atom or an opposite atom matches by name and polarity, any other normal
-form by the constructor family _equiv compares (Fun/Pi, Prod/CoFun/Sigma,
-Sum), and a Sum on the way reaches every goal, because a case can.
-Family arguments are not looked at, so a dependent substitution cannot
-change the answer.
+form by its duality.FAMILY, the only heads duality.equiv relates, and a
+Sum on the way reaches every goal, because a case can.  Family arguments
+are not looked at, so a dependent substitution cannot change the answer.
 
 The memo and the reach test skip only enumerations that are provably
-empty: a skipped branch could yield only terms whose type _equiv accepts
+empty: a skipped branch could yield only terms whose type equiv accepts
 against the goal, and there are none.  So the terms found, and their
 order, are those of the plain enumeration.
 """
@@ -34,26 +33,25 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .duality import onf
+from .duality import FAMILY, components, equiv, halves, onf
 from .errors import DepthCapExceeded
-from .kernel import (Context, TermDecl, U0, _components, _equiv, _halves,
-                     check_formation)
+from .kernel import Context, TermDecl, U0, check_formation
 from .syntax import (App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp, Pair,
                      Pi, Prod, Proj1, Proj2, Sigma, Sum, TermExpr, TypeExpr,
-                     Var, fresh_name, subst_type)
+                     Var, fresh_name)
 
-DEFAULT_DEPTH_CAP = 8
+DEPTH_CAP = 8
 
 
-def bounded_inhabit(ctx: Context, A: TypeExpr, depth: int,
-                    cap: int = DEFAULT_DEPTH_CAP) -> Optional[TermExpr]:
+def bounded_inhabit(ctx: Context, A: TypeExpr,
+                    depth: int) -> Optional[TermExpr]:
     """First inhabitant of A in ctx found within the depth bound, or None.
 
-    Depth counts rule applications along a branch of the term.  Any term
-    returned checks against A in the kernel.
+    Depth counts rule applications along a branch of the term, at most
+    DEPTH_CAP.  Any term returned checks against A in the kernel.
     """
-    if depth > cap:
-        raise DepthCapExceeded(f"depth {depth} exceeds the cap of {cap}")
+    if depth > DEPTH_CAP:
+        raise DepthCapExceeded(f"depth {depth} exceeds the cap of {DEPTH_CAP}")
     check_formation(ctx, A, U0)
     return next(iter_inhabitants(ctx, onf(A), depth), None)
 
@@ -91,18 +89,16 @@ def _inhabitants(ctx: Context, hyps, empty, goal: TypeExpr,
                               depth - 1)
 
     if isinstance(goal, (Fun, Pi)):
-        dom, var, cod = _halves(goal)
-        x = fresh_name(var or "x", ctx.names)
-        if var is not None:
-            cod = onf(subst_type(cod, var, Var(x)))
+        x = fresh_name(halves(goal)[1] or "x", ctx.names)
+        dom, cod = components(goal, Var(x))
         ctx2 = ctx.extended(TermDecl(x, dom))
         hyps2 = hyps + ((Var(x), dom),)
         for body in iter_inhabitants(ctx2, cod, depth - 1, hyps2, empty):
             yield Lam(x, dom, body)
     elif isinstance(goal, (Prod, CoFun, Sigma)):
-        first_type = _halves(goal)[0]
+        first_type = halves(goal)[0]
         for fst in iter_inhabitants(ctx, first_type, depth - 1, hyps, empty):
-            _, snd_type = _components(goal, fst)
+            _, snd_type = components(goal, fst)
             for snd in iter_inhabitants(ctx, snd_type, depth - 1, hyps,
                                         empty):
                 yield Pair(fst, snd)
@@ -118,40 +114,35 @@ def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
                head_type: TypeExpr, goal: TypeExpr,
                depth: int) -> Iterator[TermExpr]:
     """Extend an elimination spine of the given type toward the goal."""
-    if _equiv(head_type, goal):
+    if equiv(head_type, goal):
         yield head
     if depth <= 0:
         return
 
     if isinstance(head_type, (Fun, Pi)):
-        dom, var, cod = _halves(head_type)
+        dom, _, cod = halves(head_type)
         if not _reaches(cod, goal):
             return
         for arg in iter_inhabitants(ctx, dom, depth, hyps, empty):
-            res = cod if var is None else onf(subst_type(cod, var, arg))
-            yield from _eliminate(ctx, hyps, empty, App(head, arg), res,
-                                  goal, depth - 1)
+            yield from _eliminate(ctx, hyps, empty, App(head, arg),
+                                  components(head_type, arg)[1], goal,
+                                  depth - 1)
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
-        c1, c2 = _components(head_type, Proj1(head))
+        c1, c2 = components(head_type, Proj1(head))
         yield from _eliminate(ctx, hyps, empty, Proj1(head), c1, goal,
                               depth - 1)
         yield from _eliminate(ctx, hyps, empty, Proj2(head), c2, goal,
                               depth - 1)
     elif isinstance(head_type, Sum):
-        lv = fresh_name("w", ctx.names)
-        rv = fresh_name("w", ctx.names)
-        ctxl = ctx.extended(TermDecl(lv, head_type.left))
-        ctxr = ctx.extended(TermDecl(rv, head_type.right))
-        hypl = hyps + ((Var(lv), head_type.left),)
-        hypr = hyps + ((Var(rv), head_type.right),)
+        w = fresh_name("w", ctx.names)
+        ctxl = ctx.extended(TermDecl(w, head_type.left))
+        ctxr = ctx.extended(TermDecl(w, head_type.right))
+        hypl = hyps + ((Var(w), head_type.left),)
+        hypr = hyps + ((Var(w), head_type.right),)
         for lbody in iter_inhabitants(ctxl, goal, depth - 1, hypl, empty):
             for rbody in iter_inhabitants(ctxr, goal, depth - 1, hypr,
                                           empty):
-                yield Case(head, lv, lbody, rv, rbody)
-
-
-# the head of a normal form that _equiv can accept: constructor families
-_FAMILY = {Fun: Fun, Pi: Fun, Prod: Prod, CoFun: Prod, Sigma: Prod, Sum: Sum}
+                yield Case(head, w, lbody, w, rbody)
 
 
 def _head(T: TypeExpr):
@@ -160,7 +151,7 @@ def _head(T: TypeExpr):
         return T.name, True
     if isinstance(T, Opp):
         return T.inner.name, False
-    return _FAMILY[type(T)]
+    return FAMILY[type(T)]
 
 
 def _reaches(T: TypeExpr, goal: TypeExpr) -> bool:
@@ -174,8 +165,7 @@ def _reaches(T: TypeExpr, goal: TypeExpr) -> bool:
         if isinstance(T, Sum) or _head(T) == want:
             return True
         if isinstance(T, (Fun, Pi)):
-            stack.append(_halves(T)[2])
+            stack.append(halves(T)[2])
         elif isinstance(T, (Prod, CoFun, Sigma)):
-            first, _, second = _halves(T)
-            stack += (first, second)
+            stack += halves(T)[::2]
     return False

@@ -5,11 +5,11 @@ arguments when they stand for dependent families) and eight constructors:
 functions, co-functions, products, sums, Pi, Sigma and the opposite-type
 marker.  Terms are the usual lambda-calculus forms with pairs, injections,
 case and split.  Everything is an immutable dataclass, hashed on an
-explicit stack once per node (see _hash).  Binders are named; which
-fields bind over which subtrees is stated once, in SCOPES, and free_vars,
-all_names, alpha_eq and the simultaneous substitution subst all read
-that table.  Substitution freshens binders on demand, so
-alpha_eq is the only equality client code should rely on.
+explicit stack once per node (see _hash) and compared on one (_eq).
+Binders are named; which fields bind over which subtrees is stated once,
+in SCOPES, which free_vars, all_names, alpha_eq, the simultaneous subst
+and the binder opener open_binders read.  Substitution freshens binders
+on demand, so alpha_eq is the only equality client code should rely on.
 """
 
 from __future__ import annotations
@@ -269,6 +269,12 @@ SCOPES = {
 }
 
 
+# a getter of every field of each node class: the bare value when the
+# class has one field, a tuple in field order otherwise
+_FIELDS = {cls: attrgetter(*(f.name for f in dataclasses.fields(cls)))
+           for cls in (Atom, Var, *SCOPES)}
+
+
 class _Plans(dict):
     def __missing__(self, cls):
         raise TypeError(f"not an expression: {cls.__name__}")
@@ -277,14 +283,13 @@ class _Plans(dict):
 def _plan(cls, subtrees):
     """SCOPES entry compiled to (get, one, [(subtree, binders)]).
 
-    get reads every field of a node: the bare value when the class has one
-    field (one is then True), a tuple in field order otherwise.  Subtrees
-    and binders are given as positions in that tuple.
+    get is _FIELDS[cls], and one is True when the class has one field.
+    Subtrees and binders are given as positions in get's tuple.
     """
     fields = [f.name for f in dataclasses.fields(cls)]
     plan = tuple((fields.index(sub), tuple(map(fields.index, binders)))
                  for sub, *binders in subtrees)
-    return attrgetter(*fields), len(fields) == 1, plan
+    return _FIELDS[cls], len(fields) == 1, plan
 
 
 _PLANS = _Plans((cls, _plan(cls, subtrees))
@@ -292,13 +297,13 @@ _PLANS = _Plans((cls, _plan(cls, subtrees))
 
 
 # ---------------------------------------------------------------------------
-# Hashing
+# Hashing and equality
 # ---------------------------------------------------------------------------
 
 def _hash(e: Expr) -> int:
-    """Hash of a tree, consistent with the dataclasses' ==.  It is worked
-    out bottom-up on an explicit stack, so a deep tree cannot overflow it,
-    and kept on each node, so a node is hashed once."""
+    """Hash of a tree, consistent with _eq.  It is worked out bottom-up on
+    an explicit stack, so a deep tree cannot overflow it, and kept on each
+    node, so a node is hashed once."""
     if e._hash is None:
         stack = [e]
         while stack:
@@ -307,13 +312,7 @@ def _hash(e: Expr) -> int:
                 stack += todo
                 continue
             node = stack.pop()
-            cls = type(node)
-            if cls is Atom:
-                h = hash((node.name, node.args))
-            elif cls is Var:
-                h = hash(node.name)
-            else:
-                h = hash((cls, _PLANS[cls][0](node)))
+            h = hash((type(node), _FIELDS[type(node)](node)))
             object.__setattr__(node, "_hash", h)
     return e._hash
 
@@ -331,8 +330,35 @@ def _subtrees(e: Expr):
     return [vals[i] for i, _ in plan]
 
 
-for _cls in (Atom, Var, *SCOPES):
+def _eq(a: Expr, b) -> bool:
+    """== of trees: field by field, as the dataclasses' own, but on an
+    explicit stack, so a deep tree cannot overflow it.  Two nodes whose
+    kept hashes differ are unequal."""
+    if type(b) is not type(a):
+        return NotImplemented
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        cls = type(a)
+        if a is b:
+            continue
+        if cls is not type(b):
+            return False
+        if cls is tuple and len(a) == len(b):
+            stack += zip(a, b)
+        elif cls not in _FIELDS:
+            if a != b:
+                return False
+        elif a._hash != b._hash and None not in (a._hash, b._hash):
+            return False
+        else:
+            stack.append((_FIELDS[cls](a), _FIELDS[cls](b)))
+    return True
+
+
+for _cls in _FIELDS:
     _cls.__hash__ = _hash
+    _cls.__eq__ = _eq
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +513,46 @@ def _enter(vals: list, binders: tuple, body: Expr, m: dict) -> dict:
     return inner
 
 
+def open_binders(taken, hints, scopes, near):
+    """Name a group of binders apart from taken and rename their scopes.
+
+    hints are the binders' preferred names, in binding order.  Each scope
+    is a (body, vars) pair: vars gives, binder by binder, the name body
+    uses for it, or None where the binder does not scope over body.  A
+    hint is kept unless it is taken, an earlier binder of the group took
+    it, or a scope has it free other than as one of the group.  It is
+    then replaced by the first of hint, hint1, hint2, ... that is outside
+    taken, the group's other names, and every name in the scopes and in
+    the expressions near.  Each scope is renamed with one simultaneous
+    subst, so of repeated binders the last is the one its body sees.
+    Returns the names and the renamed bodies.
+    """
+    names = []
+    avoid = None
+    for hint in hints:
+        clash = hint in taken or hint in names
+        for body, vs in scopes:
+            if clash:
+                break
+            clash = hint not in vs and hint in free_vars(body)
+        if clash:
+            if avoid is None:
+                exprs = [body for body, _ in scopes] + list(near)
+                avoid = set(taken).union(*map(all_names, exprs))
+            later = hints[len(names) + 1:]
+            hint = fresh_name(hint, avoid.union(names, later))
+        names.append(hint)
+    names = tuple(names)
+    bodies = []
+    for body, vs in scopes:
+        if vs != names:
+            ren = dict(zip(vs, names))
+            body = subst(body, {v: Var(n) for v, n in ren.items()
+                                if v is not None and v != n})
+        bodies.append(body)
+    return names, bodies
+
+
 # ---------------------------------------------------------------------------
 # Alpha-equality
 # ---------------------------------------------------------------------------
@@ -540,12 +606,12 @@ def _alpha(a, b, envl: dict, envr: dict, depth: int) -> bool:
 # Untyped reduction
 # ---------------------------------------------------------------------------
 
-DEFAULT_FUEL = 100_000
+FUEL = 100_000
 
 
 def normalize_term(t: TermExpr,
-                   type_norm: "Optional[Callable[[TypeExpr], TypeExpr]]" = None,
-                   fuel: int = DEFAULT_FUEL) -> TermExpr:
+                   type_norm: "Optional[Callable[[TypeExpr], TypeExpr]]" = None
+                   ) -> TermExpr:
     """Full beta normal form, plus the two identity contractions
     case c of {inl x => inl x | inr y => inr y}  ==>  c
     split c as (x, y) => <x, y>                  ==>  c
@@ -555,16 +621,16 @@ def normalize_term(t: TermExpr,
     reduction is usable untyped.  type_norm, when given, is applied to the
     types embedded in the term (lambda domain annotations); equality of
     normal forms is then alpha_eq.  A subterm already in normal form is
-    returned as it is, not rebuilt.  Fuel bounds the number of contraction
+    returned as it is, not rebuilt.  FUEL bounds the number of contraction
     steps so that ill-typed input fails loudly instead of looping.
     """
-    budget = [fuel]
+    budget = [FUEL]
 
     def spend():
         budget[0] -= 1
         if budget[0] < 0:
             raise NormalizationOverflow(
-                f"term normalization exceeded {fuel} steps")
+                f"term normalization exceeded {FUEL} steps")
 
     def tnorm(T):
         return type_norm(T) if type_norm is not None else T

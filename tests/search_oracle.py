@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from opptypes import (App, Case, CoFun, Fun, Inl, Inr, Lam, Pair, Pi, Prod,
                       Proj1, Proj2, Sigma, Sum, Var, onf, subst_type)
-from opptypes.kernel import TermDecl, _components, _equiv, _halves
+from opptypes.duality import components, equiv, halves
+from opptypes.kernel import TermDecl
 from opptypes.syntax import fresh_name
 
 
@@ -28,7 +29,7 @@ def oracle_inhabitants(ctx, goal, depth):
                               goal, depth - 1)
 
     if isinstance(goal, (Fun, Pi)):
-        dom, var, cod = _halves(goal)
+        dom, var, cod = halves(goal)
         x = fresh_name(var or "x", ctx.names)
         if var is not None:
             cod = onf(subst_type(cod, var, Var(x)))
@@ -36,9 +37,9 @@ def oracle_inhabitants(ctx, goal, depth):
         for body in oracle_inhabitants(ctx2, cod, depth - 1):
             yield Lam(x, dom, body)
     elif isinstance(goal, (Prod, CoFun, Sigma)):
-        first_type = _halves(goal)[0]
+        first_type = halves(goal)[0]
         for fst in oracle_inhabitants(ctx, first_type, depth - 1):
-            _, snd_type = _components(goal, fst)
+            _, snd_type = components(goal, fst)
             for snd in oracle_inhabitants(ctx, snd_type, depth - 1):
                 yield Pair(fst, snd)
     elif isinstance(goal, Sum):
@@ -49,18 +50,18 @@ def oracle_inhabitants(ctx, goal, depth):
 
 
 def _eliminate(ctx, head, head_type, goal, depth):
-    if _equiv(head_type, goal):
+    if equiv(head_type, goal):
         yield head
     if depth <= 0:
         return
 
     if isinstance(head_type, (Fun, Pi)):
-        dom, var, cod = _halves(head_type)
+        dom, var, cod = halves(head_type)
         for arg in oracle_inhabitants(ctx, dom, depth):
             res = cod if var is None else onf(subst_type(cod, var, arg))
             yield from _eliminate(ctx, App(head, arg), res, goal, depth - 1)
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
-        c1, c2 = _components(head_type, Proj1(head))
+        c1, c2 = components(head_type, Proj1(head))
         yield from _eliminate(ctx, Proj1(head), c1, goal, depth - 1)
         yield from _eliminate(ctx, Proj2(head), c2, goal, depth - 1)
     elif isinstance(head_type, Sum):

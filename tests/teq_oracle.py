@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from opptypes import (App, Case, CoFun, Fun, Inl, Inr, Pi, Prod, Proj1,
                       Proj2, Sigma, Split, Sum, Var, onf, subst_type)
-from opptypes.kernel import (Context, TermDecl, _components, _halves, _norm,
-                             _open, _open_branches)
-from opptypes.syntax import TermExpr, TypeExpr, alpha_eq
+from opptypes.duality import components, halves
+from opptypes.kernel import Context, TermDecl, _norm, _open_branches
+from opptypes.syntax import TermExpr, TypeExpr, alpha_eq, open_binders
 
 
 def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
@@ -22,14 +22,15 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
 
     if isinstance(T, (Fun, Pi)):
         # t and u are well scoped in ctx, so a name outside ctx is fresh
-        dom, var, cod = _halves(T)
-        (z,), (cod,) = _open(ctx, (var or "z",), [(cod, (var,))], [])
+        dom, var, cod = halves(T)
+        (z,), (cod,) = open_binders(ctx.names, (var or "z",),
+                                    [(cod, (var,))], [])
         ctx2 = ctx.extended(TermDecl(z, dom))
         return _teq(ctx2, _norm(App(t, Var(z))), _norm(App(u, Var(z))), cod)
 
     if isinstance(T, (Prod, CoFun, Sigma)):
         p1t, p1u = _norm(Proj1(t)), _norm(Proj1(u))
-        c1, c2 = _components(T, p1t)
+        c1, c2 = components(T, p1t)
         if not _teq(ctx, p1t, p1u, c1):
             return False
         return _teq(ctx, _norm(Proj2(t)), _norm(Proj2(u)), c2)
@@ -87,11 +88,11 @@ def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
     if isinstance(n, Proj1):
         sty = _neutral_eq(ctx, n.arg, m.arg)
         if isinstance(sty, (Prod, CoFun, Sigma)):
-            return _components(sty, Proj1(n.arg))[0]
+            return components(sty, Proj1(n.arg))[0]
         return None
     if isinstance(n, Proj2):
         sty = _neutral_eq(ctx, n.arg, m.arg)
         if isinstance(sty, (Prod, CoFun, Sigma)):
-            return _components(sty, Proj1(n.arg))[1]
+            return components(sty, Proj1(n.arg))[1]
         return None
     return None

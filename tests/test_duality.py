@@ -17,7 +17,7 @@ from opptypes import (Atom, Basis, CoFun, Fun, IllFormedType, Opp, Pi, Prod,
                       Sigma, Sum, Var, alpha_eq, check_duality_principle,
                       dual, expand_in_basis, is_onf, onf, parse_type,
                       recheck, type_equal, uses_only_basis)
-from opptypes.duality import DUALS, _neg
+from opptypes.duality import DUALS, FAMILY, _neg, equiv, halves
 from opptypes.logic import CONNECTIVES, Formula, Neg, Pred
 from opptypes.syntax import TypeExpr, normalize_term
 
@@ -290,6 +290,49 @@ def test_unnormalize_preserves_normal_form():
         A = rand_type(rng, 4)
         B = unnormalize(rng, A, rng.randint(1, 3))
         assert alpha_eq(onf(A), onf(B))
+
+
+def _co_eta(T):
+    """An equivalent of the normal form T: each B <~ A written as ~A * B,
+    the pair type with the same halves."""
+    if isinstance(T, CoFun):
+        return Prod(_co_eta(_neg(T.dom)), _co_eta(T.cod))
+    if isinstance(T, (Pi, Sigma)):
+        return type(T)(T.var, _co_eta(T.gen), _co_eta(T.body))
+    if isinstance(T, (Fun, Prod, Sum)):
+        return type(T)(*map(_co_eta, halves(T)[::2]))
+    return T
+
+
+@settings(max_examples=200, deadline=None)
+@given(types(max_depth=4), types(max_depth=4), st.integers(0, 2**32))
+def test_equiv_on_normal_forms(A, B, seed):
+    X, Y = onf(A), onf(B)
+    twin = onf(unnormalize(random.Random(seed), A, 2))
+    co = _co_eta(X)
+    assert equiv(X, twin) and equiv(X, co) and is_onf(co)
+    for P, Q in ((X, Y), (X, twin), (X, co), (co, Y)):
+        assert equiv(P, P)
+        assert equiv(P, Q) == equiv(Q, P)
+        if type_equal(None, P, Q):
+            assert equiv(P, Q)
+        family = FAMILY.get(type(P))
+        if family is None or family is not FAMILY.get(type(Q)):
+            assert equiv(P, Q) == alpha_eq(P, Q)
+    assert halves(Sum(X, Y)) == (X, None, Y)
+
+
+def test_equiv_reads_second_halves_under_one_binder():
+    pv, pw = Atom("p", (Var("v"),)), Atom("p", (Var("w"),))
+    # the same type under two binder names, once with <~ for the pair
+    assert equiv(Sigma("v", a, CoFun(pv, Opp(b))), Sigma("w", a, Prod(b, pw)))
+    # renaming v to w would capture the free w
+    assert not equiv(Sigma("v", a, Prod(pv, pw)), Sigma("w", a, Prod(pw, pw)))
+    # a binder against the free variable of the same name
+    for dep, plain in ((Pi("v", a, pv), Fun(a, pv)),
+                       (Sigma("v", a, pv), Prod(a, pv)),
+                       (Sigma("v", a, pv), CoFun(pv, Opp(a)))):
+        assert not equiv(dep, plain) and not equiv(plain, dep)
 
 
 class TestNegativeControls:

@@ -514,7 +514,7 @@ def _eta_expand(ctx, t, goal):
     t = Ann(t, goal)
     if isinstance(goal, (Fun, Pi)):
         e = fresh_name("e", set(ctx.names) | all_names(t))
-        return Lam(e, kernel._halves(goal)[0], App(t, Var(e)))
+        return Lam(e, kernel.halves(goal)[0], App(t, Var(e)))
     return Pair(Proj1(t), Proj2(t))
 
 
@@ -969,7 +969,7 @@ class TestRecheck:
                 inside.pop()
 
         formation = kernel.check_formation
-        for name in ("check", "_infer", "_open", "term_equal"):
+        for name in ("check", "_infer", "open_binders", "term_equal"):
             monkeypatch.setattr(kernel, name,
                                 guarded(name, getattr(kernel, name)))
         monkeypatch.setattr(kernel, "check_formation", root_formation)

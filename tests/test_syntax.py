@@ -172,6 +172,23 @@ def test_hash_of_a_deep_tree():
     assert len({T1: 0, t1: 1}) == 2
 
 
+def test_equality_of_deep_trees():
+    # == walks a stack of its own, so 3000 levels do not overflow
+    def trees(leaf):
+        T, t = Atom(leaf), Var(leaf)
+        for _ in range(3000):
+            T = Fun(Atom("p", (Var("u"),)), T)
+            t = App(t, Lam("y", a, Var("y")))
+        return T, t
+    (T1, t1), (T2, t2), (T3, t3) = trees("d"), trees("d"), trees("e")
+    assert T1 == T2 and t1 == t2 and not T1 != T2
+    assert T1 != T3 and t1 != t3 and not t1 == t3
+    table = {T1: "type", t1: "term"}
+    assert table[T2] == "type" and table[t2] == "term"
+    assert T3 not in table and t3 not in table
+    assert T1 != T3 and t1 != t3     # now with kept hashes
+
+
 class TestNormalize:
     def test_beta(self):
         t = App(Lam("x", a, Var("x")), Var("u"))
