@@ -40,8 +40,8 @@ from operator import attrgetter, is_
 
 from .errors import IllFormedType
 from .syntax import (SCOPES, Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
-                     TermExpr, TypeExpr, all_names, alpha_eq, free_vars,
-                     normalize_term, open_binders, subst_type)
+                     TermExpr, TypeExpr, Var, all_names, alpha_eq,
+                     free_vars, normalize_term, open_binders, subst_type)
 
 
 def onf(A: TypeExpr) -> TypeExpr:
@@ -200,10 +200,12 @@ def halves(T: TypeExpr):
 def components(T: TypeExpr, term: TermExpr):
     """First and second half of T (see halves), with term for var and the
     second normalized: the argument and result types of an application
-    to term, or the projections' types of a pair whose first is term."""
+    to term, or the projections' types of a pair whose first is term.
+    Where term is var itself, the second half is not copied."""
     first, var, second = halves(T)
     if var is not None:
-        second = onf(subst_type(second, var, term))
+        second = onf(second if term == Var(var)
+                     else subst_type(second, var, term))
     return first, second
 
 

@@ -1,7 +1,8 @@
 """Many-sorted formulas with constructive negation and co-implication,
 translated into the type theory.
 
-The translation sends implication to the function type, co-implication to
+One walk checks a formula against its signature and translates it.  The
+translation sends implication to the function type, co-implication to
 the co-function type, conjunction and disjunction to products and sums,
 negation to the opposite constructor, and quantifiers to Pi and Sigma over
 their sort; CONNECTIVES states that map once.  Negation normal form pushes
@@ -97,8 +98,8 @@ class Signature:
     A signature grows in place: sorts is a set, and add_predicate, like
     the constructor, rejects an arity that uses an undeclared sort.
     Beside its fields (so == and repr ignore it) each signature keeps a
-    memo from (name, arity) to the declaration _signature_context gives
-    that name, sorts under arity ().  A declaration depends on its key
+    memo from (name, arity) to the declaration that translation contexts
+    give that name, sorts under arity ().  A declaration depends on its key
     alone, so growing the signature leaves every memo entry valid.
     """
     sorts: set
@@ -128,84 +129,8 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# Sort checking
+# Sort checking and translation
 # ---------------------------------------------------------------------------
-
-def check_sorts(sig: Signature, f: Formula) -> Dict[str, str]:
-    """Validate f against sig; return the sorts of its free variables."""
-    free: Dict[str, str] = {}
-
-    def walk(g: Formula, bound: Dict[str, str]):
-        if isinstance(g, Pred):
-            if g.name not in sig.predicates:
-                raise SortError(f"undeclared predicate: {g.name}")
-            arity = sig.predicates[g.name]
-            if len(g.args) != len(arity):
-                raise SortError(
-                    f"predicate {g.name} expects {len(arity)} argument(s), "
-                    f"got {len(g.args)}")
-            for v, s in zip(g.args, arity):
-                seen = bound.get(v, free.get(v))
-                if seen is None:
-                    free[v] = s
-                elif seen != s:
-                    raise SortError(
-                        f"variable {v} used at sorts {seen} and {s}")
-        elif isinstance(g, (Impl, CoImpl, And, Or)):
-            walk(g.lhs, bound)
-            walk(g.rhs, bound)
-        elif isinstance(g, Neg):
-            walk(g.body, bound)
-        elif isinstance(g, (Forall, Exists)):
-            if g.sort not in sig.sorts:
-                raise SortError(f"undeclared sort: {g.sort}")
-            inner = dict(bound)
-            inner[g.var] = g.sort
-            walk(g.body, inner)
-        else:
-            raise SortError(f"not a formula: {g!r}")
-
-    walk(f, {})
-    return free
-
-
-# ---------------------------------------------------------------------------
-# Translation
-# ---------------------------------------------------------------------------
-
-def translate(sig: Signature, f: Formula) -> Tuple[Context, TypeExpr]:
-    """Propositions-as-types translation of f over sig.
-
-    The returned context declares every sort as a small type constant,
-    every predicate as a dependent family over its sorts, and the free
-    variables of f as terms of their sorts.
-    """
-    return translation_context(sig, f), _formula_type(f)
-
-
-def translation_context(sig: Signature, *formulas: Formula) -> Context:
-    """One context covering several formulas (shared sorts and variables)."""
-    merged: Dict[str, str] = {}
-    for f in formulas:
-        free = check_sorts(sig, f)
-        for v, sort in free.items():
-            if v not in merged:
-                merged[v] = sort
-            elif merged[v] != sort:
-                raise SortError(
-                    f"variable {v} used at sorts {merged[v]} and {sort}")
-    ctx = _signature_context(sig)
-    for v, sort in merged.items():
-        ctx = ctx.extended(TermDecl(v, Atom(sort)))
-    return ctx
-
-
-def _signature_context(sig: Signature) -> Context:
-    decl, preds = sig._decl, sig.predicates
-    entries = [decl(s, ()) for s in sorted(sig.sorts)]
-    entries += [decl(p, preds[p]) for p in sorted(preds)]
-    return Context(tuple(entries))
-
 
 # Each connective with the type constructor that translates it.  Their
 # fields match position by position, a quantifier's sort standing for the
@@ -223,18 +148,80 @@ FIXITY = {cls: (sym, syntax.FIXITY[CONNECTIVES.get(cls, Opp)][1])
                            (Exists, "ex"))}
 
 
-def _formula_type(f: Formula) -> TypeExpr:
+def check_sorts(sig: Signature, f: Formula) -> Dict[str, str]:
+    """Validate f against sig; return the sorts of its free variables."""
+    free: Dict[str, str] = {}
+    _walk(sig, f, {}, free)
+    return free
+
+
+def translate(sig: Signature, f: Formula) -> Tuple[Context, TypeExpr]:
+    """Propositions-as-types translation of f over sig.
+
+    The returned context declares every sort as a small type constant,
+    every predicate as a dependent family over its sorts, and the free
+    variables of f as terms of their sorts.
+    """
+    ctx, (ty,) = _translation(sig, (f,))
+    return ctx, ty
+
+
+def translation_context(sig: Signature, *formulas: Formula) -> Context:
+    """One context covering several formulas (shared sorts and variables)."""
+    return _translation(sig, formulas)[0]
+
+
+def _translation(sig: Signature, formulas) -> Tuple[Context, list]:
+    """The translations of formulas, each checked on its own, and one
+    context for them all: the sorts, then the predicates, each in name
+    order, then the free variables, in order of first occurrence."""
+    free: Dict[str, str] = {}
+    types = []
+    for f in formulas:
+        own: Dict[str, str] = {}
+        types.append(_walk(sig, f, {}, own))
+        for v, s in own.items():
+            seen = free.setdefault(v, s)
+            if seen != s:
+                raise SortError(f"variable {v} used at sorts {seen} and {s}")
+    decl, preds = sig._decl, sig.predicates
+    entries = [decl(s, ()) for s in sorted(sig.sorts)]
+    entries += [decl(p, preds[p]) for p in sorted(preds)]
+    entries += [TermDecl(v, Atom(s)) for v, s in free.items()]
+    return Context(tuple(entries)), types
+
+
+def _walk(sig: Signature, f: Formula, bound: Dict[str, str],
+          free: Dict[str, str]) -> TypeExpr:
+    """The translation of f, checked against sig with bound giving the
+    sorts of the variables bound around f; each free variable's sort goes
+    into free at its first occurrence."""
     cls = type(f)
     if cls is Pred:
+        arity = sig.predicates.get(f.name)
+        if arity is None:
+            raise SortError(f"undeclared predicate: {f.name}")
+        if len(f.args) != len(arity):
+            raise SortError(f"predicate {f.name} expects {len(arity)} "
+                            f"argument(s), got {len(f.args)}")
+        for v, s in zip(f.args, arity):
+            seen = bound.get(v, free.get(v))
+            if seen is None:
+                free[v] = s
+            elif seen != s:
+                raise SortError(f"variable {v} used at sorts {seen} and {s}")
         return Atom(f.name, tuple(Var(v) for v in f.args))
     if cls is Neg:
-        return Opp(_formula_type(f.body))
+        return Opp(_walk(sig, f.body, bound, free))
     con = CONNECTIVES.get(cls)
     if con is None:
         raise SortError(f"not a formula: {f!r}")
     if cls is Forall or cls is Exists:
-        return con(f.var, Atom(f.sort), _formula_type(f.body))
-    return con(_formula_type(f.lhs), _formula_type(f.rhs))
+        if f.sort not in sig.sorts:
+            raise SortError(f"undeclared sort: {f.sort}")
+        inner = {**bound, f.var: f.sort}
+        return con(f.var, Atom(f.sort), _walk(sig, f.body, inner, free))
+    return con(_walk(sig, f.lhs, bound, free), _walk(sig, f.rhs, bound, free))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +277,5 @@ def strong_equiv_check(sig: Signature, f: Formula, g: Formula) -> bool:
     search, so e.g. A & A and A are strongly equivalent as formulas yet
     rejected here because A * A and A are not equal types.
     """
-    ctx = translation_context(sig, f, g)
-    if not type_equal(ctx, _formula_type(f), _formula_type(g)):
-        return False
-    return type_equal(ctx, _formula_type(Neg(f)), _formula_type(Neg(g)))
+    ctx, (A, B) = _translation(sig, (f, g))
+    return type_equal(ctx, A, B) and type_equal(ctx, Opp(A), Opp(B))

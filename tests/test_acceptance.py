@@ -194,10 +194,10 @@ def test_criterion_8_logic_duality():
                                       parse_formula(rhs)), lhs
         f, g = parse_formula("~(P => Q)"), parse_formula("P & ~Q")
         assert not strong_equiv_check(STD_SIG, f, g)
-        from opptypes.logic import Neg, _formula_type, translation_context
+        from opptypes.logic import Neg, translate, translation_context
         ctx = translation_context(STD_SIG, f, g)
-        assert not type_equal(ctx, _formula_type(Neg(f)),
-                              _formula_type(Neg(g)))
+        assert not type_equal(ctx, translate(STD_SIG, Neg(f))[1],
+                              translate(STD_SIG, Neg(g))[1])
         assert not strong_equiv_check(
             STD_SIG, parse_formula("P & P"), parse_formula("P"))
     _report(8, "five dualities, two rejections", body)

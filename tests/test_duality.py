@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 
 import opptypes.duality as duality
+import opptypes.syntax as syntax
 from opptypes import (Atom, Basis, CoFun, Fun, IllFormedType, Opp, Pi, Prod,
                       Sigma, Sum, Var, alpha_eq, check_duality_principle,
                       dual, expand_in_basis, is_onf, onf, parse_type,
-                      recheck, type_equal, uses_only_basis)
-from opptypes.duality import DUALS, FAMILY, _neg, equiv, halves
+                      recheck, subst_type, type_equal, uses_only_basis)
+from opptypes.duality import DUALS, FAMILY, _neg, components, equiv, halves
 from opptypes.logic import CONNECTIVES, Formula, Neg, Pred
 from opptypes.syntax import TypeExpr, normalize_term
 
@@ -205,6 +206,22 @@ def test_is_onf_reads_the_mark(monkeypatch):
     assert not A._nf and not is_onf(A)
     monkeypatch.setattr(duality, "_every_node", None)
     assert is_onf(n)
+
+
+def test_components_at_the_binders_own_variable(monkeypatch):
+    body = Atom("p", (Var("u"),))
+    for _ in range(200):
+        body = Fun(a, body)
+    T = onf(Pi("u", a, body))
+    calls = []
+    real = syntax._subst
+    monkeypatch.setattr(syntax, "_subst",
+                        lambda *args: calls.append(1) or real(*args))
+    first, second = components(T, Var("u"))
+    assert first is a and second is T.body and calls == []
+    # any other term is still substituted
+    assert components(T, Var("y"))[1] == subst_type(T.body, "u", Var("y"))
+    assert calls
 
 
 @settings(max_examples=300, deadline=None)

@@ -23,7 +23,7 @@ from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       recheck, subst, subst_term, subst_type, term_equal,
                       type_equal, U0, U1)
 from opptypes.kernel import _RULES
-from opptypes.logic import Signature, _signature_context
+from opptypes.logic import Signature, translation_context
 from opptypes.runner import _execute
 from opptypes.search import iter_inhabitants
 from opptypes.syntax import all_names, alpha_eq, fresh_name, normalize_term
@@ -99,7 +99,7 @@ class TestContext:
                 arity = rng.randrange(3) if sorts else 0
                 preds[name] = tuple(rng.choice(sorts) for _ in range(arity))
             sig = Signature(sorts, preds)
-            one_pass = _signature_context(sig)
+            one_pass = translation_context(sig)
             assert one_pass.entries == _signature_by_extension(sig).entries
             _assert_scan_agrees(one_pass, pool + ("x1",))
 
@@ -173,6 +173,21 @@ class TestFormation:
             assert d.rule == "opp-form"
             (d,) = d.premises
         assert (d.rule, d.conclusion.type) == ("atom-form", a)
+
+    @pytest.mark.parametrize("n", [3000, 3001])
+    def test_term_at_a_tower_of_opposites(self, n):
+        # y : a inhabits a run of ~ over a exactly when the run is even
+        ctx, y, ty = ctx_with(("y", "a")), Var("y"), a
+        for _ in range(n):
+            ty = Opp(ty)
+        if n % 2:
+            with pytest.raises(TypeMismatch):
+                check(ctx, y, ty)
+            assert bounded_inhabit(ctx, ty, 3) is None
+            return
+        assert recheck(check(ctx, y, ty))
+        assert term_equal(ctx, y, y, ty)
+        assert bounded_inhabit(ctx, ty, 3) == y
 
     def test_opposite_rejected_in_u1(self):
         with pytest.raises(IllFormedType):

@@ -7,18 +7,24 @@ import pytest
 import opptypes.logic as logic
 import opptypes.runner as runner
 import opptypes.script as s
-from opptypes import (And, Atom, CoFun, CoImpl, Forall, Impl, Neg, Opp,
-                      Or, Pi, Pred, Prod, Script, Signature, SortError, Var,
-                      check_context, check_formation, formula_nnf, parse,
-                      parse_formula, run, strong_equiv_check, translate,
-                      type_equal, U0)
-from opptypes.logic import _formula_type, translation_context
+from opptypes import (And, Atom, CoFun, CoImpl, Context, Exists, Forall,
+                      Impl, Neg, Opp, Or, Pi, Pred, Prod, Script, Signature,
+                      SortError, TypeTheoryError, Var, check_context,
+                      check_formation, formula_nnf, parse, parse_formula, run,
+                      strong_equiv_check, translate, type_equal, U0)
+from opptypes.logic import translation_context
+from opptypes.printer import context_str, type_str
 from opptypes.runner import _execute
 
+import translate_oracle
 from generators import STD_SIG, rand_formula, rand_script
 from signature_oracle import signature_of
 
 P, Q = Pred("P"), Pred("Q")
+
+
+def _formula_type(f):
+    return translate(STD_SIG, f)[1]
 
 
 class TestTranslate:
@@ -126,6 +132,127 @@ class TestStrongEquiv:
         for _ in range(200):
             f = rand_formula(rng, rng.randint(0, 4))
             assert strong_equiv_check(STD_SIG, f, formula_nnf(f))
+
+
+# Names for signatures and formulas that are often ill sorted: a sort
+# named x1 (the first telescope variable), a predicate and a sort left
+# undeclared, variables that several sorts share.
+SORT_POOL = ("s", "t", "x1", "a")
+PRED_POOL = ("P", "Q", "R", "T", "a", "U")
+VAR_POOL = ("u", "v", "x1", "w")
+
+
+def _rand_signature(rng):
+    sorts = rng.sample(SORT_POOL, rng.randint(1, len(SORT_POOL)))
+    preds = {name: tuple(rng.choice(sorts) for _ in range(rng.randint(0, 2)))
+             for name in rng.sample(PRED_POOL[:-1], rng.randint(1, 5))}
+    return Signature(sorts, preds)
+
+
+def _rand_any_formula(rng, sig, depth):
+    """A formula over sig that is mostly, but not always, well sorted."""
+    roll = rng.random()
+    if roll < 0.02:
+        return rng.choice((Atom("P"), "P", None, logic.Formula()))
+    if depth <= 0 or roll < 0.3:
+        name = rng.choice(PRED_POOL if rng.random() < 0.1
+                          else sorted(sig.predicates))
+        arity = sig.predicates.get(name, ())
+        n = len(arity) if rng.random() < 0.85 else rng.randint(0, 3)
+        return Pred(name, tuple(rng.choice(VAR_POOL) for _ in range(n)))
+    cls = rng.choice((Neg, Neg, And, Or, Impl, CoImpl, Forall, Exists))
+    if cls is Neg:
+        return Neg(_rand_any_formula(rng, sig, depth - 1))
+    if cls is Forall or cls is Exists:
+        sorts = sorted(sig.sorts) if rng.random() < 0.9 else ["z"]
+        return cls(rng.choice(VAR_POOL), rng.choice(sorts),
+                   _rand_any_formula(rng, sig, depth - 1))
+    return cls(_rand_any_formula(rng, sig, depth - 1),
+               _rand_any_formula(rng, sig, depth - 1))
+
+
+def _outcome(fn, *args):
+    """What fn returns, sorts in their order and each context and type
+    also printed, or the error it raises, by class and text."""
+    try:
+        value = fn(*args)
+    except TypeTheoryError as e:
+        return type(e).__name__, str(e)
+    if isinstance(value, dict):
+        return "ok", list(value.items())
+    if isinstance(value, Context):
+        value = value, None
+    if isinstance(value, tuple):
+        ctx, ty = value
+        return ("ok", ctx.entries, context_str(ctx), ty,
+                None if ty is None else type_str(ty))
+    return "ok", value
+
+
+ERROR_KINDS = ("undeclared predicate", "expects", "used at sorts",
+               "undeclared sort", "not a formula")
+
+
+class TestTranslateOracle:
+    """check_sorts, translate, translation_context and strong_equiv_check
+    give what the separate walks of translate_oracle give."""
+
+    def _compare(self, sig, f, g):
+        """Compare the four on f and g; return what strong_equiv_check
+        gives, its verdict or the kind of error."""
+        for name, args in (("check_sorts", (f,)), ("translate", (f,)),
+                           ("translation_context", (f, g)),
+                           ("strong_equiv_check", (f, g))):
+            got = _outcome(getattr(logic, name), sig, *args)
+            want = _outcome(getattr(translate_oracle, name), sig, *args)
+            assert got == want, (name, sig, args)
+        status, value = got
+        if status != "SortError":
+            return value if status == "ok" else status
+        return next(kind for kind in ERROR_KINDS if kind in value)
+
+    def test_well_sorted_formulas(self):
+        rng = random.Random(2204)
+        verdicts = set()
+        for _ in range(600):
+            f = rand_formula(rng, rng.randint(0, 5))
+            g = rng.choice((formula_nnf(f), Neg(Neg(f)),
+                            rand_formula(rng, rng.randint(0, 3))))
+            verdicts.add(self._compare(STD_SIG, f, g))
+        assert verdicts == {True, False}
+
+    def test_malformed_formulas(self):
+        rng = random.Random(3882)
+        seen = set()
+        for _ in range(2400):
+            sig = _rand_signature(rng)
+            f = _rand_any_formula(rng, sig, rng.randint(0, 4))
+            g = rng.choice((f, Neg(Neg(f)),
+                            _rand_any_formula(rng, sig, rng.randint(0, 3))))
+            seen.add(self._compare(sig, f, g))
+        # a name that is a sort and a predicate of arity 1 or 2 is declared
+        # last as the predicate, so a quantifier over it is ill formed
+        assert seen == {True, False, "IllFormedType", *ERROR_KINDS}
+
+    def test_hand_picked_cases(self):
+        sig = Signature({"s", "x1"}, {"P": (), "Q": (), "R": ("s",),
+                                      "S": ("x1", "s")})
+        R, S = (lambda v: Pred("R", (v,))), (lambda *v: Pred("S", v))
+        cases = [
+            (Pred("U"), Pred("P")),                     # undeclared
+            (Pred("R"), Pred("P")),                     # wrong arity
+            (Forall("u", "z", R("u")), Pred("P")),      # undeclared sort
+            (And(R("u"), S("u", "v")), Pred("P")),      # two sorts in one
+            (R("u"), S("u", "v")),                      # two sorts across
+            (And(R("u"), Forall("u", "x1", S("u", "v"))), R("v")),
+            (Impl(Pred("P"), Atom("P")), Pred("P")),    # not a formula
+            (Exists("x1", "x1", S("x1", "x2")), R("x2")),
+            (Neg(Forall("u", "s", R("u"))), Exists("u", "s", Neg(R("u")))),
+            (Neg(Impl(P, Q)), And(P, Neg(Q))),  # a false verdict
+        ]
+        for f, g in cases:
+            self._compare(sig, f, g)
+            self._compare(sig, g, f)
 
 
 # Names and argument types for scripts heavy in declarations: repeated
