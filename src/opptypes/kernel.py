@@ -25,6 +25,7 @@ term whose inferred type is equivalent to the goal (see duality.equiv).
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple, Union
@@ -252,7 +253,7 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
         premises = []
         inst = {}
         for (tvar, sort), arg in zip(decl.telescope, A.args):
-            premises.append(check(ctx, arg, subst(sort, inst)))
+            premises.append(_check(ctx, arg, subst(sort, inst)))
             inst[tvar] = arg
         rule = "atom-form" if decl.universe is u else "atom-form-lift"
         return Derivation(rule, conc, tuple(premises))
@@ -345,13 +346,35 @@ _PAIR_RULES = {Prod: "prod", CoFun: "cofun", Sigma: "sigma"}
 # Bidirectional checking
 # ---------------------------------------------------------------------------
 
+# a weak reference to the derivation check returned last (see check)
+_last = [lambda: None]
+
+
 def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
     """Derivation of ctx |- t : A.
 
     Expects A to be well formed (see check_formation); introductions are
     checked against the normal form of A, eliminations are inferred and
     their type compared up to equivalence.
+
+    Asked again with the very objects (is, not ==) of the judgment it
+    proved last, check returns the derivation it gave then, which it
+    holds only weakly.  Contexts, terms and types are immutable, so the
+    same three objects have the same derivation.
     """
+    d = _last[0]()
+    if d is not None:
+        c = d.conclusion
+        if c.ctx is ctx and c.term is t and c.type is A:
+            return d
+    d = _check(ctx, t, A)
+    _last[0] = weakref.ref(d)
+    return d
+
+
+def _check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
+    """check without the memo: the kernel's own typings go through here,
+    so they neither add a Python frame a level nor displace the slot."""
     goal = onf(A)
     conc = Typing(ctx, t, A)
 
@@ -368,14 +391,14 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         _, cod = components(goal, Var(var))
         rule = "fun-intro" if isinstance(goal, Fun) else "pi-intro"
         return Derivation(
-            rule, conc, (check(ctx.extended(TermDecl(var, dom)), body, cod),))
+            rule, conc, (_check(ctx.extended(TermDecl(var, dom)), body, cod),))
 
     if isinstance(t, Pair):
         if isinstance(goal, (Prod, CoFun, Sigma)):
             c1, c2 = components(goal, t.fst)
             rule = f"{_PAIR_RULES[type(goal)]}-intro"
-            d1 = check(ctx, t.fst, c1)
-            d2 = check(ctx, t.snd, c2)
+            d1 = _check(ctx, t.fst, c1)
+            d2 = _check(ctx, t.snd, c2)
             return Derivation(rule, conc, (d1, d2))
         raise TypeMismatch(
             f"a pair cannot have type {goal}", expected=goal, actual=None)
@@ -384,7 +407,7 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         side = "left" if isinstance(t, Inl) else "right"
         if isinstance(goal, Sum):
             return Derivation(f"sum-intro-{side}", conc,
-                              (check(ctx, t.arg, getattr(goal, side)),))
+                              (_check(ctx, t.arg, getattr(goal, side)),))
         raise TypeMismatch(
             f"a {side} injection cannot have type {goal}",
             expected=goal, actual=None)
@@ -393,13 +416,13 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         dscrut, branches = _open_elim(ctx, t, goal)
         premises = [dscrut]
         for ctx2, _, (body,) in branches:
-            premises.append(check(ctx2, body, goal))
+            premises.append(_check(ctx2, body, goal))
         rule = "sum-elim" if isinstance(t, Case) else "sigma-elim"
         return Derivation(rule, conc, tuple(premises))
 
     if isinstance(t, Ann):
         df = check_formation(ctx, t.type, U0)
-        dt = check(ctx, t.term, t.type)
+        dt = _check(ctx, t.term, t.type)
         if not equiv(onf(t.type), goal):
             raise TypeMismatch(
                 f"annotation {onf(t.type)} does not match expected {goal}",
@@ -480,7 +503,7 @@ def _infer(ctx: Context, t: TermExpr):
 
     if isinstance(t, Ann):
         df = check_formation(ctx, t.type, U0)
-        dt = check(ctx, t.term, t.type)
+        dt = _check(ctx, t.term, t.type)
         nf = onf(t.type)
         return nf, Derivation("ann", Typing(ctx, t, nf), (df, dt))
 
@@ -489,7 +512,7 @@ def _infer(ctx: Context, t: TermExpr):
         if not isinstance(fty, (Fun, Pi)):
             raise TypeMismatch(f"cannot apply a term of type {fty}",
                                expected=None, actual=fty)
-        da = check(ctx, t.arg, halves(fty)[0])
+        da = _check(ctx, t.arg, halves(fty)[0])
         _, res = components(fty, t.arg)
         rule = "fun-elim" if isinstance(fty, Fun) else "pi-elim"
         return res, Derivation(rule, Typing(ctx, t, res), (df, da))
@@ -556,16 +579,16 @@ def _infer(ctx: Context, t: TermExpr):
 def term_equal(ctx: Context, t: TermExpr, u: TermExpr, A: TypeExpr) -> bool:
     """Definitional term equality at type A.
 
-    Both terms are checked against A first (errors propagate), then
-    reduced to normal form and compared type-directed.  The theory is
-    beta, the identity contractions of case and split (see
-    normalize_term), and eta at function-like types (Fun, Pi; compared by
-    applying to a fresh variable) and at pair-like types (Prod, Sigma,
-    and CoFun, which opposites of function types become; compared by
-    projections).  At sums and atoms terms are compared structurally:
-    there is no eta at sums and no commuting conversion, so a case at a
-    function type is not equal to the case of its branches' eta
-    expansions.
+    Like check, expects A to be well formed.  Both terms are checked
+    against A first (errors propagate), then reduced to normal form and
+    compared type-directed.  The theory is beta, the identity
+    contractions of case and split (see normalize_term), and eta at
+    function-like types (Fun, Pi; compared by applying to a fresh
+    variable) and at pair-like types (Prod, Sigma, and CoFun, which
+    opposites of function types become; compared by projections).  At
+    sums and atoms terms are compared structurally: there is no eta at
+    sums and no commuting conversion, so a case at a function type is not
+    equal to the case of its branches' eta expansions.
     """
     check(ctx, t, A)
     check(ctx, u, A)
@@ -653,8 +676,8 @@ def recheck(d: Derivation) -> bool:
     normal form).  A premise the rule needs inferred, such as an applied
     function, a projected pair or a scrutinee, must come from a rule that
     infers.  TypeEq and TermEq nodes are decided by type and term
-    equality.  The walk keeps its own stack, so a deep derivation adds
-    no Python frames.
+    equality, a TermEq node once its type is formed in its context.  The
+    walk keeps its own stack, so a deep derivation adds no Python frames.
 
     A root that concludes a typing must also have a type formed in its
     context, checked once: check takes its goal as formed, and no rule
@@ -666,11 +689,7 @@ def recheck(d: Derivation) -> bool:
     """
     c = getattr(d, "conclusion", None)
     if type(c) is Typing and type(c.ctx) is Context:
-        try:
-            check_formation(c.ctx, c.type, U0)
-        except TypeTheoryError as e:
-            raise InvalidDerivation(
-                f"the root's type is not formed: {e}") from None
+        _type_formed(c, "the root's type")
     # each entry is a node, the normal form of its type when the parent
     # has computed it, and whether the parent needs its typing inferred
     todo = [(d, None, False)]
@@ -689,10 +708,20 @@ def _bad(d: Derivation, why: str):
     raise InvalidDerivation(f"rule {d.rule}: {why}")
 
 
+def _type_formed(c, what: str):
+    """Raise InvalidDerivation unless the type of judgment c is formed in
+    c's context."""
+    try:
+        check_formation(c.ctx, c.type, U0)
+    except TypeTheoryError as e:
+        raise InvalidDerivation(f"{what} is not formed: {e}") from None
+
+
 def _judgment(d: Derivation, form, n: int):
     """d's conclusion, checked to be of the given form, from n premises."""
     c = d.conclusion
-    if type(c) is not form or (form is Typing and type(c.ctx) is not Context):
+    if type(c) is not form or (form in (Typing, TermEq)
+                               and type(c.ctx) is not Context):
         _bad(d, f"does not conclude a {form.__name__} judgment")
     if len(d.premises) != n:
         _bad(d, f"has {len(d.premises)} premise(s), not {n}")
@@ -965,7 +994,10 @@ def _duality_principle(d, nf, infer):
 
 
 def _term_eq(d, nf, infer):
+    """term_equal expects its type formed, as check does, so the node's
+    type is formed first."""
     c = _judgment(d, TermEq, 0)
+    _type_formed(c, f"rule {d.rule}: the type")
     if not term_equal(c.ctx, c.left, c.right, c.type):
         _bad(d, f"term equality does not hold at {c.type}")
     return ()

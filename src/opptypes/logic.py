@@ -269,8 +269,12 @@ def formula_nnf(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 def strong_equiv_check(sig: Signature, f: Formula, g: Formula) -> bool:
-    """True iff the translations of f and g are type-equal and so are the
-    translations of their negations.
+    """True iff the translations of f and g are type-equal, and so the
+    translations of their negations are too.
+
+    The negations need no comparison of their own: the normal form of ~A
+    is read off that of A (see duality.onf), so type-equal translations
+    always have type-equal opposites.
 
     This is sound for strong equivalence through the correspondence but
     deliberately incomplete: it is a normal-form comparison, not a proof
@@ -278,4 +282,4 @@ def strong_equiv_check(sig: Signature, f: Formula, g: Formula) -> bool:
     rejected here because A * A and A are not equal types.
     """
     ctx, (A, B) = _translation(sig, (f, g))
-    return type_equal(ctx, A, B) and type_equal(ctx, Opp(A), Opp(B))
+    return type_equal(ctx, A, B)

@@ -1,7 +1,9 @@
 """Judgment checking: formation, typing, equality, derivation soundness."""
 
+import gc
 import random
 import time
+import weakref
 from dataclasses import replace
 from itertools import combinations, islice, product
 from pathlib import Path
@@ -291,6 +293,64 @@ class TestCheck:
     def test_lambda_domain_annotation_checked(self):
         with pytest.raises(TypeMismatch):
             check(std_ctx(), parse_term("\\x:b. x"), parse_type("a -> a"))
+
+
+class TestCheckMemo:
+    """check returns the derivation it gave last when asked again with the
+    very same objects, and holds it weakly."""
+
+    def _judgment(self):
+        ctx = ctx_with(("x", "~(a->b)"))
+        return ctx, parse_term("<p1 x, p2 x>"), parse_type("a * ~b")
+
+    def test_same_objects_give_the_same_derivation(self):
+        ctx, t, A = self._judgment()
+        d = check(ctx, t, A)
+        assert check(ctx, t, A) is d
+        assert recheck(check(ctx, t, A))
+
+    def test_equal_objects_give_a_fresh_derivation(self):
+        ctx, t, A = self._judgment()
+        d = check(ctx, t, A)
+        for args in ((Context(ctx.entries), t, A),
+                     (ctx, parse_term("<p1 x, p2 x>"), A),
+                     (ctx, t, parse_type("a * ~b"))):
+            assert args == (ctx, t, A)
+            fresh = check(*args)
+            assert fresh is not d and fresh == d
+            d = fresh
+
+    def test_a_failed_judgment_is_not_remembered(self):
+        ctx, t, A = self._judgment()
+        d = check(ctx, t, A)
+        bad = parse_type("a * b")
+        for _ in range(2):
+            with pytest.raises(TypeMismatch):
+                check(ctx, t, bad)
+        assert check(ctx, t, A) is d
+
+    def test_the_slot_keeps_nothing_alive(self):
+        ctx, t, A = self._judgment()
+        ref = weakref.ref(check(ctx, t, A))
+        gc.collect()
+        assert ref() is None
+        assert recheck(check(ctx, t, A))
+
+    def test_term_equal_checks_the_first_term_after_a_hit(self):
+        ctx, t, A = self._judgment()
+        check(ctx, t, A)
+        with pytest.raises(TypeMismatch):
+            term_equal(ctx, parse_term("<p2 x, p1 x>"), t, A)
+        assert term_equal(ctx, t, parse_term("<p1 x, p2 x>"), A)
+
+    def test_internal_typings_keep_the_slot(self):
+        # recheck forms the root's type, typing the family argument y of
+        # p(y) on the way; that must not displace the typing just proved
+        ctx = ctx_with(("y", "a"), ("w", "p(y)"))
+        t, A = Var("w"), parse_type("~~p(y)")
+        d = check(ctx, t, A)
+        assert recheck(d)
+        assert check(ctx, t, A) is d
 
 
 class TestInfer:
@@ -960,6 +1020,19 @@ class TestRecheck:
         with pytest.raises(InvalidDerivation):
             recheck(Derivation("term-equal", TermEq(ctx, t, Var("z"), A)))
 
+    def test_term_equality_node_needs_a_formed_type(self):
+        # term_equal takes its type as formed, as check does, so the node
+        # is rejected although both sides are the same term
+        ctx = declare_type_const(EMPTY, "a")
+        t, A = parse_term("\\y:zzz. y"), parse_type("zzz -> zzz")
+        with pytest.raises(IllFormedType, match="unbound type constant"):
+            check_formation(ctx, A, U0)
+        with pytest.raises(InvalidDerivation,
+                           match="unbound type constant: zzz"):
+            recheck(Derivation("term-equal", TermEq(ctx, t, t, A), ()))
+        with pytest.raises(InvalidDerivation, match="TermEq"):
+            recheck(Derivation("term-equal", TermEq(None, t, t, A), ()))
+
     def test_recheck_derives_nothing_again(self, corpus, monkeypatch):
         # the one judgment recheck derives is the formation of the root's
         # type, which no node of the tree states; while it runs, the
@@ -984,7 +1057,8 @@ class TestRecheck:
                 inside.pop()
 
         formation = kernel.check_formation
-        for name in ("check", "_infer", "open_binders", "term_equal"):
+        for name in ("check", "_check", "_infer", "open_binders",
+                     "term_equal"):
             monkeypatch.setattr(kernel, name,
                                 guarded(name, getattr(kernel, name)))
         monkeypatch.setattr(kernel, "check_formation", root_formation)

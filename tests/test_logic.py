@@ -133,6 +133,21 @@ class TestStrongEquiv:
             f = rand_formula(rng, rng.randint(0, 4))
             assert strong_equiv_check(STD_SIG, f, formula_nnf(f))
 
+    def test_equal_translations_have_equal_opposites(self):
+        # why strong_equiv_check compares the translations alone
+        rng = random.Random(1604)
+        equal = 0
+        for _ in range(2000):
+            f = rand_formula(rng, rng.randint(0, 4))
+            g = rng.choice((formula_nnf(f), Neg(Neg(f)),
+                            rand_formula(rng, rng.randint(0, 4))))
+            ctx, A = translate(STD_SIG, f)
+            B = translate(STD_SIG, g)[1]
+            if type_equal(ctx, A, B):
+                equal += 1
+                assert type_equal(ctx, Opp(A), Opp(B)), (f, g)
+        assert equal > 500
+
 
 # Names for signatures and formulas that are often ill sorted: a sort
 # named x1 (the first telescope variable), a predicate and a sort left
