@@ -59,6 +59,8 @@ def _operand(given, count: int = 1):
         if len(given) == count:
             return given
         if given:
+            print(f"error: expected {count} operands, got {len(given)}",
+                  file=sys.stderr)
             raise SystemExit(2)
         raw = [ln.strip() for ln in sys.stdin.read().splitlines()
                if ln.strip()]

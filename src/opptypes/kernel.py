@@ -226,9 +226,10 @@ class Derivation:
 # Type formation
 # ---------------------------------------------------------------------------
 
-_FORM_RULES = {Fun: "fun-form", CoFun: "cofun-form", Prod: "prod-form",
-               Sum: "sum-form", Pi: "pi-form", Sigma: "sigma-form",
-               Opp: "opp-form"}
+# rule-name stems: the rules of a constructor's types are <stem>-form,
+# <stem>-intro, <stem>-elim and <stem>-elim-<side>
+_STEM = {Fun: "fun", CoFun: "cofun", Prod: "prod", Sum: "sum", Pi: "pi",
+         Sigma: "sigma", Opp: "opp"}
 
 
 def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
@@ -283,7 +284,7 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
                     ctx.names, (A.var,), [(sub, (A.var,))], [A.gen])
                 inner = ctx.extended(TermDecl(var, A.gen))
             premises.append(check_formation(inner, sub, u))
-        return Derivation(_FORM_RULES[type(A)], conc, tuple(premises))
+        return Derivation(f"{_STEM[type(A)]}-form", conc, tuple(premises))
     raise IllFormedType(f"not a type: {A!r}")
 
 
@@ -338,10 +339,6 @@ def check_duality_principle(A: TypeExpr, ctx=None):
                       tuple(premises))
 
 
-# rule-name stems of the pair-like constructors
-_PAIR_RULES = {Prod: "prod", CoFun: "cofun", Sigma: "sigma"}
-
-
 # ---------------------------------------------------------------------------
 # Bidirectional checking
 # ---------------------------------------------------------------------------
@@ -389,17 +386,15 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         (var,), (body,) = open_binders(ctx.names, (t.var,),
                                        ((t.body, (t.var,)),), (dom,))
         _, cod = components(goal, Var(var))
-        rule = "fun-intro" if isinstance(goal, Fun) else "pi-intro"
-        return Derivation(
-            rule, conc, (_check(ctx.extended(TermDecl(var, dom)), body, cod),))
+        d = _check(ctx.extended(TermDecl(var, dom)), body, cod)
+        return Derivation(f"{_STEM[type(goal)]}-intro", conc, (d,))
 
     if isinstance(t, Pair):
         if isinstance(goal, (Prod, CoFun, Sigma)):
             c1, c2 = components(goal, t.fst)
-            rule = f"{_PAIR_RULES[type(goal)]}-intro"
             d1 = _check(ctx, t.fst, c1)
             d2 = _check(ctx, t.snd, c2)
-            return Derivation(rule, conc, (d1, d2))
+            return Derivation(f"{_STEM[type(goal)]}-intro", conc, (d1, d2))
         raise TypeMismatch(
             f"a pair cannot have type {goal}", expected=goal, actual=None)
 
@@ -413,11 +408,10 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
             expected=goal, actual=None)
 
     if isinstance(t, (Case, Split)):
-        dscrut, branches = _open_elim(ctx, t, goal)
+        rule, dscrut, branches = _open_elim(ctx, t, goal)
         premises = [dscrut]
         for ctx2, _, (body,) in branches:
             premises.append(_check(ctx2, body, goal))
-        rule = "sum-elim" if isinstance(t, Case) else "sigma-elim"
         return Derivation(rule, conc, tuple(premises))
 
     if isinstance(t, Ann):
@@ -439,8 +433,8 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
 
 
 def _open_elim(ctx: Context, t: Union[Case, Split], goal=None):
-    """Derivation of a case or split scrutinee, and t's opened branches
-    (see _open_branches)."""
+    """The rule that eliminates t's scrutinee, the scrutinee's derivation,
+    and t's opened branches (see _open_branches)."""
     styp, dscrut = _infer(ctx, t.scrut)
     if isinstance(t, Case) and not isinstance(styp, Sum):
         raise TypeMismatch(
@@ -450,7 +444,8 @@ def _open_elim(ctx: Context, t: Union[Case, Split], goal=None):
         raise TypeMismatch(
             f"split scrutinee must have a dependent-pair-shaped type, "
             f"got {styp}", expected=None, actual=styp)
-    return dscrut, _open_branches(ctx, styp, (t,), goal)
+    return (f"{_STEM[type(styp)]}-elim", dscrut,
+            _open_branches(ctx, styp, (t,), goal))
 
 
 def _open_branches(ctx: Context, styp: TypeExpr, elims, goal=None):
@@ -514,8 +509,8 @@ def _infer(ctx: Context, t: TermExpr):
                                expected=None, actual=fty)
         da = _check(ctx, t.arg, halves(fty)[0])
         _, res = components(fty, t.arg)
-        rule = "fun-elim" if isinstance(fty, Fun) else "pi-elim"
-        return res, Derivation(rule, Typing(ctx, t, res), (df, da))
+        return res, Derivation(f"{_STEM[type(fty)]}-elim",
+                               Typing(ctx, t, res), (df, da))
 
     if isinstance(t, (Proj1, Proj2)):
         sty, d = _infer(ctx, t.arg)
@@ -527,11 +522,11 @@ def _infer(ctx: Context, t: TermExpr):
             res, side = halves(sty)[0], 1
         else:
             res, side = components(sty, Proj1(t.arg))[1], 2
-        rule = f"{_PAIR_RULES[type(sty)]}-elim-{side}"
-        return res, Derivation(rule, Typing(ctx, t, res), (d,))
+        return res, Derivation(f"{_STEM[type(sty)]}-elim-{side}",
+                               Typing(ctx, t, res), (d,))
 
     if isinstance(t, (Case, Split)):
-        dscrut, branches = _open_elim(ctx, t)
+        rule, dscrut, branches = _open_elim(ctx, t)
         types, premises, escaped = [], [dscrut], False
         for ctx2, names, (body,) in branches:
             ty, d = _infer(ctx2, body)
@@ -549,7 +544,6 @@ def _infer(ctx: Context, t: TermExpr):
             raise TypeMismatch(
                 f"case branches have different types: {ty} vs {types[1]}",
                 expected=ty, actual=types[1])
-        rule = "sum-elim" if isinstance(t, Case) else "sigma-elim"
         return ty, Derivation(rule, Typing(ctx, t, ty), tuple(premises))
 
     if isinstance(t, Lam):
@@ -558,8 +552,8 @@ def _infer(ctx: Context, t: TermExpr):
                                        [(t.body, (t.var,))], [t.dom])
         bty, db = _infer(ctx.extended(TermDecl(var, t.dom)), body)
         res = onf(Pi(var, t.dom, bty))
-        rule = "pi-intro" if isinstance(res, Pi) else "fun-intro"
-        return res, Derivation(rule, Typing(ctx, t, res), (df, db))
+        return res, Derivation(f"{_STEM[type(res)]}-intro",
+                               Typing(ctx, t, res), (df, db))
 
     if isinstance(t, Pair):
         raise NonInferableTerm(
@@ -673,48 +667,47 @@ def recheck(d: Derivation) -> bool:
     rule fixes the judgment form, the number of premises, their contexts
     (the node's own, or it extended by fresh term declarations), their
     terms (up to renaming of what the rule binds) and their types (up to
-    normal form).  A premise the rule needs inferred, such as an applied
-    function, a projected pair or a scrutinee, must come from a rule that
-    infers.  TypeEq and TermEq nodes are decided by type and term
-    equality, a TermEq node once its type is formed in its context.  The
-    walk keeps its own stack, so a deep derivation adds no Python frames.
+    normal form), and each node reads its own type from its conclusion.
+    A premise the rule needs inferred, such as an applied function, a
+    projected pair or a scrutinee, must come from a rule that infers.
+    TypeEq and TermEq nodes are decided by type and term equality, a
+    TermEq node once its type is formed in its context.  The walk keeps
+    its own stack, so a deep derivation adds no Python frames.
 
     A root that concludes a typing must also have a type formed in its
     context, checked once: check takes its goal as formed, and no rule
     checks a premise's type for formation, so a binder could otherwise
     capture a variable the goal leaves unbound.
 
-    Raises InvalidDerivation at the first node that does not follow, so
-    a True result means the whole tree is sound evidence.
+    Every failure is an InvalidDerivation that names the first node
+    that does not follow, so True means the whole tree is sound evidence.
     """
-    c = getattr(d, "conclusion", None)
-    if type(c) is Typing and type(c.ctx) is Context:
-        _type_formed(c, "the root's type")
-    # each entry is a node, the normal form of its type when the parent
-    # has computed it, and whether the parent needs its typing inferred
-    todo = [(d, None, False)]
-    while todo:
-        d, nf, infer = todo.pop()
-        if type(d) is not Derivation:
-            raise InvalidDerivation(f"not a derivation: {d!r}")
-        rule = _RULES.get(d.rule)
-        if rule is None:
-            raise InvalidDerivation(f"unknown rule {d.rule!r}")
-        todo.extend(rule(d, nf, infer))
+    node = None
+    try:
+        c = getattr(d, "conclusion", None)
+        if type(c) is Typing and type(c.ctx) is Context:
+            check_formation(c.ctx, c.type, U0)
+        # a node, and whether its parent needs its typing inferred
+        todo = [(d, False)]
+        while todo:
+            node, infer = todo.pop()
+            if type(node) is not Derivation:
+                raise InvalidDerivation(f"not a derivation: {node!r}")
+            rule = _RULES.get(node.rule)
+            if rule is None:
+                raise InvalidDerivation(f"unknown rule {node.rule!r}")
+            todo.extend(rule(node, infer))
+    except InvalidDerivation:
+        raise
+    except TypeTheoryError as e:
+        where = ("the root's type is not formed" if node is None
+                 else f"rule {node.rule}")
+        raise InvalidDerivation(f"{where}: {e}") from None
     return True
 
 
 def _bad(d: Derivation, why: str):
     raise InvalidDerivation(f"rule {d.rule}: {why}")
-
-
-def _type_formed(c, what: str):
-    """Raise InvalidDerivation unless the type of judgment c is formed in
-    c's context."""
-    try:
-        check_formation(c.ctx, c.type, U0)
-    except TypeTheoryError as e:
-        raise InvalidDerivation(f"{what} is not formed: {e}") from None
 
 
 def _judgment(d: Derivation, form, n: int):
@@ -728,13 +721,13 @@ def _judgment(d: Derivation, form, n: int):
     return c
 
 
-def _typing(d: Derivation, nf, terms, n: int):
+def _typing(d: Derivation, terms, n: int):
     """The term of d's typing conclusion, checked to be of class terms,
     and the normal form of its type."""
     c = _judgment(d, Typing, n)
     if not isinstance(c.term, terms):
         _bad(d, f"does not apply to {c.term}")
-    return c.term, onf(c.type) if nf is None else nf
+    return c.term, onf(c.type)
 
 
 def _premise(d: Derivation, i: int, form, opened: int = 0):
@@ -774,7 +767,7 @@ def _typed_as(d: Derivation, i: int, term, nf):
     pc, _ = _typed(d, i, term)
     if not _has_nf(pc.type, nf):
         _bad(d, f"premise {i + 1} has type {pc.type}, not {nf}")
-    return d.premises[i], nf, False
+    return d.premises[i], False
 
 
 def _checks(d: Derivation, infer: bool):
@@ -793,10 +786,10 @@ def _formed(d: Derivation, i: int, A: TypeExpr, u: Universe):
     if pc.universe is not u or not alpha_eq(pc.type, A):
         _bad(d, f"premise {i + 1} forms {pc.type} in {pc.universe}, "
              f"not {A} in {u}")
-    return d.premises[i], None, False
+    return d.premises[i], False
 
 
-def _atom_form(lift: bool, d, nf, infer):
+def _atom_form(lift: bool, d, infer):
     c = d.conclusion
     if type(c) is not Formation or type(c.type) is not Atom:
         _bad(d, "does not form an atom")
@@ -816,7 +809,7 @@ def _atom_form(lift: bool, d, nf, infer):
     return todo
 
 
-def _formation(cls, d, nf, infer):
+def _formation(cls, d, infer):
     """The formation rule of a constructor: its premises form the
     subtrees of SCOPES[cls], a binder's body under its generating type."""
     c = _judgment(d, Formation, len(SCOPES[cls]))
@@ -834,46 +827,46 @@ def _formation(cls, d, nf, infer):
         if not (pc.universe is U0 and alpha_eq(decl.type, A.gen)
                 and alpha_eq(cls(decl.name, A.gen, pc.type), A)):
             _bad(d, f"premise {i + 1} does not form the body of {A}")
-        todo.append((d.premises[i], None, False))
+        todo.append((d.premises[i], False))
     return todo
 
 
-def _var(d, nf, infer):
-    t, goal = _typing(d, nf, Var, 0)
+def _var(d, infer):
+    t, goal = _typing(d, Var, 0)
     ty = d.conclusion.ctx.lookup_term(t.name)
     if ty is None or not _has_nf(ty, goal):
         _bad(d, f"{t} is not declared at type {goal}")
     return ()
 
 
-def _ann(d, nf, infer):
-    t, goal = _typing(d, nf, Ann, 2)
+def _ann(d, infer):
+    t, goal = _typing(d, Ann, 2)
     ann = onf(t.type)
     if not (alpha_eq(ann, goal) if infer else equiv(ann, goal)):
         _bad(d, f"annotation {ann} does not match {goal}")
     return _formed(d, 0, t.type, U0), _typed_as(d, 1, t.term, ann)
 
 
-def _conv(d, nf, infer):
-    t, goal = _typing(d, nf, (Var, App, Proj1, Proj2), 1)
+def _conv(d, infer):
+    t, goal = _typing(d, (Var, App, Proj1, Proj2), 1)
     _checks(d, infer)
     pc, _ = _typed(d, 0, t)
     ity = onf(pc.type)
     if not equiv(ity, goal):
         _bad(d, f"cannot convert {ity} to {goal}")
-    return [(d.premises[0], ity, True)]
+    return [(d.premises[0], True)]
 
 
-def _lam(kind, d, nf, infer):
+def _lam(kind, d, infer):
     """fun-intro and pi-intro: checked from one premise, the body under
     the goal's domain, or inferred from two, the domain's formation and
     the body's inferred type."""
     inferred = len(d.premises) == 2
-    t, goal = _typing(d, nf, Lam, 2 if inferred else 1)
+    t, goal = _typing(d, Lam, 2 if inferred else 1)
     body, (decl,) = _typed(d, int(inferred), None, 1)
+    bty = onf(body.type)
     if inferred:
         dom = onf(t.dom)
-        bty = onf(body.type)
         rebuilt = onf(Pi(decl.name, dom, bty))
         todo = [_formed(d, 0, t.dom, U0)]
     else:
@@ -883,19 +876,18 @@ def _lam(kind, d, nf, infer):
         dom, gvar, cod = halves(goal)
         if not equiv(onf(t.dom), dom):
             _bad(d, f"lambda domain {onf(t.dom)} does not match {dom}")
-        bty = cod if body.type is cod else onf(body.type)
         rebuilt = Fun(dom, bty) if gvar is None else Pi(decl.name, dom, bty)
         todo = []
     if not (type(rebuilt) is kind and alpha_eq(rebuilt, goal)
             and _has_nf(decl.type, dom)
             and alpha_eq(Lam(decl.name, t.dom, body.term), t)):
         _bad(d, f"the body premise does not give {t} type {goal}")
-    todo.append((d.premises[-1], bty, inferred))
+    todo.append((d.premises[-1], inferred))
     return todo
 
 
-def _pair(cls, d, nf, infer):
-    t, goal = _typing(d, nf, Pair, 2)
+def _pair(cls, d, infer):
+    t, goal = _typing(d, Pair, 2)
     _checks(d, infer)
     if type(goal) is not cls:
         _bad(d, f"cannot check a pair against {goal}")
@@ -903,22 +895,22 @@ def _pair(cls, d, nf, infer):
     return _typed_as(d, 0, t.fst, c1), _typed_as(d, 1, t.snd, c2)
 
 
-def _inj(cls, d, nf, infer):
-    t, goal = _typing(d, nf, cls, 1)
+def _inj(cls, d, infer):
+    t, goal = _typing(d, cls, 1)
     _checks(d, infer)
     if type(goal) is not Sum:
         _bad(d, f"cannot check an injection against {goal}")
     return [_typed_as(d, 0, t.arg, goal.left if cls is Inl else goal.right)]
 
 
-def _elim(cls, d, nf, infer):
+def _elim(cls, d, infer):
     """sum-elim and sigma-elim: the scrutinee's inferred typing, then
     each branch at the node's type, checked or, when the node's typing
     is to be inferred, inferred at a type free of the bound variables."""
-    t, goal = _typing(d, nf, cls, 3 if cls is Case else 2)
+    t, goal = _typing(d, cls, 3 if cls is Case else 2)
     scrut, _ = _typed(d, 0, t.scrut)
     styp = onf(scrut.type)
-    todo = [(d.premises[0], styp, True)]
+    todo = [(d.premises[0], True)]
     if cls is Case and type(styp) is Sum:
         (l, (dl,)), (r, (dr,)) = _typed(d, 1, None, 1), _typed(d, 2, None, 1)
         ok = (_has_nf(dl.type, styp.left) and _has_nf(dr.type, styp.right)
@@ -941,12 +933,12 @@ def _elim(cls, d, nf, infer):
             _bad(d, f"branch {i} does not have type {goal}")
         if not escaping.isdisjoint(names):
             _bad(d, f"the type of branch {i} mentions its bound variable")
-        todo.append((d.premises[i], goal, infer))
+        todo.append((d.premises[i], infer))
     return todo
 
 
-def _app(kind, d, nf, infer):
-    t, goal = _typing(d, nf, App, 2)
+def _app(kind, d, infer):
+    t, goal = _typing(d, App, 2)
     fn, _ = _typed(d, 0, t.fn)
     fty = onf(fn.type)
     if type(fty) is not kind:
@@ -954,11 +946,11 @@ def _app(kind, d, nf, infer):
     dom, res = components(fty, t.arg)
     if not alpha_eq(res, goal):
         _bad(d, f"{t} has type {res}, not {goal}")
-    return (d.premises[0], fty, True), _typed_as(d, 1, t.arg, dom)
+    return (d.premises[0], True), _typed_as(d, 1, t.arg, dom)
 
 
-def _proj(cls, proj, d, nf, infer):
-    t, goal = _typing(d, nf, proj, 1)
+def _proj(cls, proj, d, infer):
+    t, goal = _typing(d, proj, 1)
     pc, _ = _typed(d, 0, t.arg)
     sty = onf(pc.type)
     if type(sty) is not cls:
@@ -967,17 +959,17 @@ def _proj(cls, proj, d, nf, infer):
            else components(sty, Proj1(t.arg))[1])
     if not alpha_eq(res, goal):
         _bad(d, f"{t} has type {res}, not {goal}")
-    return [(d.premises[0], sty, True)]
+    return [(d.premises[0], True)]
 
 
-def _onf_eq(d, nf, infer):
+def _onf_eq(d, infer):
     c = _judgment(d, TypeEq, 0)
     if not _type_equal(c.left, c.right):
         _bad(d, f"type equality {c.left} = {c.right} does not hold")
     return ()
 
 
-def _duality_principle(d, nf, infer):
+def _duality_principle(d, infer):
     """A = ~(dual A), from A's formation when there is a context, and
     two type equalities that give A and ~(dual A) one normal form."""
     n = 2 if getattr(d.conclusion, "ctx", None) is None else 3
@@ -990,14 +982,14 @@ def _duality_principle(d, nf, infer):
             and alpha_eq(e1.left, c.left) and alpha_eq(e2.left, c.right)
             and alpha_eq(e1.right, e2.right)):
         _bad(d, f"does not equate {c.left} with ~(dual) through its premises")
-    return [(p, None, False) for p in d.premises]
+    return [(p, False) for p in d.premises]
 
 
-def _term_eq(d, nf, infer):
+def _term_eq(d, infer):
     """term_equal expects its type formed, as check does, so the node's
     type is formed first."""
     c = _judgment(d, TermEq, 0)
-    _type_formed(c, f"rule {d.rule}: the type")
+    check_formation(c.ctx, c.type, U0)
     if not term_equal(c.ctx, c.left, c.right, c.type):
         _bad(d, f"term equality does not hold at {c.type}")
     return ()
@@ -1012,18 +1004,17 @@ def _term_eq(d, nf, infer):
 _RULES = {
     "atom-form": partial(_atom_form, False),
     "atom-form-lift": partial(_atom_form, True),
-    **{rule: partial(_formation, cls) for cls, rule in _FORM_RULES.items()},
+    **{f"{stem}-form": partial(_formation, cls)
+       for cls, stem in _STEM.items()},
     "var": _var,
     "ann": _ann,
     "conv": _conv,
-    "fun-intro": partial(_lam, Fun),
-    "pi-intro": partial(_lam, Pi),
-    "fun-elim": partial(_app, Fun),
-    "pi-elim": partial(_app, Pi),
-    **{f"{stem}-intro": partial(_pair, cls)
-       for cls, stem in _PAIR_RULES.items()},
-    **{f"{stem}-elim-{side}": partial(_proj, cls, proj)
-       for cls, stem in _PAIR_RULES.items()
+    **{f"{_STEM[cls]}-intro": partial(_lam, cls) for cls in (Fun, Pi)},
+    **{f"{_STEM[cls]}-elim": partial(_app, cls) for cls in (Fun, Pi)},
+    **{f"{_STEM[cls]}-intro": partial(_pair, cls)
+       for cls in (Prod, CoFun, Sigma)},
+    **{f"{_STEM[cls]}-elim-{side}": partial(_proj, cls, proj)
+       for cls in (Prod, CoFun, Sigma)
        for side, proj in ((1, Proj1), (2, Proj2))},
     "sum-intro-left": partial(_inj, Inl),
     "sum-intro-right": partial(_inj, Inr),

@@ -636,64 +636,70 @@ def normalize_term(t: TermExpr,
         return type_norm(T) if type_norm is not None else T
 
     def norm(t):
-        if isinstance(t, Var):
-            return t
-        if isinstance(t, Lam):
-            dom, body = tnorm(t.dom), norm(t.body)
-            if dom is t.dom and body is t.body:
+        # a contraction at the head continues the loop, so a term that
+        # reduces forever runs out of FUEL, not of stack
+        while True:
+            if isinstance(t, Var):
                 return t
-            return Lam(t.var, dom, body)
-        if isinstance(t, App):
-            fn = norm(t.fn)
-            arg = norm(t.arg)
-            if isinstance(fn, Lam):
-                spend()
-                return norm(subst_term(fn.body, fn.var, arg))
-            return t if fn is t.fn and arg is t.arg else App(fn, arg)
-        if isinstance(t, Pair):
-            fst, snd = norm(t.fst), norm(t.snd)
-            return t if fst is t.fst and snd is t.snd else Pair(fst, snd)
-        if isinstance(t, (Proj1, Proj2)):
-            arg = norm(t.arg)
-            if isinstance(arg, Pair):
-                spend()
-                return arg.fst if isinstance(t, Proj1) else arg.snd
-            return t if arg is t.arg else type(t)(arg)
-        if isinstance(t, (Inl, Inr)):
-            arg = norm(t.arg)
-            return t if arg is t.arg else type(t)(arg)
-        if isinstance(t, Case):
-            scrut = norm(t.scrut)
-            if isinstance(scrut, Inl):
-                spend()
-                return norm(subst_term(t.lbranch, t.lvar, scrut.arg))
-            if isinstance(scrut, Inr):
-                spend()
-                return norm(subst_term(t.rbranch, t.rvar, scrut.arg))
-            lbranch = norm(t.lbranch)
-            rbranch = norm(t.rbranch)
-            if lbranch == Inl(Var(t.lvar)) and rbranch == Inr(Var(t.rvar)):
-                spend()
-                return scrut
-            if (scrut is t.scrut and lbranch is t.lbranch
-                    and rbranch is t.rbranch):
-                return t
-            return Case(scrut, t.lvar, lbranch, t.rvar, rbranch)
-        if isinstance(t, Split):
-            scrut = norm(t.scrut)
-            if isinstance(scrut, Pair):
-                spend()
-                return norm(subst(t.body, {t.var1: scrut.fst,
-                                           t.var2: scrut.snd}))
-            body = norm(t.body)
-            if t.var1 != t.var2 and body == Pair(Var(t.var1), Var(t.var2)):
-                spend()
-                return scrut
-            if scrut is t.scrut and body is t.body:
-                return t
-            return Split(scrut, t.var1, t.var2, body)
-        if isinstance(t, Ann):
-            return norm(t.term)
-        raise TypeError(f"not a term: {t!r}")
+            if isinstance(t, Lam):
+                dom, body = tnorm(t.dom), norm(t.body)
+                if dom is t.dom and body is t.body:
+                    return t
+                return Lam(t.var, dom, body)
+            if isinstance(t, App):
+                fn = norm(t.fn)
+                arg = norm(t.arg)
+                if isinstance(fn, Lam):
+                    spend()
+                    t = subst_term(fn.body, fn.var, arg)
+                    continue
+                return t if fn is t.fn and arg is t.arg else App(fn, arg)
+            if isinstance(t, Pair):
+                fst, snd = norm(t.fst), norm(t.snd)
+                return t if fst is t.fst and snd is t.snd else Pair(fst, snd)
+            if isinstance(t, (Proj1, Proj2)):
+                arg = norm(t.arg)
+                if isinstance(arg, Pair):
+                    spend()
+                    return arg.fst if isinstance(t, Proj1) else arg.snd
+                return t if arg is t.arg else type(t)(arg)
+            if isinstance(t, (Inl, Inr)):
+                arg = norm(t.arg)
+                return t if arg is t.arg else type(t)(arg)
+            if isinstance(t, Case):
+                scrut = norm(t.scrut)
+                if isinstance(scrut, Inl):
+                    spend()
+                    t = subst_term(t.lbranch, t.lvar, scrut.arg)
+                    continue
+                if isinstance(scrut, Inr):
+                    spend()
+                    t = subst_term(t.rbranch, t.rvar, scrut.arg)
+                    continue
+                lbranch = norm(t.lbranch)
+                rbranch = norm(t.rbranch)
+                if lbranch == Inl(Var(t.lvar)) and rbranch == Inr(Var(t.rvar)):
+                    spend()
+                    return scrut
+                if (scrut is t.scrut and lbranch is t.lbranch
+                        and rbranch is t.rbranch):
+                    return t
+                return Case(scrut, t.lvar, lbranch, t.rvar, rbranch)
+            if isinstance(t, Split):
+                scrut = norm(t.scrut)
+                if isinstance(scrut, Pair):
+                    spend()
+                    t = subst(t.body, {t.var1: scrut.fst, t.var2: scrut.snd})
+                    continue
+                body = norm(t.body)
+                if t.var1 != t.var2 and body == Pair(Var(t.var1), Var(t.var2)):
+                    spend()
+                    return scrut
+                if scrut is t.scrut and body is t.body:
+                    return t
+                return Split(scrut, t.var1, t.var2, body)
+            if isinstance(t, Ann):
+                return norm(t.term)
+            raise TypeError(f"not a term: {t!r}")
 
     return norm(t)

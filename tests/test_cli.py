@@ -336,6 +336,14 @@ class TestCommandLine:
         proc = _cli("equal", stdin="~(a*b)\n~a + ~b\n")
         assert proc.returncode == 0
 
+    def test_oneshot_equal_needs_two_operands(self):
+        for operands in (["a"], ["a", "b", "c"]):
+            proc = _cli("equal", *operands)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == (f"error: expected 2 operands, "
+                                   f"got {len(operands)}\n")
+
     def test_oneshot_nnf(self):
         proc = _cli("nnf", "~(P => Q)")
         assert proc.stdout.strip() == "~Q <~ ~P"
@@ -420,6 +428,15 @@ class TestDeepInput:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == f"error: {DEEP_INPUT}\n"
+
+    def test_a_term_that_reduces_forever_is_not_deep_input(self):
+        # two levels deep, but its normalization never ends: it runs out
+        # of fuel, not of stack
+        proc = _cli("onf", "p((\\x:a. x x) (\\x:a. x x))")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: NormalizationOverflow: term "
+                               "normalization exceeded 100000 steps\n")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       Opp, Pair, Pi, Prod, Proj1, Proj2, Sigma,
                       Split, Sum, TermDecl, TermEq, TypeConstDecl, TypeEq,
                       TypeMismatch, TypeTheoryError, Typing, UnboundVariable,
-                      Var, bounded_inhabit, check, check_duality_principle,
+                      Var, bounded_inhabit, check, check_context,
+                      check_duality_principle,
                       check_formation, declare_term, declare_type_const,
                       equivalent, infer, onf, parse, parse_term, parse_type,
                       recheck, subst, subst_term, subst_type, term_equal,
@@ -226,6 +227,28 @@ class TestFormation:
             declare_term(ctx_with(("x", "a")), "x", b)
         with pytest.raises(IllFormedContext):
             declare_type_const(std_ctx(), "a")
+
+    def test_duplicate_telescope_variable_rejected(self):
+        # twice in one telescope, or the name of a declaration before it
+        for telescope, var in (((("u", a), ("u", b)), "u"),
+                               ((("c", a),), "c")):
+            with pytest.raises(IllFormedContext,
+                               match=f"duplicate telescope variable {var} "
+                                     "in declaration of q"):
+                declare_type_const(std_ctx(), "q", telescope)
+
+    def test_check_context_revalidates_term_declarations(self):
+        entries = std_ctx().entries
+        check_context(Context(entries + (
+            TermDecl("y", a), TermDecl("x", parse_type("p(y)")))))
+        for decl, error in ((TermDecl("x", Atom("nope")), IllFormedType),
+                            (TermDecl("a", b), IllFormedContext)):
+            with pytest.raises(error):
+                check_context(Context(entries + (decl,)))
+        # a family argument must be declared before the term that uses it
+        with pytest.raises(UnboundVariable):
+            check_context(Context(entries + (
+                TermDecl("x", parse_type("p(y)")), TermDecl("y", a))))
 
 
 class TestCheck:
@@ -953,7 +976,7 @@ class TestRecheck:
             for path, node in _nodes(d):
                 for bad in _corruptions(node, not path):
                     tried += 1
-                    with pytest.raises(TypeTheoryError):
+                    with pytest.raises(InvalidDerivation):
                         recheck(_put(d, path, bad))
         assert tried > 10000
 
@@ -1032,6 +1055,23 @@ class TestRecheck:
             recheck(Derivation("term-equal", TermEq(ctx, t, t, A), ()))
         with pytest.raises(InvalidDerivation, match="TermEq"):
             recheck(Derivation("term-equal", TermEq(None, t, t, A), ()))
+
+    def test_every_failure_is_an_invalid_derivation(self):
+        # nodes whose own check raises another error: the terms of a
+        # term equality do not have its type, and a type equality or a
+        # duality principle is about a term, not a type
+        ctx = ctx_with(("x", "a"))
+        x = Var("x")
+        e = Derivation("onf", TypeEq(None, a, a))
+        for d, why in (
+                (Derivation("term-equal", TermEq(ctx, x, x, b)),
+                 "rule term-equal: term x has type a, expected b"),
+                (Derivation("onf", TypeEq(None, a, x)),
+                 "rule onf: not a type"),
+                (Derivation("duality-principle", TypeEq(None, x, a), (e, e)),
+                 "rule duality-principle: not a type")):
+            with pytest.raises(InvalidDerivation, match=why):
+                recheck(d)
 
     def test_recheck_derives_nothing_again(self, corpus, monkeypatch):
         # the one judgment recheck derives is the formation of the root's

@@ -5,13 +5,17 @@ import dataclasses
 import pickle
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+import opptypes.syntax as syntax
+
 from opptypes import (EMPTY, Ann, App, Atom, Basis, Case, CoFun, Fun, Inl,
-                      Inr, Lam, Opp, Pair, Pi, Proj1, Proj2, Split, TermExpr,
-                      TypeExpr, Var, alpha_eq, check, declare_type_const, dual,
-                      expand_in_basis, free_vars, is_onf, normalize_term, onf,
-                      subst, subst_term, subst_type, uses_only_basis)
+                      Inr, Lam, NormalizationOverflow, Opp, Pair, Pi, Proj1,
+                      Proj2, Split, TermExpr, TypeExpr, Var, alpha_eq, check,
+                      declare_type_const, dual, expand_in_basis, free_vars,
+                      is_onf, normalize_term, onf, parse_term, subst,
+                      subst_term, subst_type, uses_only_basis)
 from opptypes.syntax import SCOPES
 
 from generators import terms, types
@@ -222,6 +226,20 @@ class TestNormalize:
 
     def test_annotation_erased(self):
         assert normalize_term(Ann(Var("u"), a)) == Var("u")
+
+    @pytest.mark.parametrize("body", [
+        "x x",
+        "case inl x of { inl u => u u | inr v => v }",
+        "split <x, x> as (u, v) => u v"])
+    def test_a_term_that_reduces_forever_runs_out_of_fuel(self, body,
+                                                          monkeypatch):
+        # a contraction at the head, by beta, case of an injection or
+        # split of a pair, costs fuel but no stack
+        monkeypatch.setattr(syntax, "FUEL", 1000)
+        omega = parse_term(f"(\\x:a. {body}) (\\x:a. {body})")
+        with pytest.raises(NormalizationOverflow,
+                           match="exceeded 1000 steps"):
+            normalize_term(omega)
 
 
 class TestSimultaneousSubst:
