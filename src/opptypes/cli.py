@@ -10,7 +10,8 @@ The one-shot subcommands are syntactic: they need no declarations and read
 their operands from the arguments or, when omitted, from standard input.
 Exit status: 0 all directives ok, 1 some directive failed (or a one-shot
 operand was rejected, or was nested too deeply for the layers after
-parsing, which still recurse), 2 syntax or usage error.
+parsing, which still recurse), 2 syntax or usage error, which includes a
+script FILE that is missing, is a directory or is not UTF-8.
 """
 
 from __future__ import annotations
@@ -77,16 +78,24 @@ def _operand(given, count: int = 1):
     return [raw]
 
 
+def _script_text(path: str) -> str:
+    """The script at path, or on stdin for -; a script that cannot be
+    read or is not UTF-8 is a usage error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: cannot read {path}: {e}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         if args.command == "check":
-            if args.file == "-":
-                text = sys.stdin.read()
-            else:
-                with open(args.file, encoding="utf-8") as fh:
-                    text = fh.read()
-            report = run(parse(text))
+            report = run(parse(_script_text(args.file)))
             out = report_json(report) if args.json else report_text(report)
             sys.stdout.write(out)
             return 0 if report.ok else 1

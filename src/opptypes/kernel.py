@@ -141,7 +141,7 @@ def declare_term(ctx: Context, name: str, type_: TypeExpr) -> Context:
     """Extend ctx with name : type_, validating the declaration."""
     if name in ctx.names:
         raise IllFormedContext(f"duplicate declaration of {name}")
-    check_formation(ctx, type_, U0)
+    ensure_formed(ctx, type_, U0)
     return ctx.extended(TermDecl(name, type_))
 
 
@@ -153,7 +153,7 @@ def declare_type_const(ctx: Context, name: str,
         raise IllFormedContext(f"duplicate declaration of {name}")
     scope, seen = ctx, set()
     for var, sort in telescope:
-        check_formation(scope, sort, U0)
+        ensure_formed(scope, sort, U0)
         if var in taken or var in seen:
             raise IllFormedContext(
                 f"duplicate telescope variable {var} in declaration of {name}")
@@ -239,8 +239,28 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
     arrow, over atoms declared in U1 or lifted from U0 (the lift exists
     solely so predicate classifiers over small sorts can be formed).
     """
-    conc = Formation(ctx, A, u)
+    return _form(ctx, A, u, _node)
 
+
+def ensure_formed(ctx: Context, A: TypeExpr, u: Universe) -> None:
+    """Check that A is a type in universe u, as check_formation does, with
+    the same errors in the same order, but build no derivation."""
+    _form(ctx, A, u, _no_node)
+
+
+def _node(rule: str, ctx: Context, A: TypeExpr, u: Universe, premises):
+    return Derivation(rule, Formation(ctx, A, u), tuple(premises))
+
+
+def _no_node(rule, ctx, A, u, premises):
+    return None
+
+
+def _form(ctx: Context, A: TypeExpr, u: Universe, node):
+    """The formation walk behind check_formation and ensure_formed: node
+    makes each node of the derivation from its rule, its conclusion's
+    parts and its premises, or makes nothing.  The kernel's own
+    formations go through here, as its own typings go through _check."""
     if isinstance(A, Atom):
         decl = ctx.lookup_const(A.name)
         if decl is None:
@@ -257,7 +277,7 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
             premises.append(_check(ctx, arg, subst(sort, inst)))
             inst[tvar] = arg
         rule = "atom-form" if decl.universe is u else "atom-form-lift"
-        return Derivation(rule, conc, tuple(premises))
+        return node(rule, ctx, A, u, premises)
 
     if u is U1 and not isinstance(A, Fun):
         raise IllFormedType(
@@ -269,9 +289,9 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
         while isinstance(A, Opp):
             run.append(A)
             A = A.inner
-        d = check_formation(ctx, A, U0)
+        d = _form(ctx, A, U0, node)
         for opp in reversed(run):
-            d = Derivation("opp-form", Formation(ctx, opp, U0), (d,))
+            d = node("opp-form", ctx, opp, U0, (d,))
         return d
     if isinstance(A, TypeExpr):
         # the subtrees of SCOPES in order; a binder's body is formed
@@ -283,8 +303,8 @@ def check_formation(ctx: Context, A: TypeExpr, u: Universe) -> Derivation:
                 (var,), (sub,) = open_binders(
                     ctx.names, (A.var,), [(sub, (A.var,))], [A.gen])
                 inner = ctx.extended(TermDecl(var, A.gen))
-            premises.append(check_formation(inner, sub, u))
-        return Derivation(f"{_STEM[type(A)]}-form", conc, tuple(premises))
+            premises.append(_form(inner, sub, u, node))
+        return node(f"{_STEM[type(A)]}-form", ctx, A, u, premises)
     raise IllFormedType(f"not a type: {A!r}")
 
 
@@ -298,8 +318,8 @@ def type_equal(ctx: Optional[Context], A: TypeExpr, B: TypeExpr) -> bool:
     When a context is supplied both types are first validated in U0.
     """
     if ctx is not None:
-        check_formation(ctx, A, U0)
-        check_formation(ctx, B, U0)
+        ensure_formed(ctx, A, U0)
+        ensure_formed(ctx, B, U0)
     return _type_equal(A, B)
 
 
@@ -311,8 +331,8 @@ def equivalent(ctx: Optional[Context], A: TypeExpr, B: TypeExpr) -> bool:
     """Inhabitation equivalence: duality.equiv of the normal forms, once
     both types are validated in U0 when a context is supplied."""
     if ctx is not None:
-        check_formation(ctx, A, U0)
-        check_formation(ctx, B, U0)
+        ensure_formed(ctx, A, U0)
+        ensure_formed(ctx, B, U0)
     return equiv(onf(A), onf(B))
 
 
@@ -326,7 +346,7 @@ def check_duality_principle(A: TypeExpr, ctx=None):
     """
     premises = []
     if ctx is not None:
-        premises.append(check_formation(ctx, A, U0))
+        premises.append(_form(ctx, A, U0, _node))
     rhs = Opp(dual(A))
     left, right = onf(A), onf(rhs)
     if not alpha_eq(left, right):
@@ -415,7 +435,7 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         return Derivation(rule, conc, tuple(premises))
 
     if isinstance(t, Ann):
-        df = check_formation(ctx, t.type, U0)
+        df = _form(ctx, t.type, U0, _node)
         dt = _check(ctx, t.term, t.type)
         if not equiv(onf(t.type), goal):
             raise TypeMismatch(
@@ -497,7 +517,7 @@ def _infer(ctx: Context, t: TermExpr):
         return nf, Derivation("var", Typing(ctx, t, nf))
 
     if isinstance(t, Ann):
-        df = check_formation(ctx, t.type, U0)
+        df = _form(ctx, t.type, U0, _node)
         dt = _check(ctx, t.term, t.type)
         nf = onf(t.type)
         return nf, Derivation("ann", Typing(ctx, t, nf), (df, dt))
@@ -547,7 +567,7 @@ def _infer(ctx: Context, t: TermExpr):
         return ty, Derivation(rule, Typing(ctx, t, ty), tuple(premises))
 
     if isinstance(t, Lam):
-        df = check_formation(ctx, t.dom, U0)
+        df = _form(ctx, t.dom, U0, _node)
         (var,), (body,) = open_binders(ctx.names, (t.var,),
                                        [(t.body, (t.var,))], [t.dom])
         bty, db = _infer(ctx.extended(TermDecl(var, t.dom)), body)
@@ -686,16 +706,18 @@ def recheck(d: Derivation) -> bool:
     try:
         c = getattr(d, "conclusion", None)
         if type(c) is Typing and type(c.ctx) is Context:
-            check_formation(c.ctx, c.type, U0)
+            ensure_formed(c.ctx, c.type, U0)
         # a node, and whether its parent needs its typing inferred
         todo = [(d, False)]
         while todo:
             node, infer = todo.pop()
             if type(node) is not Derivation:
                 raise InvalidDerivation(f"not a derivation: {node!r}")
-            rule = _RULES.get(node.rule)
+            rule = _RULES.get(node.rule) if type(node.rule) is str else None
             if rule is None:
                 raise InvalidDerivation(f"unknown rule {node.rule!r}")
+            if type(node.premises) is not tuple:
+                _bad(node, "its premises are not a tuple")
             todo.extend(rule(node, infer))
     except InvalidDerivation:
         raise
@@ -989,7 +1011,7 @@ def _term_eq(d, infer):
     """term_equal expects its type formed, as check does, so the node's
     type is formed first."""
     c = _judgment(d, TermEq, 0)
-    check_formation(c.ctx, c.type, U0)
+    ensure_formed(c.ctx, c.type, U0)
     if not term_equal(c.ctx, c.left, c.right, c.type):
         _bad(d, f"term equality does not hold at {c.type}")
     return ()

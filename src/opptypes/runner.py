@@ -20,8 +20,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import script as s
 from .duality import dual, expand_in_basis, onf
 from .errors import TypeTheoryError
-from .kernel import (Context, EMPTY, U0, check, check_formation,
-                     declare_term, declare_type_const, infer, type_equal)
+from .kernel import (Context, EMPTY, U0, check, declare_term,
+                     declare_type_const, ensure_formed, infer, type_equal)
 from .logic import Signature, check_sorts, formula_nnf, translate
 from .printer import context_str, formula_str, term_str, type_str
 from .search import bounded_inhabit
@@ -68,7 +68,7 @@ def _execute(ctx: Context, sig: Signature, d):
         return ctx, f"assumed {d.var} : {type_str(d.type)}", "ok"
 
     if isinstance(d, s.CheckDirective):
-        check_formation(ctx, d.type, U0)
+        ensure_formed(ctx, d.type, U0)
         check(ctx, d.term, d.type)
         return ctx, f"{term_str(d.term)} : {type_str(d.type)}", "ok"
 
@@ -77,11 +77,11 @@ def _execute(ctx: Context, sig: Signature, d):
         return ctx, f"{term_str(d.term)} : {type_str(ty)}", "ok"
 
     if isinstance(d, s.DualDirective):
-        check_formation(ctx, d.type, U0)
+        ensure_formed(ctx, d.type, U0)
         return ctx, type_str(dual(d.type)), "ok"
 
     if isinstance(d, s.OnfDirective):
-        check_formation(ctx, d.type, U0)
+        ensure_formed(ctx, d.type, U0)
         return ctx, type_str(onf(d.type)), "ok"
 
     if isinstance(d, s.EqualDirective):
@@ -93,7 +93,7 @@ def _execute(ctx: Context, sig: Signature, d):
         return ctx, payload, "error"
 
     if isinstance(d, s.ExpandDirective):
-        check_formation(ctx, d.type, U0)
+        ensure_formed(ctx, d.type, U0)
         expanded = expand_in_basis(d.type, d.basis)
         return ctx, type_str(expanded), "ok"
 

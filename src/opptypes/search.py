@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 
 from .duality import FAMILY, components, equiv, halves, onf
 from .errors import DepthCapExceeded
-from .kernel import Context, TermDecl, U0, check_formation
+from .kernel import Context, TermDecl, U0, ensure_formed
 from .syntax import (App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp, Pair,
                      Pi, Prod, Proj1, Proj2, Sigma, Sum, TermExpr, TypeExpr,
                      Var, fresh_name)
@@ -52,7 +52,7 @@ def bounded_inhabit(ctx: Context, A: TypeExpr,
     """
     if depth > DEPTH_CAP:
         raise DepthCapExceeded(f"depth {depth} exceeds the cap of {DEPTH_CAP}")
-    check_formation(ctx, A, U0)
+    ensure_formed(ctx, A, U0)
     return next(iter_inhabitants(ctx, onf(A), depth), None)
 
 

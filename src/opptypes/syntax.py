@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional, Union
 
-from .errors import NormalizationOverflow
+from .errors import IllFormedType, NormalizationOverflow
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +700,6 @@ def normalize_term(t: TermExpr,
                 return Split(scrut, t.var1, t.var2, body)
             if isinstance(t, Ann):
                 return norm(t.term)
-            raise TypeError(f"not a term: {t!r}")
+            raise IllFormedType(f"not a term: {t!r}")
 
     return norm(t)

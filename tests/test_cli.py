@@ -300,6 +300,19 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert "syntax error" in proc.stderr
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_script_is_a_usage_error(self, tmp_path, kind):
+        f = tmp_path / "script.ptt"
+        if kind == "directory":
+            f.mkdir()
+        elif kind == "not_utf8":
+            f.write_bytes("atom \xe9;".encode("latin-1"))
+        proc = _cli("check", str(f))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: cannot read {f}: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_stdin(self):
         proc = _cli("check", "-", stdin="atom a; equal ~~a a;")
         assert proc.returncode == 0

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import time
 import weakref
 from dataclasses import replace
@@ -22,9 +23,10 @@ from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       Var, bounded_inhabit, check, check_context,
                       check_duality_principle,
                       check_formation, declare_term, declare_type_const,
-                      equivalent, infer, onf, parse, parse_term, parse_type,
-                      recheck, subst, subst_term, subst_type, term_equal,
-                      type_equal, U0, U1)
+                      ensure_formed, equivalent, infer, onf, parse,
+                      parse_term, parse_type, recheck, report_json, run,
+                      strong_equiv_check, subst, subst_term, subst_type,
+                      term_equal, type_equal, U0, U1)
 from opptypes.kernel import _RULES
 from opptypes.logic import Signature, translation_context
 from opptypes.runner import _execute
@@ -32,7 +34,9 @@ from opptypes.search import iter_inhabitants
 from opptypes.syntax import all_names, alpha_eq, fresh_name, normalize_term
 
 import teq_oracle
-from generators import rand_type, std_ctx, types, unnormalize
+from generators import (STD_SIG, rand_formula, rand_type, std_ctx, types,
+                        unnormalize, with_term_args)
+from test_cli import GOLDEN
 from test_search import SWEEP_GOALS, _sweep_ctx
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -221,6 +225,110 @@ class TestFormation:
         ctx_bad = ctx_with(("y", "b"))
         with pytest.raises(TypeMismatch):
             check_formation(ctx_bad, Atom("p", (Var("y"),)), U0)
+
+    @staticmethod
+    def _outcome(entry, ctx, ty, u):
+        """What entry returns for ty in u, or its error's class and text."""
+        try:
+            return type(entry(ctx, ty, u))
+        except Exception as e:
+            return type(e), str(e)
+
+    def test_ensure_formed_agrees_with_check_formation(self, monkeypatch):
+        # one walk behind both: the same types pass, and the rest fail
+        # with the same error, in U0 and in U1, with and without a v1
+        # declared that the generators' binders must be renamed away from
+        rng = random.Random(1818)
+        std, big = std_ctx(), declare_type_const(std_ctx(), "big", (), U1)
+        renaming = ctx_with(("v1", "b"))
+        tower, nope = a, Atom("nope")
+        for _ in range(3000):
+            tower, nope = Opp(tower), Opp(nope)
+        plain = [(std, Atom("nope")), (std, Atom("p")),
+                 (std, Atom("a", (Var("x"),))), (big, Atom("big")),
+                 (big, parse_type("~big -> a")), (std, parse_type("a * b")),
+                 (std, tower), (std, nope)]
+        # bodies formed under a renamed binder, well or ill formed
+        plain += [(renaming, parse_type(ty)) for ty in
+                  ("Pi v1:a. p(v1)", "Pi v1:b. p(v1)", "Sg v1:a. p(v1) + q")]
+        term_args = []
+        for _ in range(400):
+            ty = rand_type(rng, rng.randint(0, 4))
+            plain.append((rng.choice((std, renaming)), ty))
+            term_args.append((rng.choice((std, renaming)),
+                              with_term_args(rng, ty)))
+        ensured, verdicts = {}, set()
+        for ctx, ty in plain + term_args:
+            for u in (U0, U1):
+                made = self._outcome(check_formation, ctx, ty, u)
+                ensured[ctx, ty, u] = self._outcome(ensure_formed, ctx, ty, u)
+                if made is Derivation:
+                    assert ensured[ctx, ty, u] is type(None)
+                else:
+                    assert ensured[ctx, ty, u] == made
+                verdicts.add(made if made is Derivation else made[0])
+        assert verdicts >= {Derivation, IllFormedType, TypeMismatch,
+                            UnboundVariable}
+
+        # and ensure_formed makes no formation node: no family argument
+        # of these types is an annotation, whose type the kernel forms
+        def refuse(*args):
+            raise AssertionError("a formation node was made")
+
+        monkeypatch.setattr(kernel, "Formation", refuse)
+        for ctx, ty in plain:
+            for u in (U0, U1):
+                assert (self._outcome(ensure_formed, ctx, ty, u)
+                        == ensured[ctx, ty, u])
+
+    def test_callers_that_discard_a_formation_build_none(self, monkeypatch):
+        # each call's value, or its error's class and text, before and
+        # after check_formation is made to fail wherever it can be reached
+        def golden_report(path):
+            return report_json(run(parse(path.read_text(encoding="utf-8"))))
+
+        rng = random.Random(18)
+        ctx, sweep = std_ctx(), _sweep_ctx()
+        fam = (("u", a), ("v", parse_type("p(u)")))
+        types_ = ["a -> ~b", "Pi u:a. p(u)", "~~a", "p(x)", "a * nope"]
+        p_of_x = parse_type("p(x)")
+        formulas = [rand_formula(rng, 3) for _ in range(20)]
+        calls = [
+            *[(declare_term, ctx, "x", parse_type(ty)) for ty in types_],
+            *[(declare_type_const, ctx, "q", fam[:n]) for n in (0, 1, 2)],
+            (declare_type_const, ctx, "q", (("u", Atom("nope")),)),
+            (check_context, declare_type_const(ctx, "q", fam)),
+            (check_context, Context(ctx.entries + (TermDecl("x", b),
+                                                   TermDecl("y", p_of_x)))),
+            (check_context, Context(ctx.entries + (TermDecl("y", p_of_x),))),
+            *[(f, ctx, parse_type(x), parse_type(y))
+              for f in (type_equal, equivalent)
+              for x, y in combinations(types_ + ["~b <~ a"], 2)],
+            *[(strong_equiv_check, STD_SIG, f, g)
+              for f, g in zip(formulas, formulas[1:])],
+            *[(bounded_inhabit, sweep, parse_type(goal), 4)
+              for goal in SWEEP_GOALS + ("nope",)],
+            *[(golden_report, path) for path in GOLDEN.values()],
+        ]
+
+        def outcomes():
+            out = []
+            for f, *args in calls:
+                try:
+                    out.append(f(*args))
+                except TypeTheoryError as e:
+                    out.append((type(e), str(e)))
+            return out
+
+        def refuse(*args):
+            raise AssertionError("check_formation was called")
+
+        before = outcomes()
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").split(".")[0] == "opptypes"
+                    and hasattr(module, "check_formation")):
+                monkeypatch.setattr(module, "check_formation", refuse)
+        assert outcomes() == before
 
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(IllFormedContext):
@@ -1073,10 +1181,24 @@ class TestRecheck:
             with pytest.raises(InvalidDerivation, match=why):
                 recheck(d)
 
+    @pytest.mark.parametrize("d, why", [
+        # a type whose family argument is not a term
+        (Derivation("onf", TypeEq(None, Atom("a", ("junk",)), a)),
+         "rule onf: not a term: 'junk'"),
+        (Derivation(["onf"], TypeEq(None, a, a)), r"unknown rule \['onf'\]"),
+        (Derivation("onf", TypeEq(None, a, a), None),
+         "rule onf: its premises are not a tuple"),
+    ], ids=["term_argument_not_a_term", "rule_not_a_str",
+            "premises_not_a_tuple"])
+    def test_malformed_node_is_an_invalid_derivation(self, d, why):
+        with pytest.raises(InvalidDerivation, match=why):
+            recheck(d)
+
     def test_recheck_derives_nothing_again(self, corpus, monkeypatch):
         # the one judgment recheck derives is the formation of the root's
-        # type, which no node of the tree states; while it runs, the
-        # kernel may check the type's family arguments
+        # type, which no node of the tree states, and it builds no
+        # derivation of it; while it runs, the kernel may check the type's
+        # family arguments
         formed, inside = [], []
 
         def guarded(name, orig):
@@ -1096,12 +1218,12 @@ class TestRecheck:
             finally:
                 inside.pop()
 
-        formation = kernel.check_formation
+        formation = kernel.ensure_formed
         for name in ("check", "_check", "_infer", "open_binders",
-                     "term_equal"):
+                     "term_equal", "check_formation"):
             monkeypatch.setattr(kernel, name,
                                 guarded(name, getattr(kernel, name)))
-        monkeypatch.setattr(kernel, "check_formation", root_formation)
+        monkeypatch.setattr(kernel, "ensure_formed", root_formation)
         for d in corpus:
             formed.clear()
             assert recheck(d)
