@@ -7,7 +7,9 @@
     opptypes nnf [FORMULA]           negation normal form of a formula
 
 The one-shot subcommands are syntactic: they need no declarations and read
-their operands from the arguments or, when omitted, from standard input.
+their operands from the arguments or, when there are none, from standard
+input (all of it is one operand; two are its non-blank lines).  Any other
+count is a usage error, `error: expected N operand(s), got M`.
 Exit status: 0 all directives ok, 1 some directive failed (or a one-shot
 operand was rejected, or was nested too deeply for the layers after
 parsing, which still recurse), 2 syntax or usage error, which includes a
@@ -20,12 +22,28 @@ import argparse
 import sys
 
 from .duality import dual, onf
-from .errors import ParseError, TypeTheoryError
+from .errors import ParseError
 from .kernel import type_equal
 from .logic import formula_nnf
 from .parser import parse, parse_formula, parse_type
 from .printer import formula_str, type_str
-from .runner import DEEP_INPUT, report_json, report_text, run
+from .runner import FAILURES, failure_text, report_json, report_text, run
+
+
+# Each one-shot command: its help, its operand's name in usage, the parser
+# of one operand, how many it takes, and what it answers for them: the line
+# it prints and its exit status.
+_ONESHOT = {
+    "onf": ("opposite normal form of a type", "type", parse_type, 1,
+            lambda a: (type_str(onf(a)), 0)),
+    "dual": ("dual of a type", "type", parse_type, 1,
+             lambda a: (type_str(dual(a)), 0)),
+    "equal": ("definitional equality of two types", "types", parse_type, 2,
+              lambda a, b: ("equal", 0) if type_equal(None, a, b) else
+              (f"not equal: {type_str(onf(a))} vs {type_str(onf(b))}", 1)),
+    "nnf": ("negation normal form of a formula", "formula", parse_formula, 1,
+            lambda f: (formula_str(formula_nnf(f)), 0)),
+}
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -40,42 +58,26 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true",
                          help="machine-readable report")
 
-    for name, help_ in (("onf", "opposite normal form of a type"),
-                        ("dual", "dual of a type")):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("type", nargs="?", default=None)
-
-    p_eq = sub.add_parser("equal", help="definitional equality of two types")
-    p_eq.add_argument("types", nargs="*", default=[])
-
-    p_nnf = sub.add_parser("nnf", help="negation normal form of a formula")
-    p_nnf.add_argument("formula", nargs="?", default=None)
-
+    for name, (help_, operand, _, count, _) in _ONESHOT.items():
+        sub.add_parser(name, help=help_).add_argument(
+            "operands", metavar=operand, nargs="?" if count == 1 else "*")
     return ap
 
 
-def _operand(given, count: int = 1):
-    """Operands from the command line, or stdin when omitted."""
-    if isinstance(given, list):
-        if len(given) == count:
-            return given
-        if given:
-            print(f"error: expected {count} operands, got {len(given)}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        raw = [ln.strip() for ln in sys.stdin.read().splitlines()
-               if ln.strip()]
-        if len(raw) < count:
-            print("error: expected operands on stdin", file=sys.stderr)
-            raise SystemExit(2)
-        return raw[:count]
-    if given is not None:
-        return [given]
-    raw = sys.stdin.read().strip()
-    if not raw:
-        print("error: expected an operand on stdin", file=sys.stderr)
+def _operands(given, count: int) -> list:
+    """The operands on the command line or, when there are none, on
+    stdin; exactly count of them, or a usage error."""
+    if isinstance(given, str):      # nargs="?" gives its one operand bare
+        given = [given]
+    if not given:
+        text = sys.stdin.read()
+        given = [s.strip() for s in
+                 ([text] if count == 1 else text.splitlines()) if s.strip()]
+    if len(given) != count:
+        print(f"error: expected {count} operand{'s' * (count > 1)}, "
+              f"got {len(given)}", file=sys.stderr)
         raise SystemExit(2)
-    return [raw]
+    return given
 
 
 def _script_text(path: str) -> str:
@@ -99,41 +101,16 @@ def main(argv=None) -> int:
             out = report_json(report) if args.json else report_text(report)
             sys.stdout.write(out)
             return 0 if report.ok else 1
-
-        if args.command == "onf":
-            (src,) = _operand(args.type)
-            print(type_str(onf(parse_type(src))))
-            return 0
-
-        if args.command == "dual":
-            (src,) = _operand(args.type)
-            print(type_str(dual(parse_type(src))))
-            return 0
-
-        if args.command == "equal":
-            left_src, right_src = _operand(args.types, count=2)
-            left, right = parse_type(left_src), parse_type(right_src)
-            if type_equal(None, left, right):
-                print("equal")
-                return 0
-            print(f"not equal: {type_str(onf(left))} vs "
-                  f"{type_str(onf(right))}")
-            return 1
-
-        if args.command == "nnf":
-            (src,) = _operand(args.formula)
-            print(formula_str(formula_nnf(parse_formula(src))))
-            return 0
+        _, _, read, count, answer = _ONESHOT[args.command]
+        line, status = answer(*map(read, _operands(args.operands, count)))
+        print(line)
+        return status
     except ParseError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 2
-    except TypeTheoryError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    except FAILURES as e:
+        print(f"error: {failure_text(e)}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print(f"error: {DEEP_INPUT}", file=sys.stderr)
-        return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -107,6 +107,7 @@ class _Sort(NamedTuple):
     forms: dict                 # opening token -> its alternative _Forms
     atom: type                  # the class of an identifier with arguments
     apply: Optional[_Form]      # juxtaposition, whose steps are two operands
+    starts: tuple               # by level, what may start an operand there
 
 
 # marks the bracket entry of a type atom's argument list
@@ -143,20 +144,18 @@ class Parser:
             return self.advance()
         self.fail(expected=(repr(sym),))
 
-    def expect_word(self, word: Optional[str] = None) -> Token:
+    def expect_word(self, word: str) -> Token:
         tok = self.peek()
-        if tok.kind == "word" and (word is None or tok.value == word):
+        if tok.kind == "word" and tok.value == word:
             return self.advance()
-        self.fail(expected=(word if word is not None else "identifier",))
+        self.fail(expected=(word,))
 
-    def expect_ident(self) -> str:
+    def expect_ident(self, expected=("identifier",)) -> str:
         tok = self.peek()
         if tok.kind == "word" and tok.value not in RESERVED:
             return self.advance().value
-        if tok.kind == "word":
-            self.fail(f"{tok.value!r} is a reserved word",
-                      expected=("identifier",))
-        self.fail(expected=("identifier",))
+        self.fail(f"{tok.value!r} is a reserved word"
+                  if tok.kind == "word" else None, expected)
 
     def at_sym(self, *syms: str) -> bool:
         tok = self.peek()
@@ -198,7 +197,7 @@ class Parser:
                     self.i += 1
                     x, sort, floor = self._form(stack, sort, forms, [], 0)
                 else:
-                    x = self._atom(stack, sort)
+                    x = self._atom(stack, sort, floor)
                     if x is None:           # a type atom's term arguments
                         sort, floor = _TERM, BINDER
                 continue
@@ -273,12 +272,13 @@ class Parser:
                 return None, _SORTS[step[0]], step[1]
         return (form.cls(*fields) if form.cls else fields[0]), sort, BINDER
 
-    def _atom(self, stack, sort):
+    def _atom(self, stack, sort, floor):
         """An identifier, with arguments when '(' follows it unspaced: a
         predicate's are identifiers, and a type atom's are terms, which
-        are read on the stack (None is returned then)."""
+        are read on the stack (None is returned then).  Where there is
+        none, an operand of sort at level floor was expected."""
         tok = self.peek()
-        name = self.expect_ident()
+        name = self.expect_ident(sort.starts[floor])
         nxt = self.peek()
         if (sort is _TERM or nxt.kind != "sym" or nxt.value != "("
                 or nxt.start != tok.end):
@@ -300,11 +300,11 @@ class Parser:
         return tuple(items)
 
     def basis_(self) -> Basis:
-        tok = self.expect_word()
-        if tok.value not in BASIS_NAMES:
-            raise ParseError(f"unknown basis {tok.value!r}", tok.line,
-                             tok.col, expected=tuple(sorted(BASIS_NAMES)))
-        return BASIS_NAMES[tok.value]
+        tok = self.peek()
+        if tok.kind != "word" or tok.value not in BASIS_NAMES:
+            self.fail(f"unknown basis {tok.value!r}"
+                      if tok.kind == "word" else None, BASIS_NAMES)
+        return BASIS_NAMES[self.advance().value]
 
     def integer_(self) -> int:
         if self.peek().kind != "int":
@@ -373,7 +373,13 @@ def _grammar(sort, atom, fixity, terms):
             forms.setdefault(steps[0], []).append(
                 _Form(cls, level, steps[1:]))
     forms["("].append(_Form(None, ATOM, ((sort, BINDER), ")")))
-    return _Sort(infix, {k: tuple(v) for k, v in forms.items()}, atom, apply)
+    # an identifier, or a token that opens a form reaching the level
+    starts = tuple(("identifier", *(
+        t if t[0].isalpha() else repr(t)
+        for t, alts in forms.items() if alts[0].level >= floor))
+        for floor in range(ATOM + 1))
+    return _Sort(infix, {k: tuple(v) for k, v in forms.items()}, atom, apply,
+                 starts)
 
 
 _SORTS = {cls: _grammar(cls, *tables) for cls, tables in (

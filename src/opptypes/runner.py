@@ -4,7 +4,8 @@ Directive errors are collected, never fatal; the report has one entry per
 directive, in order, and running the same bytes twice yields the same
 report, including every generated fresh name.  Input nested too deeply
 for Python's recursion limit in the layers after parsing (which uses no
-recursion) is one such error, reported as DEEP_INPUT.
+recursion) is one such error, reported as DEEP_INPUT.  failure_text
+writes each error payload, and the CLI prints it for a failed one-shot.
 
 Beside the context, a run keeps the signature that translate and nnf read,
 growing it as atom and pred directives succeed: an atom is a sort and a
@@ -28,6 +29,14 @@ from .search import bounded_inhabit
 from .syntax import Atom
 
 DEEP_INPUT = "RecursionError: input nested too deeply"
+# the errors that fail one directive, or one CLI one-shot, and no more
+FAILURES = (TypeTheoryError, RecursionError)
+
+
+def failure_text(e: BaseException) -> str:
+    """A failure as its report payload, which the CLI prints too."""
+    return (DEEP_INPUT if isinstance(e, RecursionError)
+            else f"{type(e).__name__}: {e}")
 
 
 def run(sc: s.Script) -> s.Report:
@@ -38,12 +47,8 @@ def run(sc: s.Script) -> s.Report:
         kw = s.DIRECTIVE_KEYWORDS[type(d)]
         try:
             ctx, payload, status = _execute(ctx, sig, d)
-        except TypeTheoryError as e:
-            payload = f"{type(e).__name__}: {e}"
-            status = "error"
-        except RecursionError:
-            payload = DEEP_INPUT
-            status = "error"
+        except FAILURES as e:
+            payload, status = failure_text(e), "error"
         entries.append(s.ReportEntry(status, kw, payload, d.span))
     return s.Report(tuple(entries))
 

@@ -350,12 +350,26 @@ class TestCommandLine:
         assert proc.returncode == 0
 
     def test_oneshot_equal_needs_two_operands(self):
+        # on the command line, or one per non-blank line of stdin
         for operands in (["a"], ["a", "b", "c"]):
-            proc = _cli("equal", *operands)
-            assert proc.returncode == 2
-            assert proc.stdout == ""
-            assert proc.stderr == (f"error: expected 2 operands, "
-                                   f"got {len(operands)}\n")
+            for proc in (_cli("equal", *operands),
+                         _cli("equal", stdin="\n\n".join(operands) + "\n")):
+                assert proc.returncode == 2
+                assert proc.stdout == ""
+                assert proc.stderr == (f"error: expected 2 operands, "
+                                       f"got {len(operands)}\n")
+
+    @pytest.mark.parametrize("command, wanted", [("onf", "1 operand"),
+                                                 ("equal", "2 operands")],
+                             ids=["onf", "equal"])
+    def test_oneshot_empty_stdin_is_a_usage_error(self, command, wanted):
+        proc = _cli(command, stdin=" \n\n")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: expected {wanted}, got 0\n"
+
+    def test_oneshot_operand_on_stdin_may_span_lines(self):
+        proc = _cli("onf", stdin="~(a\n -> b)\n")
+        assert (proc.returncode, proc.stdout) == (0, "~b <~ ~a\n")
 
     def test_oneshot_nnf(self):
         proc = _cli("nnf", "~(P => Q)")

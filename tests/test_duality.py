@@ -204,6 +204,8 @@ def test_is_onf_reads_the_mark(monkeypatch):
     A = parse_type("~(a -> b)")
     n = onf(A)
     assert not A._nf and not is_onf(A)
+    # an unmarked type is walked below its root
+    assert not is_onf(parse_type("a -> ~~b"))
     monkeypatch.setattr(duality, "_every_node", None)
     assert is_onf(n)
 
@@ -289,6 +291,7 @@ def test_basis_completeness(A):
 def test_basis_examples():
     out = expand_in_basis(parse_type("a + b"), Basis.PI_PROD)
     assert uses_only_basis(out, Basis.PI_PROD)
+    assert not uses_only_basis(parse_type("a * (b -> c)"), Basis.PI_PROD)
     assert out == Opp(Prod(Opp(a), Opp(b)))
     out = expand_in_basis(parse_type("b <~ a"), Basis.SIGMA_PROD)
     assert out == Sigma("x1", Opp(a), b)

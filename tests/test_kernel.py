@@ -1188,8 +1188,17 @@ class TestRecheck:
         (Derivation(["onf"], TypeEq(None, a, a)), r"unknown rule \['onf'\]"),
         (Derivation("onf", TypeEq(None, a, a), None),
          "rule onf: its premises are not a tuple"),
+        (Derivation("onf", TypeEq(None, a, b)),
+         "rule onf: type equality a = b does not hold"),
+        (Derivation("atom-form", Formation(None, Atom("z"), U0)),
+         "rule atom-form: z is not a declared type constant fully applied"),
+        (Derivation("atom-form", Formation(std_ctx(), Atom("a", (Var("x"),)),
+                                           U0), (Derivation("var", None),)),
+         r"rule atom-form: a\(x\) is not a declared type constant fully "
+         "applied"),
     ], ids=["term_argument_not_a_term", "rule_not_a_str",
-            "premises_not_a_tuple"])
+            "premises_not_a_tuple", "onf_types_differ", "atom_undeclared",
+            "atom_wrongly_applied"])
     def test_malformed_node_is_an_invalid_derivation(self, d, why):
         with pytest.raises(InvalidDerivation, match=why):
             recheck(d)

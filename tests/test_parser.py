@@ -138,6 +138,28 @@ def test_integer_slot_errors_name_the_token():
         "1:17: found 'x' (expected integer)")
 
 
+def test_operand_and_basis_slots_list_what_may_start_there():
+    # an operand slot expects an identifier or any token opening a form of
+    # its sort; in terms, a binder only where any term may stand
+    assert _error("script", "equal a") == (
+        "1:8: unexpected end of input "
+        "(expected '(' or '~' or Pi or Sg or identifier)")
+    assert _error("formula", "P & )") == (
+        "1:5: found ')' (expected '(' or '~' or all or ex or identifier)")
+    assert _error("term", "\\x:a. )") == (
+        "1:7: found ')' (expected '(' or '<' or '\\\\' or case or "
+        "identifier or inl or inr or p1 or p2 or split)")
+    assert _error("term", "f (p1 \\x:a. x)") == (
+        "1:7: found '\\\\' (expected '(' or '<' or case or identifier or "
+        "inl or inr or p1 or p2)")
+    # a basis slot lists the four basis names, whatever stands there
+    for text, found in (("expand a basis 3;", "found '3'"),
+                        ("expand a basis foo;", "unknown basis 'foo'")):
+        assert _error("script", text) == (
+            f"1:16: {found} (expected pi_prod or pi_sum or sg_prod or "
+            f"sg_sum)")
+
+
 def _unwrap(tree, cls, field):
     """Depth of a chain of cls nodes through field, and what ends it; read
     with a loop, because == on a deep chain would recurse.  field is a

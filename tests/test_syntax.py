@@ -202,10 +202,12 @@ class TestNormalize:
         t = Proj2(Pair(Var("u"), Var("v")))
         assert normalize_term(t) == Var("v")
 
-    def test_case_iota(self):
-        t = Case(Inl(Var("u")), "x", Pair(Var("x"), Var("x")),
+    @pytest.mark.parametrize("inj", [Inl, Inr], ids=["inl", "inr"])
+    def test_case_iota(self, inj):
+        t = Case(inj(Var("u")), "x", Pair(Var("x"), Var("x")),
                  "y", Var("y"))
-        assert normalize_term(t) == Pair(Var("u"), Var("u"))
+        assert normalize_term(t) == (Pair(Var("u"), Var("u"))
+                                     if inj is Inl else Var("u"))
 
     def test_split_iota(self):
         t = Split(Pair(Var("u"), Var("v")), "x", "y",
