@@ -91,8 +91,24 @@ class Context:
     reads the index and scans the entries only when the last entry under
     the name is of the other kind, which only a context built by hand can
     give.
+
+    A context may also keep, beside its fields, the printed text of its
+    first entries, which its builder notes with with_printed_prefix and
+    printer.context_str reuses: logic's translation contexts keep that
+    of their signature's declarations.
     """
     entries: Tuple[ContextEntry, ...] = ()
+
+    def with_printed_prefix(self, n: int, text: str) -> "Context":
+        """Note beside the fields that the first n entries print as
+        text, and return this same context."""
+        object.__setattr__(self, "_printed_prefix", (n, text))
+        return self
+
+    @property
+    def printed_prefix(self) -> Tuple[int, str]:
+        """(n, text) as noted by with_printed_prefix, else (0, "")."""
+        return self.__dict__.get("_printed_prefix", (0, ""))
 
     def _index(self) -> dict:
         index = self.__dict__.get("_by_name")

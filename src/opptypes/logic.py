@@ -17,7 +17,9 @@ which mirrors the type identity ~(A -> B) = ~B <~ ~A.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Tuple
 
 from . import syntax
@@ -90,6 +92,30 @@ class Exists(Formula):
     body: Formula
 
 
+_NAME = attrgetter("name")
+
+
+class _Front:
+    """The declarations that every translation context over a signature
+    starts with: its sorts, then its predicates, each in name order, as
+    a list of declarations and a list of their printed texts; the sorts
+    and arities they stand for; and the declarations and joined text as
+    the last translation read them."""
+    __slots__ = ("sorts", "predicates", "decls", "texts", "printed")
+
+    def __init__(self):
+        self.sorts, self.predicates = set(), {}
+        self.decls, self.texts = [], []
+        self.printed = (), ""
+
+    def insert(self, decl: TypeConstDecl, text: str, lo: int,
+               hi: int) -> None:
+        """Put decl at its place in name order among entries lo to hi."""
+        i = bisect(self.decls, decl.name, lo, hi, key=_NAME)
+        self.decls.insert(i, decl)
+        self.texts.insert(i, text)
+
+
 @dataclass
 class Signature:
     """Sorts plus predicate arities.  A nullary predicate is an atomic
@@ -97,10 +123,17 @@ class Signature:
 
     A signature grows in place: sorts is a set, and add_predicate, like
     the constructor, rejects an arity that uses an undeclared sort.
-    Beside its fields (so == and repr ignore it) each signature keeps a
-    memo from (name, arity) to the declaration that translation contexts
-    give that name, sorts under arity ().  A declaration depends on its key
-    alone, so growing the signature leaves every memo entry valid.
+    Beside its fields (so == and repr ignore them) each signature keeps:
+
+    - a memo from (name, arity) to the declaration that translation
+      contexts give that name, sorts under arity (), and its printed
+      text.  A declaration depends on its key alone, so growing the
+      signature leaves every memo entry valid;
+    - the front of its translation contexts, in name order (see _Front).
+      A translation sorts in only the names added since the last one.
+      It first tests by content that the front stands for no sort or
+      arity that the fields lack (removing a sort, or replacing an
+      arity, breaks that), and starts a new front when it does.
     """
     sorts: set
     predicates: Dict[str, Tuple[str, ...]]
@@ -109,6 +142,7 @@ class Signature:
         self.sorts = set(sorts)
         self.predicates = {}
         self._decls = {}
+        self._front = _Front()
         for name, arity in (predicates or {}).items():
             self.add_predicate(name, arity)
 
@@ -118,14 +152,40 @@ class Signature:
                 raise SortError(f"predicate {name} uses undeclared sort {s}")
         self.predicates[name] = tuple(arity)
 
-    def _decl(self, name: str, arity: Tuple[str, ...]) -> TypeConstDecl:
-        decl = self._decls.get((name, arity))
-        if decl is None:
+    def _translation_front(self) -> Tuple[tuple, str]:
+        """The declarations every translation context starts with, and
+        their printed text."""
+        front = self._front
+        if not (front.sorts <= self.sorts
+                and front.predicates.items() <= self.predicates.items()):
+            front = self._front = _Front()
+        # all the front holds, the fields hold: any more is new
+        if (len(front.sorts) < len(self.sorts)
+                or len(front.predicates) < len(self.predicates)):
+            from .printer import decl_str
+            new_sorts = self.sorts - front.sorts
+            new_preds = self.predicates.keys() - front.predicates.keys()
+            for name in new_sorts:
+                front.insert(*self._decl(name, (), decl_str), 0,
+                             len(front.sorts))
+                front.sorts.add(name)
+            for name in new_preds:
+                arity = front.predicates[name] = self.predicates[name]
+                front.insert(*self._decl(name, arity, decl_str),
+                             len(front.sorts), len(front.decls))
+            front.printed = tuple(front.decls), ", ".join(front.texts)
+        return front.printed
+
+    def _decl(self, name: str, arity: Tuple[str, ...],
+              show) -> Tuple[TypeConstDecl, str]:
+        """The declaration of name over arity, and its text by show."""
+        memo = self._decls.get((name, arity))
+        if memo is None:
             telescope = tuple((f"x{i + 1}", Atom(s))
                               for i, s in enumerate(arity))
-            decl = self._decls[name, arity] = TypeConstDecl(
-                name, telescope, U0)
-        return decl
+            decl = TypeConstDecl(name, telescope, U0)
+            memo = self._decls[name, arity] = decl, show(decl)
+        return memo
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +244,9 @@ def _translation(sig: Signature, formulas) -> Tuple[Context, list]:
             seen = free.setdefault(v, s)
             if seen != s:
                 raise SortError(f"variable {v} used at sorts {seen} and {s}")
-    decl, preds = sig._decl, sig.predicates
-    entries = [decl(s, ()) for s in sorted(sig.sorts)]
-    entries += [decl(p, preds[p]) for p in sorted(preds)]
-    entries += [TermDecl(v, Atom(s)) for v, s in free.items()]
-    return Context(tuple(entries)), types
+    front, text = sig._translation_front()
+    ctx = Context(front + tuple(TermDecl(v, Atom(s)) for v, s in free.items()))
+    return ctx.with_printed_prefix(len(front), text), types
 
 
 def _walk(sig: Signature, f: Formula, bound: Dict[str, str],

@@ -52,13 +52,17 @@ from .syntax import ARROW, ATOM, BINDER, PREFIX
 # the level of a bracket on the precedence stack, below every operator
 _OPEN = -1
 
+# one match per token, newline or comment, with the blanks before it; the
+# last alternative takes any other character but a blank, so only
+# trailing blanks end the matches early
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>--[^\n]*)
-  | (?P<nl>\n)
-  | (?P<word>[a-zA-Z][a-zA-Z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<sym>->|<~|=>|[()<>,:;.*+~\\{}|&])
+    [ \t\r]*
+    (?: (?P<comment>--[^\n]*)
+      | (?P<nl>\n)
+      | (?P<word>[a-zA-Z][a-zA-Z0-9_]*)
+      | (?P<int>[0-9]+)
+      | (?P<sym>->|<~|=>|[()<>,:;.*+~\\{}|&])
+      | (?P<bad>[^ \t\r]) )
 """, re.VERBOSE)
 
 
@@ -73,22 +77,25 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> List[Token]:
     tokens = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - bol + 1)
+    # tuple.__new__ makes each Token without NamedTuple's Python-level
+    # __new__, a call per token
+    append, new = tokens.append, tuple.__new__
+    line, bol = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "nl":
             line += 1
             bol = m.end()
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token(kind, m.group(), line, pos - bol + 1,
-                                pos, m.end()))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - bol + 1,
-                        len(text), len(text)))
+            continue
+        if kind == "comment":
+            continue
+        start, end = m.span(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}",
+                             line, start - bol + 1)
+        append(new(Token, (kind, text[start:end], line, start - bol + 1,
+                           start, end)))
+    append(Token("eof", "", line, len(text) - bol + 1, len(text), len(text)))
     return tokens
 
 

@@ -100,15 +100,19 @@ def script_str(sc) -> str:
     return "\n".join(directive_str(d) for d in sc.directives) + "\n"
 
 
+def decl_str(e) -> str:
+    """A context entry in concrete syntax."""
+    if isinstance(e, TermDecl):
+        return f"{e.name} : {type_str(e.type)}"
+    if e.telescope:
+        tel = ", ".join(f"{v}:{type_str(s)}" for v, s in e.telescope)
+        return f"{e.name}({tel}) : {e.universe!s}"
+    return f"{e.name} : {e.universe!s}"
+
+
 def context_str(ctx) -> str:
-    parts = []
-    for e in ctx.entries:
-        if isinstance(e, TermDecl):
-            parts.append(f"{e.name} : {type_str(e.type)}")
-        else:
-            if e.telescope:
-                tel = ", ".join(f"{v}:{type_str(s)}" for v, s in e.telescope)
-                parts.append(f"{e.name}({tel}) : {e.universe!s}")
-            else:
-                parts.append(f"{e.name} : {e.universe!s}")
-    return ", ".join(parts)
+    """A context in concrete syntax; the entries whose printed text the
+    context keeps (see Context.printed_prefix) are not printed again."""
+    n, text = ctx.printed_prefix
+    rest = map(decl_str, ctx.entries[n:])
+    return ", ".join((text, *rest) if n else rest)

@@ -6,7 +6,9 @@ ladder, _formula_type translated it through CONNECTIVES in a second
 walk, and translation_context extended the signature's context by one
 free variable at a time.  Tests compare check_sorts, translate,
 translation_context and strong_equiv_check against it on generated
-formulas, well sorted and malformed.
+formulas, well sorted and malformed.  context_str prints a context entry
+by entry, as printer.context_str did before a translation context kept
+the printed text of its signature's declarations.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from opptypes import (And, Atom, CoImpl, Context, Exists, Forall, Impl, Neg,
                       Opp, Or, Pred, SortError, TermDecl, TypeConstDecl, U0,
                       Var, type_equal)
 from opptypes.logic import CONNECTIVES
+from opptypes.printer import type_str
 
 
 def check_sorts(sig, f) -> Dict[str, str]:
@@ -106,3 +109,16 @@ def strong_equiv_check(sig, f, g) -> bool:
     if not type_equal(ctx, _formula_type(f), _formula_type(g)):
         return False
     return type_equal(ctx, _formula_type(Neg(f)), _formula_type(Neg(g)))
+
+
+def context_str(ctx) -> str:
+    parts = []
+    for e in ctx.entries:
+        if isinstance(e, TermDecl):
+            parts.append(f"{e.name} : {type_str(e.type)}")
+        elif e.telescope:
+            tel = ", ".join(f"{v}:{type_str(s)}" for v, s in e.telescope)
+            parts.append(f"{e.name}({tel}) : {e.universe!s}")
+        else:
+            parts.append(f"{e.name} : {e.universe!s}")
+    return ", ".join(parts)
