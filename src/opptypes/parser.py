@@ -36,6 +36,12 @@ Directives are read from their templates in script.DIRECTIVES, which the
 printer writes too: a keyword, literal tokens and fields up to `;`, each
 field read by its annotation (an identifier, a type, term or formula, a
 comma list of types, a basis name or an integer).
+
+Tokens are read at one index, Parser.i: expect steps over a literal
+token, a word or a symbol, which their text alone tells apart;
+expect_ident reads an identifier, and fail raises every ParseError.  No
+read passes eof, whose empty text matches no literal, identifier, infix
+symbol or opening token.
 """
 
 from __future__ import annotations
@@ -120,64 +126,47 @@ class _Sort(NamedTuple):
 # marks the bracket entry of a type atom's argument list
 _ARGS = object()
 
+# the longest integer literal read, Python's default limit on int(str)
+# from 3.11 on; a longer one is a ParseError on every version
+_MAX_DIGITS = 4300
+
+
+def _shown(text: str) -> str:
+    """A literal token as an expected set names it: a word as itself, a
+    symbol quoted."""
+    return text if text[0].isalpha() else repr(text)
+
 
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
 
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
     def fail(self, message: Optional[str] = None, expected=()):
         """Raise a ParseError at the token at hand, by default naming it."""
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if message is None:
             message = (f"found {tok.value!r}" if tok.kind != "eof"
                        else "unexpected end of input")
         raise ParseError(message, tok.line, tok.col, expected)
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.value == sym:
-            return self.advance()
-        self.fail(expected=(repr(sym),))
-
-    def expect_word(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "word" and tok.value == word:
-            return self.advance()
-        self.fail(expected=(word,))
+    def expect(self, text: str) -> Token:
+        """Step over the literal token text, a word or a symbol."""
+        tok = self.tokens[self.i]
+        if tok.value != text:
+            self.fail(expected=(_shown(text),))
+        self.i += 1
+        return tok
 
     def expect_ident(self, expected=("identifier",)) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind == "word" and tok.value not in RESERVED:
-            return self.advance().value
+            self.i += 1
+            return tok.value
         self.fail(f"{tok.value!r} is a reserved word"
                   if tok.kind == "word" else None, expected)
 
-    def at_sym(self, *syms: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.value in syms
-
     # -- expressions ---------------------------------------------------------
-
-    def type_(self) -> syntax.TypeExpr:
-        return self._expr(_TYPE)
-
-    def formula_(self) -> logic.Formula:
-        return self._expr(_FORMULA)
-
-    def term_(self) -> syntax.TermExpr:
-        return self._expr(_TERM)
 
     def _expr(self, sort):
         """One type, formula or term, read by precedence on an explicit
@@ -208,7 +197,7 @@ class Parser:
                     if x is None:           # a type atom's term arguments
                         sort, floor = _TERM, BINDER
                 continue
-            op = sort.infix.get(tok.value) if tok.kind == "sym" else None
+            op = sort.infix.get(tok.value)
             # an infix operator's right operand may be at any level
             width, floor = 1, BINDER
             if op is None and sort.apply is not None:
@@ -244,12 +233,12 @@ class Parser:
             fields.append(x)
             if forms is not _ARGS:
                 x, sort, floor = self._form(stack, sort, forms, fields, pos)
-            elif self.at_sym(","):
-                self.advance()
+            elif tok.value == ",":
+                self.i += 1
                 stack.append((_OPEN, sort, _ARGS, fields, 0))
                 x, sort, floor = None, _TERM, BINDER
             else:
-                self.expect_sym(")")
+                self.expect(")")
                 x = syntax.Atom(fields[0], tuple(fields[1:]))
 
     def _form(self, stack, sort, forms, fields, pos):
@@ -270,8 +259,7 @@ class Parser:
             if step is None:
                 fields.append(self.expect_ident())
             elif type(step) is str:
-                (self.expect_word if step[0].isalpha() else
-                 self.expect_sym)(step)
+                self.expect(step)
             else:
                 stack.append((_OPEN, sort, forms, fields, pos)
                              if pos < len(steps) else
@@ -284,16 +272,15 @@ class Parser:
         predicate's are identifiers, and a type atom's are terms, which
         are read on the stack (None is returned then).  Where there is
         none, an operand of sort at level floor was expected."""
-        tok = self.peek()
+        tok = self.tokens[self.i]
         name = self.expect_ident(sort.starts[floor])
-        nxt = self.peek()
-        if (sort is _TERM or nxt.kind != "sym" or nxt.value != "("
-                or nxt.start != tok.end):
+        nxt = self.tokens[self.i]
+        if sort is _TERM or nxt.value != "(" or nxt.start != tok.end:
             return sort.atom(name)
-        self.advance()
+        self.i += 1
         if sort is _FORMULA:
             args = self._list(self.expect_ident)
-            self.expect_sym(")")
+            self.expect(")")
             return sort.atom(name, args)
         stack.append((_OPEN, sort, _ARGS, [name], 0))
         return None
@@ -301,34 +288,34 @@ class Parser:
     def _list(self, item) -> tuple:
         """item {',' item}."""
         items = [item()]
-        while self.at_sym(","):
-            self.advance()
+        while self.tokens[self.i].value == ",":
+            self.i += 1
             items.append(item())
         return tuple(items)
 
     def basis_(self) -> Basis:
-        tok = self.peek()
-        if tok.kind != "word" or tok.value not in BASIS_NAMES:
+        tok = self.tokens[self.i]
+        if tok.value not in BASIS_NAMES:
             self.fail(f"unknown basis {tok.value!r}"
                       if tok.kind == "word" else None, BASIS_NAMES)
-        return BASIS_NAMES[self.advance().value]
+        self.i += 1
+        return BASIS_NAMES[tok.value]
 
     def integer_(self) -> int:
-        if self.peek().kind != "int":
+        tok = self.tokens[self.i]
+        if tok.kind != "int":
             self.fail(expected=("integer",))
-        return int(self.advance().value)
+        if len(tok.value) > _MAX_DIGITS:
+            self.fail(f"integer literal of {len(tok.value)} digits is "
+                      f"longer than {_MAX_DIGITS}")
+        self.i += 1
+        return int(tok.value)
 
     # -- directives ----------------------------------------------------------
 
-    def script_(self) -> script.Script:
-        directives = []
-        while self.peek().kind != "eof":
-            directives.append(self.directive())
-        return script.Script(tuple(directives))
-
     def directive(self):
         """One directive, read by its template in script.DIRECTIVES."""
-        start = self.peek()
+        start = self.tokens[self.i]
         if start.kind != "word":
             self.fail(expected=("directive keyword",))
         form = _DIRECTIVES.get(start.value)
@@ -339,8 +326,7 @@ class Parser:
         fields = []
         for step in steps:          # the first reads the keyword
             if type(step) is str:
-                end = (self.expect_word if step[0].isalpha() else
-                       self.expect_sym)(step)
+                end = self.expect(step)
             else:
                 fields.append(step(self))
         return cls(*fields, span=script.Span(start.line, start.col,
@@ -382,8 +368,7 @@ def _grammar(sort, atom, fixity, terms):
     forms["("].append(_Form(None, ATOM, ((sort, BINDER), ")")))
     # an identifier, or a token that opens a form reaching the level
     starts = tuple(("identifier", *(
-        t if t[0].isalpha() else repr(t)
-        for t, alts in forms.items() if alts[0].level >= floor))
+        _shown(t) for t, alts in forms.items() if alts[0].level >= floor))
         for floor in range(ATOM + 1))
     return _Sort(infix, {k: tuple(v) for k, v in forms.items()}, atom, apply,
                  starts)
@@ -396,10 +381,11 @@ _SORTS = {cls: _grammar(cls, *tables) for cls, tables in (
 _TYPE, _FORMULA, _TERM = _SORTS.values()
 
 # what a directive reads at a field, by its annotation
-_SLOTS = {str: Parser.expect_ident, syntax.TypeExpr: Parser.type_,
-          syntax.TermExpr: Parser.term_, logic.Formula: Parser.formula_,
-          Tuple[syntax.TypeExpr, ...]: lambda p: p._list(p.type_),
-          Basis: Parser.basis_, int: Parser.integer_}
+_SLOTS = {str: Parser.expect_ident, Basis: Parser.basis_, int: Parser.integer_,
+          Tuple[syntax.TypeExpr, ...]:
+              lambda p: p._list(lambda: p._expr(_TYPE)),
+          **{cls: lambda p, sort=sort: p._expr(sort)
+             for cls, sort in _SORTS.items()}}
 # each directive's keyword, with its class and steps: a literal token's
 # text, or the reader of a field
 _DIRECTIVES = {kw: (cls, tuple(
@@ -418,13 +404,17 @@ RESERVED = frozenset(
 
 def parse(text: str) -> script.Script:
     """Parse a whole script."""
-    return Parser(text).script_()
-
-
-def _parse_entire(text: str, production: str):
     p = Parser(text)
-    result = getattr(p, production)()
-    tok = p.peek()
+    directives = []
+    while p.tokens[p.i].kind != "eof":
+        directives.append(p.directive())
+    return script.Script(tuple(directives))
+
+
+def _parse_entire(text: str, sort: _Sort):
+    p = Parser(text)
+    result = p._expr(sort)
+    tok = p.tokens[p.i]
     if tok.kind != "eof":
         raise ParseError(f"trailing input starting at {tok.value!r}",
                          tok.line, tok.col)
@@ -432,12 +422,12 @@ def _parse_entire(text: str, production: str):
 
 
 def parse_type(text: str) -> syntax.TypeExpr:
-    return _parse_entire(text, "type_")
+    return _parse_entire(text, _TYPE)
 
 
 def parse_term(text: str) -> syntax.TermExpr:
-    return _parse_entire(text, "term_")
+    return _parse_entire(text, _TERM)
 
 
 def parse_formula(text: str) -> logic.Formula:
-    return _parse_entire(text, "formula_")
+    return _parse_entire(text, _FORMULA)

@@ -23,10 +23,17 @@ form by its duality.FAMILY, the only heads duality.equiv relates, and a
 Sum on the way reaches every goal, because a case can.  Family arguments
 are not looked at, so a dependent substitution cannot change the answer.
 
-The memo and the reach test skip only enumerations that are provably
-empty: a skipped branch could yield only terms whose type equiv accepts
-against the goal, and there are none.  So the terms found, and their
-order, are those of the plain enumeration.
+Where one enumeration runs inside another and the inner one cannot
+depend on the outer value, one empty inner run ends the outer loop: the
+second half of a Prod or CoFun goal, the result of a Fun spine's
+application and the right branch of a case use the outer term only to
+build terms, so if they have no inhabitant once, they have none for any
+later outer term.  (A Pi or Sg half may depend on it, and is not cut.)
+
+The memo, the reach test and the early stop skip only enumerations that
+are provably empty: a skipped branch could yield only terms whose type
+equiv accepts against the goal, and there are none.  So the terms found,
+and their order, are those of the plain enumeration.
 """
 
 from __future__ import annotations
@@ -96,12 +103,16 @@ def _inhabitants(ctx: Context, hyps, empty, goal: TypeExpr,
         for body in iter_inhabitants(ctx2, cod, depth - 1, hyps2, empty):
             yield Lam(x, dom, body)
     elif isinstance(goal, (Prod, CoFun, Sigma)):
-        first_type = halves(goal)[0]
+        first_type, var, _ = halves(goal)
         for fst in iter_inhabitants(ctx, first_type, depth - 1, hyps, empty):
             _, snd_type = components(goal, fst)
+            found = False
             for snd in iter_inhabitants(ctx, snd_type, depth - 1, hyps,
                                         empty):
+                found = True
                 yield Pair(fst, snd)
+            if not found and var is None:
+                break
     elif isinstance(goal, Sum):
         for arg in iter_inhabitants(ctx, goal.left, depth - 1, hyps, empty):
             yield Inl(arg)
@@ -120,13 +131,18 @@ def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
         return
 
     if isinstance(head_type, (Fun, Pi)):
-        dom, _, cod = halves(head_type)
+        dom, var, cod = halves(head_type)
         if not _reaches(cod, goal):
             return
         for arg in iter_inhabitants(ctx, dom, depth, hyps, empty):
-            yield from _eliminate(ctx, hyps, empty, App(head, arg),
-                                  components(head_type, arg)[1], goal,
-                                  depth - 1)
+            found = False
+            for term in _eliminate(ctx, hyps, empty, App(head, arg),
+                                   components(head_type, arg)[1], goal,
+                                   depth - 1):
+                found = True
+                yield term
+            if not found and var is None:
+                break
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
         c1, c2 = components(head_type, Proj1(head))
         yield from _eliminate(ctx, hyps, empty, Proj1(head), c1, goal,
@@ -140,9 +156,13 @@ def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
         hypl = hyps + ((Var(w), head_type.left),)
         hypr = hyps + ((Var(w), head_type.right),)
         for lbody in iter_inhabitants(ctxl, goal, depth - 1, hypl, empty):
+            found = False
             for rbody in iter_inhabitants(ctxr, goal, depth - 1, hypr,
                                           empty):
+                found = True
                 yield Case(head, w, lbody, w, rbody)
+            if not found:
+                break
 
 
 def _head(T: TypeExpr):

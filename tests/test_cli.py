@@ -295,10 +295,13 @@ class TestCommandLine:
 
     def test_syntax_error_exit_two(self, tmp_path):
         f = tmp_path / "syn.ptt"
-        f.write_text("atom a", encoding="utf-8")  # missing semicolon
-        proc = _cli("check", str(f))
-        assert proc.returncode == 2
-        assert "syntax error" in proc.stderr
+        # a missing semicolon, and an integer too long for int()
+        for text in ("atom a", "atom a; inhabit a depth " + "1" * 5000 + ";"):
+            f.write_text(text, encoding="utf-8")
+            proc = _cli("check", str(f))
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("syntax error")
+            assert proc.stderr.count("\n") == 1, proc.stderr[:300]
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_script_is_a_usage_error(self, tmp_path, kind):

@@ -136,6 +136,12 @@ def test_integer_slot_errors_name_the_token():
         "1:24: unexpected end of input (expected integer)")
     assert _error("script", "inhabit a depth x;") == (
         "1:17: found 'x' (expected integer)")
+    # a literal longer than Python's default int(str) limit, its leading
+    # zeros counted too, is an error at the literal, not a ValueError
+    for digits in ("1" * 5000, "0" * 5000 + "3"):
+        assert _error("script", f"atom a; inhabit a depth {digits};") == (
+            f"1:25: integer literal of {len(digits)} digits is longer "
+            "than 4300")
 
 
 def test_operand_and_basis_slots_list_what_may_start_there():

@@ -123,9 +123,14 @@ def test_non_collapse_at_the_cap_prunes_unreachable_heads(monkeypatch):
     assert len(searched) <= 50, len(searched)
 
 
-# one small context per arm of the reach test: hypotheses, goal, and
-# whether the goal has an inhabitant at depth 5
-REACH_CASES = {
+# f, g and h build ever more terms of a with depth
+TREES = (("f", "a -> a -> a"), ("g", "a -> a -> a"), ("h", "a -> a -> a"),
+         ("x", "a"))
+
+# one small context per arm of the reach test, and two where an empty half
+# ends the enumeration of the other: hypotheses, goal, and whether the
+# goal has an inhabitant at depth 5
+PRUNED_CASES = {
     "sum_in_codomain": ((("x", "a"), ("f", "a -> b + b")), "b", True),
     "sum_in_pair": ((("x", "a"), ("f", "a -> c * (b + b)")), "b", True),
     "cofun_second": ((("x", "a"), ("f", "a -> (b <~ c)")), "b", True),
@@ -135,17 +140,33 @@ REACH_CASES = {
                             ("z", "c")), "p(z)", True),
     "polarity_other": ((("x", "a"), ("f", "a -> ~b")), "b", False),
     "polarity_same": ((("x", "a"), ("f", "a -> ~b")), "~b", True),
+    "empty_second": (TREES, "a * b", False),
+    "empty_argument": (TREES + (("k", "a -> b -> b"),), "b", False),
 }
 
 
-@pytest.mark.parametrize("case", sorted(REACH_CASES))
+@pytest.mark.parametrize("case", sorted(PRUNED_CASES))
 def test_pruned_enumeration_matches_oracle(case):
-    hyps, goal, inhabited = REACH_CASES[case]
+    hyps, goal, inhabited = PRUNED_CASES[case]
     ctx, goal = _sweep_ctx(hyps), onf(parse_type(goal))
     for depth in range(1, 6):
         assert (list(iter_inhabitants(ctx, goal, depth))
                 == list(oracle_inhabitants(ctx, goal, depth))), depth
     assert (bounded_inhabit(ctx, goal, 5) is not None) == inhabited
+
+
+@pytest.mark.parametrize("case, at_6, at_8", [("empty_second", 20, 51),
+                                              ("empty_argument", 28, 78)])
+def test_an_empty_half_ends_the_other(case, at_6, at_8, monkeypatch):
+    # b has no inhabitant, so neither has the pair's second half nor k's
+    # second argument, for any of the many terms of a before them
+    hyps, goal, _ = PRUNED_CASES[case]
+    ctx, goal = _sweep_ctx(hyps), onf(parse_type(goal))
+    searched = _count_calls(monkeypatch, search, "iter_inhabitants")
+    for depth, most in ((6, at_6), (8, at_8)):
+        searched.clear()
+        assert next(search.iter_inhabitants(ctx, goal, depth), None) is None
+        assert len(searched) <= most, (depth, len(searched))
 
 
 def test_reach_walk_is_stack_safe():

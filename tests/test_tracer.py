@@ -69,6 +69,9 @@ def test_traced_run_reports_the_same_and_unwinds():
     assert tracer.layer("runner.run")[0] == 1
     assert tracer.layer("printer.term_str")[0] > 0
     assert tracer.layer("kernel.context_lookup")[0] > 0
+    # Parser tokenizes through the module-level name the tracer rebinds
+    assert tracer.counts["parser.tokens"] == len(
+        opptypes.parser.tokenize(text))
     assert traced == untraced
     # and nothing is left rebound
     after = _bindings()
