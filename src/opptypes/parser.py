@@ -47,6 +47,7 @@ symbol or opening token.
 from __future__ import annotations
 
 import re
+import sys
 from string import Formatter
 from typing import List, NamedTuple, Optional, Tuple, get_type_hints
 
@@ -127,8 +128,14 @@ class _Sort(NamedTuple):
 _ARGS = object()
 
 # the longest integer literal read, Python's default limit on int(str)
-# from 3.11 on; a longer one is a ParseError on every version
+# from 3.11 on, or the interpreter's own limit where it is set lower (0
+# is no limit); a longer one is a ParseError on every version
 _MAX_DIGITS = 4300
+
+
+def _max_digits() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return min(limit, _MAX_DIGITS) if limit else _MAX_DIGITS
 
 
 def _shown(text: str) -> str:
@@ -305,9 +312,10 @@ class Parser:
         tok = self.tokens[self.i]
         if tok.kind != "int":
             self.fail(expected=("integer",))
-        if len(tok.value) > _MAX_DIGITS:
+        limit = _max_digits()
+        if len(tok.value) > limit:
             self.fail(f"integer literal of {len(tok.value)} digits is "
-                      f"longer than {_MAX_DIGITS}")
+                      f"longer than {limit}")
         self.i += 1
         return int(tok.value)
 

@@ -10,6 +10,15 @@ Binders are named; which fields bind over which subtrees is stated once,
 in SCOPES, which free_vars, all_names, alpha_eq, the simultaneous subst
 and the binder opener open_binders read.  Substitution freshens binders
 on demand, so alpha_eq is the only equality client code should rely on.
+
+A node keeps its free variables and, when it binds, every name in it,
+once asked (see free_vars and all_names).  Substitution returns a
+subtree in which no replaced variable is free as it is, so a renaming
+rebuilds only the paths down to the occurrences it changes and shares the
+rest; alpha_eq takes a shared subtree as equal to itself when its free
+variables are bound alike on both sides.  Naming a binder apart and
+comparing it back then cost work along those paths, not across its whole
+scope.
 """
 
 from __future__ import annotations
@@ -27,15 +36,19 @@ from .errors import IllFormedType, NormalizationOverflow
 # ---------------------------------------------------------------------------
 
 class _Node:
-    """Base class of trees.  A node keeps its hash once computed (see
-    _hash), outside the dataclass fields; pickling and copying drop it,
-    since string hashes differ between processes."""
+    """Base class of trees.  A node keeps, outside the dataclass fields,
+    what is worked out from it once asked: its hash (_hash, see _hash),
+    and where free_vars and all_names say so, its free variables (_fv)
+    and every name in it (_names).  Pickling and copying drop all three:
+    string hashes differ between processes, and the sets are worked out
+    again on demand."""
 
-    _hash = None
+    _hash = _fv = _names = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        for kept in ("_hash", "_fv", "_names"):
+            state.pop(kept, None)
         return state
 
 
@@ -295,6 +308,10 @@ def _plan(cls, subtrees):
 _PLANS = _Plans((cls, _plan(cls, subtrees))
                 for cls, subtrees in SCOPES.items())
 
+# the classes with a binder field
+_BINDERS = frozenset(cls for cls, plan in SCOPES.items()
+                     if any(len(sub) > 1 for sub in plan))
+
 
 # ---------------------------------------------------------------------------
 # Hashing and equality
@@ -365,19 +382,38 @@ for _cls in _FIELDS:
 # Free variables and name collection
 # ---------------------------------------------------------------------------
 
+_NONE = frozenset()
+
+
+def _union(s: frozenset, t: frozenset) -> frozenset:
+    """s | t, or s or t itself when it already holds the other, so that
+    a node whose subtrees name the same things holds no set of its own."""
+    if t <= s:
+        return s
+    if s <= t:
+        return t
+    return s | t
+
+
 def free_vars(e: Expr) -> frozenset:
     """Free term variables of a type or term.
 
     Atom names are type constants resolved through the context, never term
     variables, so they do not appear here; only their arguments contribute.
+    A node of two or more fields other than an Atom keeps the set once
+    asked.  An Atom, whose arguments are few, and a node of one field,
+    which would keep its subtree's set again, build theirs each time.
     """
+    out = e._fv
+    if out is not None:
+        return out
     cls = type(e)
     if cls is Var:
         return frozenset((e.name,))
-    out = frozenset()
+    out = _NONE
     if cls is Atom:
         for a in e.args:
-            out |= free_vars(a)
+            out = _union(out, free_vars(a))
         return out
     get, one, plan = _PLANS[cls]
     if one:
@@ -385,41 +421,45 @@ def free_vars(e: Expr) -> frozenset:
     vals = get(e)
     for i, binders in plan:
         fv = free_vars(vals[i])
-        if binders:
-            fv = fv.difference(map(vals.__getitem__, binders))
-        out |= fv
+        if binders and fv:
+            rest = fv.difference(map(vals.__getitem__, binders))
+            if len(rest) < len(fv):
+                fv = rest or _NONE
+        out = _union(out, fv)
+    object.__setattr__(e, "_fv", out)
     return out
 
 
 def all_names(e: Expr) -> frozenset:
     """Every identifier occurring in e: variables, binders and atom names.
 
-    Used to seed fresh-name generation so new binders never collide.
+    Used to seed fresh-name generation so new binders never collide.  A
+    binder node keeps the set once asked; other nodes build theirs from
+    their subtrees' each time.
     """
-    out = set()
-    _collect_names(e, out)
-    return frozenset(out)
-
-
-def _collect_names(e: Expr, out: set) -> None:
+    out = e._names
+    if out is not None:
+        return out
     cls = type(e)
     if cls is Var:
-        out.add(e.name)
-        return
+        return frozenset((e.name,))
     if cls is Atom:
-        out.add(e.name)
+        out = frozenset((e.name,))
         for a in e.args:
-            _collect_names(a, out)
-        return
+            out = _union(out, all_names(a))
+        return out
     get, one, plan = _PLANS[cls]
     if one:
-        _collect_names(get(e), out)
-        return
+        return all_names(get(e))
     vals = get(e)
+    out = _NONE
     for i, binders in plan:
-        if binders:
-            out.update(map(vals.__getitem__, binders))
-        _collect_names(vals[i], out)
+        out = _union(out, all_names(vals[i]))
+        if binders and not out.issuperset(map(vals.__getitem__, binders)):
+            out = out.union(map(vals.__getitem__, binders))
+    if cls in _BINDERS:
+        object.__setattr__(e, "_names", out)
+    return out
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -462,14 +502,15 @@ def subst_type(A: TypeExpr, x: str, u: TermExpr) -> TypeExpr:
 
 
 def _subst(e: Expr, m: dict) -> Expr:
-    """subst with m mapping each variable to (replacement, its free vars)."""
+    """subst with m mapping each variable to (replacement, its free vars).
+    A node in which no variable of m is free is returned as it is."""
     cls = type(e)
     if cls is Var:
         hit = m.get(e.name)
         return e if hit is None else hit[0]
+    if m.keys().isdisjoint(free_vars(e)):
+        return e
     if cls is Atom:
-        if not e.args:
-            return e
         return Atom(e.name, tuple([_subst(a, m) for a in e.args]))
     get, one, plan = _PLANS[cls]
     if one:
@@ -566,10 +607,12 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
 def _alpha(a, b, envl: dict, envr: dict, depth: int) -> bool:
     """envl and envr map bound names to the depth of their binder.  They
     are one dict while every binder passed so far has the same name on
-    both sides, and while they are, a shared subtree is equal to itself."""
-    if a is b and envl is envr:
-        return True
+    both sides.  A shared subtree is equal to itself when each of its free
+    variables is bound at the same depth on both sides, or free on both."""
     cls = type(a)
+    if a is b and (envl is envr or cls is not Var
+                   and _same_binders(free_vars(a), envl, envr)):
+        return True
     if cls is not type(b):
         return False
     if cls is Var:
@@ -598,6 +641,15 @@ def _alpha(a, b, envl: dict, envr: dict, depth: int) -> bool:
                 el[x] = er[y] = d
                 d += 1
         if not _alpha(va[i], vb[i], el, er, d):
+            return False
+    return True
+
+
+def _same_binders(names, envl: dict, envr: dict) -> bool:
+    """Each of names is bound at the same depth in envl and envr, or
+    free in both."""
+    for x in names:
+        if envl.get(x) != envr.get(x):
             return False
     return True
 

@@ -1,6 +1,7 @@
 """Concrete syntax, the script runner, and the command-line entry point."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -271,10 +272,11 @@ inhabit a -> a depth 2;
 """
 
 
-def _cli(*args, stdin=None):
+def _cli(*args, stdin=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "opptypes", *args],
-        input=stdin, capture_output=True, text=True, cwd=REPO)
+        input=stdin, capture_output=True, text=True, cwd=REPO,
+        env=None if env is None else {**os.environ, **env})
 
 
 class TestCommandLine:
@@ -302,6 +304,20 @@ class TestCommandLine:
             assert proc.returncode == 2
             assert proc.stderr.startswith("syntax error")
             assert proc.stderr.count("\n") == 1, proc.stderr[:300]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="PYTHONINTMAXSTRDIGITS is read from 3.11 on")
+    def test_integer_longer_than_the_interpreter_limit(self, tmp_path):
+        # the interpreter's int(str) limit, set below the parser's 4300
+        # digits, bounds a literal too
+        f = tmp_path / "long.ptt"
+        f.write_text("atom a; inhabit a depth " + "1" * 1000 + ";",
+                     encoding="utf-8")
+        proc = _cli("check", str(f), env={"PYTHONINTMAXSTRDIGITS": "640"})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("syntax error")
+        assert "1000 digits is longer than 640" in proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr[:300]
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
     def test_unreadable_script_is_a_usage_error(self, tmp_path, kind):

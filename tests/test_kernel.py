@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 import opptypes.kernel as kernel
 import opptypes.script as s
+import opptypes.syntax as syntax
 from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       Derivation, Formation, Fun, IllFormedContext,
                       IllFormedType, InvalidDerivation, Lam, NonInferableTerm,
@@ -1354,3 +1355,36 @@ def test_deep_derivation_rechecks(n, var):
     ctx = declare_type_const(EMPTY, "a")
     t, T = _lambda_chain(n, var)
     assert recheck(check(ctx, t, T))
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of syntax.<name>; its own recursion goes through
+    the module's global name, so it is counted too."""
+    calls = [0]
+    orig = getattr(syntax, name)
+
+    def call(*args):
+        calls[0] += 1
+        return orig(*args)
+    monkeypatch.setattr(syntax, name, call)
+    return calls
+
+
+def test_shadowing_chain_costs_linear_work(monkeypatch):
+    # every binder of \x:a. ... \x:a. x clashes with the one above it,
+    # so check renames each; it collects the names of each scope, and
+    # recheck compares each lambda with its renamed body, in work that
+    # grows with the chain, not with its square
+    ctx = declare_type_const(EMPTY, "a")
+    counts = []
+    for n in (200, 400):
+        t, T = _lambda_chain(n, lambda i: "x")
+        with monkeypatch.context() as m:
+            names = _counted(m, "all_names")
+            d = check(ctx, t, T)
+        with monkeypatch.context() as m:
+            alpha = _counted(m, "_alpha")
+            assert recheck(d)
+        counts.append((names[0], alpha[0]))
+    (names1, alpha1), (names2, alpha2) = counts
+    assert names2 <= 2.1 * names1 and alpha2 <= 2.1 * alpha1, counts

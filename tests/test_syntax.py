@@ -16,8 +16,9 @@ from opptypes import (EMPTY, Ann, App, Atom, Basis, Case, CoFun, Fun, Inl,
                       declare_type_const, dual, expand_in_basis, free_vars,
                       is_onf, normalize_term, onf, parse_term, subst,
                       subst_term, subst_type, uses_only_basis)
-from opptypes.syntax import SCOPES
+from opptypes.syntax import SCOPES, all_names
 
+import binding_oracle as oracle
 from generators import terms, types
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -109,6 +110,14 @@ class TestAlphaEq:
     def test_bound_free_mixup_rejected(self):
         assert not alpha_eq(Lam("x", a, Var("x")), Lam("y", a, Var("x")))
 
+    def test_a_shared_body_is_read_through_its_free_variables(self):
+        # one body object under differently named binders: equal only
+        # when neither binder name is free in it
+        for B in (Var("x"), App(Var("x"), Var("z"))):
+            assert not alpha_eq(Lam("x", a, B), Lam("y", a, B))
+        for B in (Var("z"), App(Var("z"), Lam("x", a, Var("x")))):
+            assert alpha_eq(Lam("x", a, B), Lam("y", a, B))
+
 
 class TestFreeVars:
     def test_closed_pi(self):
@@ -157,10 +166,13 @@ def test_alpha_eq_reflexive(A):
 @given(types(max_depth=3), terms())
 def test_hash_is_structural(A, t):
     for e in (A, t):
-        h = hash(e)
-        twin = copy.deepcopy(e)     # fresh nodes, no hash kept
-        assert twin._hash is None and twin == e and hash(twin) == h
-        assert "_hash" not in e.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        h, fv, names = hash(e), free_vars(e), all_names(e)
+        twin = copy.deepcopy(e)     # fresh nodes, nothing kept
+        assert twin._hash is twin._fv is twin._names is None
+        assert twin == e and hash(twin) == h
+        assert free_vars(twin) == fv and all_names(twin) == names
+        state = e.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert not {"_hash", "_fv", "_names"} & set(state)
         assert pickle.loads(pickle.dumps(e)) == e
 
 
@@ -191,6 +203,65 @@ def test_equality_of_deep_trees():
     assert table[T2] == "type" and table[t2] == "term"
     assert T3 not in table and t3 not in table
     assert T1 != T3 and t1 != t3     # now with kept hashes
+
+
+def _nodes(e):
+    """Every node of e once, each before its subtrees."""
+    seen, out, stack = set(), [], [e]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            out.append(n)
+            stack.extend(syntax._subtrees(n))
+    return out
+
+
+def _agrees_with_oracle(e, top_down):
+    """Ask e's nodes for their sets, the root first or the leaves first,
+    then compare every node's with the plain walks."""
+    nodes = _nodes(e)
+    for n in nodes if top_down else reversed(nodes):
+        free_vars(n), all_names(n)
+    for n in nodes:
+        assert free_vars(n) == oracle.free_vars(n), n
+        assert all_names(n) == oracle.all_names(n), n
+
+
+@settings(max_examples=200)
+@given(st.one_of(types(max_depth=3), terms()), terms(max_depth=2),
+       st.sampled_from(("x", "y", "z", "v1")), st.booleans())
+def test_kept_sets_match_the_oracle(e, u, x, top_down):
+    # e shared under a binder of x and beside it, and in a family's
+    # argument when it is a term
+    if isinstance(e, TermExpr):
+        shared = Pair(e, Lam(x, Atom("p", (e,)), App(e, Var(x))))
+    else:
+        shared = Pi(x, e, Fun(e, Atom("p", (Var(x), u))))
+    _agrees_with_oracle(shared, top_down)
+    out = subst(shared, {x: u, "w": Var(x)})
+    _agrees_with_oracle(out, top_down)
+    assert free_vars(shared) == oracle.free_vars(shared)
+
+
+@settings(max_examples=200)
+@given(st.one_of(types(max_depth=3), terms()), terms(max_depth=2))
+def test_subst_returns_a_node_it_does_not_change(e, u):
+    for n in _nodes(e):
+        free = oracle.free_vars(n)
+        for x in ("x", "y", "z", "w", "v1"):
+            if x not in free:
+                assert subst(n, {x: u}) is n
+    if "x" in oracle.free_vars(e):
+        assert subst(e, {"x": u}) is not e
+
+
+def test_subst_shares_the_subtrees_it_does_not_change():
+    kept = Lam("y", a, App(Var("y"), Var("z")))
+    t = Pair(App(Var("x"), kept), kept)
+    out = subst(t, {"x": Var("u")})
+    assert out.snd is kept and out.fst.arg is kept
+    assert out == Pair(App(Var("u"), kept), kept)
 
 
 class TestNormalize:
