@@ -1376,6 +1376,10 @@ def test_shadowing_chain_costs_linear_work(monkeypatch):
     # recheck compares each lambda with its renamed body, in work that
     # grows with the chain, not with its square
     ctx = declare_type_const(EMPTY, "a")
+    with monkeypatch.context() as m:
+        names = _counted(m, "all_names")
+        syntax.all_names(_lambda_chain(50, lambda i: "x")[0])
+    assert names[0] == 101     # the count is of nodes visited, not calls
     counts = []
     for n in (200, 400):
         t, T = _lambda_chain(n, lambda i: "x")
