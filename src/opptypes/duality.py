@@ -261,15 +261,15 @@ def expand_in_basis(A: TypeExpr, basis: Basis) -> TypeExpr:
     Fresh binder names are drawn from a counter, so the expansion is
     reproducible byte for byte.
     """
-    avoid = set(all_names(A))
+    avoid = all_names(A)
     counter = [0]
 
     def fresh() -> str:
+        # the counter makes each candidate once, so none is taken twice
         while True:
             counter[0] += 1
             cand = f"x{counter[0]}"
             if cand not in avoid:
-                avoid.add(cand)
                 return cand
 
     def go(T: TypeExpr) -> TypeExpr:

@@ -80,17 +80,27 @@ class TypeConstDecl:
 ContextEntry = Union[TermDecl, TypeConstDecl]
 
 
+# from this many entries on, extended hands the index over (see Context)
+_HANDOVER = 160
+
+
 @dataclass(frozen=True)
 class Context:
     """Ordered telescope of term declarations and type-constant declarations.
 
-    Each context keeps an index from every name to the last entry under
+    Each context has an index from every name to the last entry under
     that name, beside the fields, so ==, hash, repr and replace ignore
-    it.  extended copies the parent's index and adds the new entry; a
-    context built directly indexes its entries on first use.  A lookup
-    reads the index and scans the entries only when the last entry under
-    the name is of the other kind, which only a context built by hand can
-    give.
+    it.  A context built directly indexes its entries on first use.
+    Below _HANDOVER entries, extended copies the parent's index; from
+    that size on, the new context takes it over, and the parent keeps an
+    undo record (ctx, name, entry) in its place: its index is ctx's with
+    name mapped back to entry, or unmapped for None (Baker's shallow
+    binding).  Contexts sharing an index form a tree rooted at the one
+    holding it; using another context reroots the tree there, turning
+    the records round one step at a time.  So a names view is valid
+    only until another context of its tree is used.  A lookup reads the
+    index and scans the entries only when the last entry under the name
+    is of the other kind, which only a context built by hand can give.
 
     A context may also keep, beside its fields, the printed text of its
     first entries, which its builder notes with with_printed_prefix and
@@ -111,10 +121,26 @@ class Context:
         return self.__dict__.get("_printed_prefix", (0, ""))
 
     def _index(self) -> dict:
+        """The index, rerooting the tree here first (see Context)."""
         index = self.__dict__.get("_by_name")
+        if type(index) is dict:
+            return index
         if index is None:
             index = {e.name: e for e in self.entries}
-            object.__setattr__(self, "_by_name", index)
+        else:
+            path, ctx, record = [], self, index
+            while type(record) is not dict:
+                path.append((ctx, record))
+                ctx = record[0]
+                record = ctx.__dict__["_by_name"]
+            index = record
+            for ctx, (other, name, entry) in reversed(path):
+                other.__dict__["_by_name"] = (ctx, name, index.get(name))
+                if entry is None:
+                    del index[name]
+                else:
+                    index[name] = entry
+        self.__dict__["_by_name"] = index
         return index
 
     @property
@@ -141,9 +167,13 @@ class Context:
 
     def extended(self, entry: ContextEntry) -> "Context":
         ctx = Context(self.entries + (entry,))
-        index = self._index().copy()
-        index[entry.name] = entry
-        object.__setattr__(ctx, "_by_name", index)
+        index, name = self._index(), entry.name
+        if len(self.entries) < _HANDOVER:
+            index = index.copy()
+        else:
+            self.__dict__["_by_name"] = (ctx, name, index.get(name))
+        index[name] = entry
+        ctx.__dict__["_by_name"] = index
         return ctx
 
     def term_decls(self):
@@ -164,16 +194,14 @@ def declare_term(ctx: Context, name: str, type_: TypeExpr) -> Context:
 def declare_type_const(ctx: Context, name: str,
                        telescope=(), universe: Universe = U0) -> Context:
     """Extend ctx with a type constant, validating its telescope."""
-    taken = ctx.names
-    if name in taken:
+    if name in ctx.names:
         raise IllFormedContext(f"duplicate declaration of {name}")
-    scope, seen = ctx, set()
+    scope = ctx
     for var, sort in telescope:
         ensure_formed(scope, sort, U0)
-        if var in taken or var in seen:
+        if var in scope.names:
             raise IllFormedContext(
                 f"duplicate telescope variable {var} in declaration of {name}")
-        seen.add(var)
         scope = scope.extended(TermDecl(var, sort))
     return ctx.extended(TypeConstDecl(name, tuple(telescope), universe))
 

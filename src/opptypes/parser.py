@@ -37,19 +37,23 @@ printer writes too: a keyword, literal tokens and fields up to `;`, each
 field read by its annotation (an identifier, a type, term or formula, a
 comma list of types, a basis name or an integer).
 
-Tokens are read at one index, Parser.i: expect steps over a literal
-token, a word or a symbol, which their text alone tells apart;
-expect_ident reads an identifier, and fail raises every ParseError.  No
-read passes eof, whose empty text matches no literal, identifier, infix
-symbol or opening token.
+A script is scanned by one re.split, which gives each token's text and
+the blanks and comments before it (Tokens); line and column are worked
+out only for a directive's span and for an error.  Token texts are read
+at one index, Parser.i: expect steps over a literal token, a word or a
+symbol, which their text alone tells apart; expect_ident reads an
+identifier, and fail raises every ParseError.  No read passes eof, whose
+empty text matches no literal, identifier, infix symbol or opening
+token.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Sequence
 from string import Formatter
-from typing import List, NamedTuple, Optional, Tuple, get_type_hints
+from typing import NamedTuple, Optional, Tuple, get_type_hints
 
 from . import logic, script, syntax
 from .duality import BASIS_NAMES, Basis
@@ -59,18 +63,18 @@ from .syntax import ARROW, ATOM, BINDER, PREFIX
 # the level of a bracket on the precedence stack, below every operator
 _OPEN = -1
 
-# one match per token, newline or comment, with the blanks before it; the
-# last alternative takes any other character but a blank, so only
-# trailing blanks end the matches early
-_TOKEN_RE = re.compile(r"""
-    [ \t\r]*
-    (?: (?P<comment>--[^\n]*)
-      | (?P<nl>\n)
-      | (?P<word>[a-zA-Z][a-zA-Z0-9_]*)
-      | (?P<int>[0-9]+)
-      | (?P<sym>->|<~|=>|[()<>,:;.*+~\\{}|&])
-      | (?P<bad>[^ \t\r]) )
-""", re.VERBOSE)
+# one match per token, with the blanks, newlines and comments before it;
+# split gives each match's text between matches (always empty), blanks,
+# token and, for a character no token starts with, that character.  \Z
+# makes the end of the text the eof token.  A maximal run of blanks is
+# followed by a token, the end or a bad character, so no match backtracks
+# and a bad character costs no search
+_SPLIT = re.compile(r"""
+    ( [ \t\r\n]* (?: --[^\n]* [ \t\r\n]* )* )
+    (?: ( [a-zA-Z][a-zA-Z0-9_]* | [0-9]+ | -> | <~ | => | [()<>,:;.*+~\\{}|&]
+        | \Z )
+      | (.) )
+""", re.VERBOSE).split
 
 
 class Token(NamedTuple):
@@ -82,28 +86,61 @@ class Token(NamedTuple):
     end: int
 
 
-def tokenize(text: str) -> List[Token]:
-    tokens = []
-    # tuple.__new__ makes each Token without NamedTuple's Python-level
-    # __new__, a call per token
-    append, new = tokens.append, tuple.__new__
-    line, bol = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            bol = m.end()
-            continue
-        if kind == "comment":
-            continue
-        start, end = m.span(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text[start]!r}",
-                             line, start - bol + 1)
-        append(new(Token, (kind, text[start:end], line, start - bol + 1,
-                           start, end)))
-    append(Token("eof", "", line, len(text) - bol + 1, len(text), len(text)))
-    return tokens
+class Tokens(Sequence):
+    """The tokens of a text, from one split of it.  values[i] is the text
+    of token i, empty for eof, and parts[3 * i + 1] the blanks and
+    comments before it; a word's text is an identifier, an integer's
+    digits.  Lines and columns are measured only where asked for, and a
+    Token is built only when indexed."""
+
+    def __init__(self, text: str):
+        parts = _SPLIT(text)
+        bad = parts[3::4]
+        del parts[3::4]
+        if parts[-5:-4] == [""]:        # eof was matched twice
+            del parts[-3:]
+        self.parts, self.values = parts, parts[2::3]
+        # where positions last read to: part, offset, line, line start
+        self._at = 0, 0, 1, 0
+        if any(bad):
+            c = next(filter(None, bad))
+            raise ParseError(f"unexpected character {c!r}",
+                             *self.positions(bad.index(c)))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> Token:
+        value = self.values[i]
+        line, col = self.positions(i % len(self.values))
+        start = self._at[1]             # the offset positions read to
+        kind = ("eof" if not value else "word" if value.isidentifier() else
+                "int" if value.isdigit() else "sym")
+        return Token(kind, value, line, col, start, start + len(value))
+
+    def positions(self, *indices: int) -> list:
+        """The line and column of each token of indices, in one list.
+        Asked in increasing order, as the parser asks, each part of the
+        text is read once."""
+        at, offset, line, bol = self._at
+        out = []
+        for i in indices:
+            k = 3 * i + 2
+            if k < at:
+                at, offset, line, bol = 0, 0, 1, 0
+            chunk = "".join(self.parts[at:k])
+            nl = chunk.rfind("\n")
+            if nl >= 0:
+                line += chunk.count("\n")
+                bol = offset + nl + 1
+            at, offset = k, offset + len(chunk)
+            out += line, offset - bol + 1
+        self._at = at, offset, line, bol
+        return out
+
+
+def tokenize(text: str) -> Tokens:
+    return Tokens(text)
 
 
 class _Form(NamedTuple):
@@ -147,31 +184,30 @@ def _shown(text: str) -> str:
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
+        self.values = self.tokens.values
         self.i = 0
 
     def fail(self, message: Optional[str] = None, expected=()):
         """Raise a ParseError at the token at hand, by default naming it."""
-        tok = self.tokens[self.i]
+        value = self.values[self.i]
         if message is None:
-            message = (f"found {tok.value!r}" if tok.kind != "eof"
+            message = (f"found {value!r}" if value
                        else "unexpected end of input")
-        raise ParseError(message, tok.line, tok.col, expected)
+        raise ParseError(message, *self.tokens.positions(self.i), expected)
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         """Step over the literal token text, a word or a symbol."""
-        tok = self.tokens[self.i]
-        if tok.value != text:
+        if self.values[self.i] != text:
             self.fail(expected=(_shown(text),))
         self.i += 1
-        return tok
 
     def expect_ident(self, expected=("identifier",)) -> str:
-        tok = self.tokens[self.i]
-        if tok.kind == "word" and tok.value not in RESERVED:
+        value = self.values[self.i]
+        if value.isidentifier() and value not in RESERVED:
             self.i += 1
-            return tok.value
-        self.fail(f"{tok.value!r} is a reserved word"
-                  if tok.kind == "word" else None, expected)
+            return value
+        self.fail(f"{value!r} is a reserved word"
+                  if value.isidentifier() else None, expected)
 
     # -- expressions ---------------------------------------------------------
 
@@ -189,13 +225,13 @@ class Parser:
         terms, a binder only where any term may stand.  (Every operand of
         a type or formula may be at any level.)
         """
-        tokens, stack = self.tokens, []
+        values, stack = self.values, []
         x, floor = None, BINDER
         while True:
-            tok = tokens[self.i]
+            value = values[self.i]
             if x is None:
                 # an operand: a form that its first token opens, or an atom
-                forms = sort.forms.get(tok.value)
+                forms = sort.forms.get(value)
                 if forms is not None and forms[0].level >= floor:
                     self.i += 1
                     x, sort, floor = self._form(stack, sort, forms, [], 0)
@@ -204,15 +240,15 @@ class Parser:
                     if x is None:           # a type atom's term arguments
                         sort, floor = _TERM, BINDER
                 continue
-            op = sort.infix.get(tok.value)
+            op = sort.infix.get(value)
             # an infix operator's right operand may be at any level
             width, floor = 1, BINDER
             if op is None and sort.apply is not None:
                 # juxtaposition, when the token starts an operand there
                 at = sort.apply.steps[-1][1]
-                forms = sort.forms.get(tok.value)
+                forms = sort.forms.get(value)
                 if (forms[0].level >= at if forms is not None else
-                        tok.kind == "word" and tok.value not in RESERVED):
+                        value.isidentifier() and value not in RESERVED):
                     op, width, floor = sort.apply[:2], 0, at
             if op is not None:
                 cls, level = op
@@ -240,7 +276,7 @@ class Parser:
             fields.append(x)
             if forms is not _ARGS:
                 x, sort, floor = self._form(stack, sort, forms, fields, pos)
-            elif tok.value == ",":
+            elif value == ",":
                 self.i += 1
                 stack.append((_OPEN, sort, _ARGS, fields, 0))
                 x, sort, floor = None, _TERM, BINDER
@@ -256,8 +292,8 @@ class Parser:
         the sort and level to read at."""
         form = forms[-1]
         if len(forms) > 1 and type(form.steps[pos]) is str:
-            tok = self.tokens[self.i]
-            form = next((f for f in forms if f.steps[pos] == tok.value), form)
+            value = self.values[self.i]
+            form = next((f for f in forms if f.steps[pos] == value), form)
             forms = (form,)
         steps = form.steps
         while pos < len(steps):
@@ -279,10 +315,11 @@ class Parser:
         predicate's are identifiers, and a type atom's are terms, which
         are read on the stack (None is returned then).  Where there is
         none, an operand of sort at level floor was expected."""
-        tok = self.tokens[self.i]
         name = self.expect_ident(sort.starts[floor])
-        nxt = self.tokens[self.i]
-        if sort is _TERM or nxt.value != "(" or nxt.start != tok.end:
+        i = self.i
+        # arguments are a '(' with no blanks or comments before it
+        if (sort is _TERM or self.values[i] != "("
+                or self.tokens.parts[3 * i + 1]):
             return sort.atom(name)
         self.i += 1
         if sort is _FORMULA:
@@ -295,50 +332,52 @@ class Parser:
     def _list(self, item) -> tuple:
         """item {',' item}."""
         items = [item()]
-        while self.tokens[self.i].value == ",":
+        while self.values[self.i] == ",":
             self.i += 1
             items.append(item())
         return tuple(items)
 
     def basis_(self) -> Basis:
-        tok = self.tokens[self.i]
-        if tok.value not in BASIS_NAMES:
-            self.fail(f"unknown basis {tok.value!r}"
-                      if tok.kind == "word" else None, BASIS_NAMES)
+        value = self.values[self.i]
+        if value not in BASIS_NAMES:
+            self.fail(f"unknown basis {value!r}"
+                      if value.isidentifier() else None, BASIS_NAMES)
         self.i += 1
-        return BASIS_NAMES[tok.value]
+        return BASIS_NAMES[value]
 
     def integer_(self) -> int:
-        tok = self.tokens[self.i]
-        if tok.kind != "int":
+        value = self.values[self.i]
+        if not value.isdigit():
             self.fail(expected=("integer",))
         limit = _max_digits()
-        if len(tok.value) > limit:
-            self.fail(f"integer literal of {len(tok.value)} digits is "
+        if len(value) > limit:
+            self.fail(f"integer literal of {len(value)} digits is "
                       f"longer than {limit}")
         self.i += 1
-        return int(tok.value)
+        return int(value)
 
     # -- directives ----------------------------------------------------------
 
     def directive(self):
         """One directive, read by its template in script.DIRECTIVES."""
-        start = self.tokens[self.i]
-        if start.kind != "word":
+        start = self.i
+        keyword = self.values[start]
+        if not keyword.isidentifier():
             self.fail(expected=("directive keyword",))
-        form = _DIRECTIVES.get(start.value)
+        form = _DIRECTIVES.get(keyword)
         if form is None:
-            self.fail(f"unknown directive {start.value!r}",
+            self.fail(f"unknown directive {keyword!r}",
                       expected=tuple(sorted(_DIRECTIVES)))
         cls, steps = form
         fields = []
         for step in steps:          # the first reads the keyword
             if type(step) is str:
-                end = self.expect(step)
+                end = self.i
+                self.expect(step)
             else:
                 fields.append(step(self))
-        return cls(*fields, span=script.Span(start.line, start.col,
-                                              end.line, end.col))
+        return cls(*fields,
+                   span=script.Span(*self.tokens.positions(start, end)))
 
 
 def _steps(cls, template, bounded=False):
@@ -348,7 +387,7 @@ def _steps(cls, template, bounded=False):
     kinds = get_type_hints(cls)
     steps = []
     for text, name, spec, _ in Formatter().parse(template):
-        steps += [t.value for t in tokenize(text)[:-1]]
+        steps += tokenize(text).values[:-1]
         if name is not None:
             kind = kinds[name]
             steps.append(None if kind is str else
@@ -414,7 +453,7 @@ def parse(text: str) -> script.Script:
     """Parse a whole script."""
     p = Parser(text)
     directives = []
-    while p.tokens[p.i].kind != "eof":
+    while p.values[p.i]:
         directives.append(p.directive())
     return script.Script(tuple(directives))
 
@@ -422,10 +461,9 @@ def parse(text: str) -> script.Script:
 def _parse_entire(text: str, sort: _Sort):
     p = Parser(text)
     result = p._expr(sort)
-    tok = p.tokens[p.i]
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.value!r}",
-                         tok.line, tok.col)
+    if p.values[p.i]:
+        raise ParseError(f"trailing input starting at {p.values[p.i]!r}",
+                         *p.tokens.positions(p.i))
     return result
 
 

@@ -434,31 +434,39 @@ def all_names(e: Expr) -> frozenset:
     """Every identifier occurring in e: variables, binders and atom names.
 
     Used to seed fresh-name generation so new binders never collide.  A
-    binder node keeps the set once asked; other nodes build theirs from
-    their subtrees' each time.
+    binder node keeps the set once asked.  Any other node collects its
+    names into one set in one walk, down to the binder nodes, each time.
     """
     out = e._names
     if out is not None:
         return out
-    cls = type(e)
-    if cls is Var:
-        return frozenset((e.name,))
-    if cls is Atom:
-        out = frozenset((e.name,))
-        for a in e.args:
-            out = _union(out, all_names(a))
-        return out
-    get, one, plan = _PLANS[cls]
-    if one:
-        return all_names(get(e))
+    if type(e) not in _BINDERS:
+        names, todo = set(), [e]
+        while todo:
+            node = todo.pop()
+            cls = type(node)
+            if cls is Var:
+                names.add(node.name)
+            elif cls is Atom:
+                names.add(node.name)
+                todo += node.args
+            elif cls in _BINDERS:
+                names.update(all_names(node))
+            else:
+                get, one, _ = _PLANS[cls]
+                if one:
+                    todo.append(get(node))
+                else:
+                    todo += get(node)
+        return frozenset(names)
+    get, _, plan = _PLANS[type(e)]
     vals = get(e)
     out = _NONE
     for i, binders in plan:
         out = _union(out, all_names(vals[i]))
         if binders and not out.issuperset(map(vals.__getitem__, binders)):
             out = out.union(map(vals.__getitem__, binders))
-    if cls in _BINDERS:
-        object.__setattr__(e, "_names", out)
+    object.__setattr__(e, "_names", out)
     return out
 
 

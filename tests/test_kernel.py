@@ -128,6 +128,58 @@ class TestContext:
         # a reversed scan to the first entry costs about 1000x here
         assert best_time(100_000) < 10 * best_time(100)
 
+    def test_lookups_in_a_version_tree_across_the_handover_size(self):
+        # a chain past the size from which extension hands the index over,
+        # siblings of old versions, and every version used in random order
+        rng = random.Random(23)
+        pool = tuple(f"n{i}" for i in range(40)) + ("a", "x")
+        versions = [EMPTY]
+        for _ in range(kernel._HANDOVER + 40):
+            versions.append(versions[-1].extended(_rand_entry(rng, pool)))
+        for _ in range(300):
+            ctx = rng.choice(versions)
+            if rng.random() < 0.3:
+                versions.append(ctx.extended(_rand_entry(rng, pool)))
+            else:
+                _assert_scan_agrees(ctx, rng.sample(pool, 3) + ["zz"])
+        for ctx in versions:
+            _assert_scan_agrees(ctx, pool)
+
+    def test_names_of_a_large_context_after_its_child_is_used(self):
+        big = EMPTY
+        for i in range(kernel._HANDOVER + 5):
+            big = big.extended(TermDecl(f"v{i}", a))
+        own = set(big.names)
+        child = big.extended(TermDecl("w", a))
+        assert "w" in child.names and child.lookup_term("w") == a
+        sibling = big.extended(TypeConstDecl("w"))
+        assert sibling.lookup_const("w") is not None
+        assert big.names == own and big.lookup_term("w") is None
+        assert child.lookup_const("w") is None
+        assert set(child.names) == own | {"w"}
+
+    def test_a_large_context_hands_its_index_over(self):
+        ctx = EMPTY
+        for i in range(kernel._HANDOVER + 1):
+            index = ctx._index()
+            child = ctx.extended(TermDecl(f"v{i}", a))
+            handed = child.__dict__["_by_name"] is index
+            assert handed == (len(ctx.entries) >= kernel._HANDOVER)
+            ctx = child
+
+    def test_duplicate_telescope_variable_of_a_large_context(self):
+        ctx = EMPTY.extended(TypeConstDecl("a"))
+        for i in range(kernel._HANDOVER + 5):
+            ctx = declare_term(ctx, f"v{i}", a)
+        for telescope in ((("x", a), ("x", a)), (("x", a), ("v3", a))):
+            with pytest.raises(IllFormedContext,
+                               match="duplicate telescope variable"):
+                declare_type_const(ctx, "q", telescope)
+            _assert_scan_agrees(ctx, ("x", "v3", "q"))
+        q = declare_type_const(ctx, "q", (("x", a), ("y", Atom("a"))))
+        assert q.lookup_const("q").telescope[0] == ("x", a)
+        assert "x" not in q.names and "x" not in ctx.names
+
 
 def _rand_entry(rng, pool):
     name = rng.choice(pool)

@@ -7,6 +7,7 @@ cases at the edges of the blank and comment rules.
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,10 @@ HAND_CASES = (
     "atom a; -- the end", "-- only a comment", "a--b", "-->", "a -->b",
     "1a", "a1_b2 12 ->a<~b=>c", "a -b", "a - b", "a -", "-", "\n\n  x\n",
     "atom a;\n\n-- c\n  \t\n", "<~~(a)", "a\n\fb", "é", "a b",
+    # the edges of one split of the whole text
+    "a", "atom a;", "(", "->", "12", "a -- c", "a -- c\n", "a --", "--",
+    "--\n", "-- c\n-- d", " \t\n-- c\n\r\n  -- d\n ", "\n\n",
+    "a -- c\n$", "a -- c; d\n\t@ b", "-- c\n-- d\n  é", "a\n-- c\n-",
 )
 
 
@@ -95,3 +100,25 @@ def test_tokens_are_tokens():
     assert all(type(t) is Token for t in tokens)
     assert tokens[-1] == Token("eof", "", 2, 13, 29, 29)
     assert tokens[6]._replace(value="q").value == "q"
+
+
+@pytest.mark.parametrize("make", (
+    lambda n: (" \t\r\n" * n)[:n] + "@",                # one blank run
+    lambda n: "--" + "c" * n + "\n@",                     # one comment
+    lambda n: ("-- " + "c" * 60 + "\n") * (n // 64) + "@",  # many comments
+))
+def test_long_blank_runs_cost_linear_time(make):
+    # a run of blanks or comments followed by a bad character: a scanner
+    # that searched again from each position of the run would be quadratic
+    def best_time(n):
+        text = make(n)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="unexpected character '@'"):
+                tokenize(text)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    _assert_agrees(make(200))
+    assert best_time(200_000) <= 2.5 * best_time(100_000)
