@@ -205,6 +205,17 @@ def test_equality_of_deep_trees():
     assert T1 != T3 and t1 != t3     # now with kept hashes
 
 
+def test_names_of_deep_trees_without_binders():
+    # all_names walks a tree without binders on a list of its own, and
+    # its binder nodes, each with a binder-free body, one frame apiece
+    T, t = Atom("d"), Var("x")
+    for i in range(3000):
+        T = Fun(Atom("p", (Var(f"u{i % 3}"),)), T)
+        t = App(t, Lam("y", a, Var("y")) if i % 1000 == 0 else Var("z"))
+    assert all_names(T) == {"d", "p", "u0", "u1", "u2"}
+    assert all_names(t) == {"x", "y", "z", "a"}
+    assert all_names(Pi("v", a, T)) == all_names(T) | {"v", "a"}
+
 def _nodes(e):
     """Every node of e once, each before its subtrees."""
     seen, out, stack = set(), [], [e]
