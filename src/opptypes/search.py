@@ -10,10 +10,13 @@ of non-inhabitation at that depth, which is what the paraconsistency and
 non-collapse tests rely on.  Rule order (assumptions left to right, then
 introductions) is fixed, so results are deterministic.
 
-Within one top-level call the hypotheses are normalized once, and each
-(hypotheses, goal) subproblem whose enumeration ran to the end without a
-result is remembered with its depth.  Enumeration only grows with depth,
-so such a subproblem met again at that depth or less is skipped.
+The caller's context is only read; the hypotheses bound on a branch go
+down it as one tuple, tried after the caller's, and fresh names avoid
+both.  Per top-level call the caller's hypotheses are normalized once,
+and each (bound hypotheses, goal) subproblem whose enumeration ran to
+the end without a result is remembered with its depth.  Enumeration only
+grows with depth, so such a subproblem met again at that depth or less
+is skipped.
 
 An elimination spine is focused on the goal (Liang and Miller, TCS 2009):
 before the argument of a function-typed spine is enumerated, _reaches
@@ -42,7 +45,7 @@ from typing import Iterator, Optional
 
 from .duality import FAMILY, components, equiv, halves, onf
 from .errors import DepthCapExceeded
-from .kernel import Context, TermDecl, U0, ensure_formed
+from .kernel import Context, U0, ensure_formed
 from .syntax import (App, Atom, Case, CoFun, Fun, Inl, Inr, Lam, Opp, Pair,
                      Pi, Prod, Proj1, Proj2, Sigma, Sum, TermExpr, TypeExpr,
                      Var, fresh_name)
@@ -64,64 +67,63 @@ def bounded_inhabit(ctx: Context, A: TypeExpr,
 
 
 def iter_inhabitants(ctx: Context, goal: TypeExpr, depth: int,
-                     _hyps=None, _empty=None) -> Iterator[TermExpr]:
+                     _call=None, _bound=()) -> Iterator[TermExpr]:
     """Enumerate all spine-form inhabitants of a normal goal up to depth.
 
-    _hyps and _empty belong to the recursion: the (variable, normal type)
-    pairs of ctx's term declarations, and the empty subproblems met so far
-    in this enumeration, each with the largest depth it was found empty at.
+    ctx is read, never extended.  _call, made once per top-level call,
+    holds ctx's normalized hypotheses and the memo, keyed on _bound, the
+    (variable, type) pairs bound on this branch, and the goal.
     """
     if depth <= 0:
         return
-    if _hyps is None:
-        _hyps = tuple((Var(d.name), onf(d.type)) for d in ctx.term_decls())
-        _empty = {}
-    key = (_hyps, goal)
-    if _empty.get(key, 0) >= depth:
+    if _call is None:
+        _call = (tuple((Var(d.name), onf(d.type))
+                       for d in ctx.term_decls()), {})
+    empty, key = _call[1], (_bound, goal)
+    if empty.get(key, 0) >= depth:
         return
     found = False
-    for term in _inhabitants(ctx, _hyps, _empty, goal, depth):
+    for term in _inhabitants(ctx, _call, _bound, goal, depth):
         found = True
         yield term
     if not found:
-        _empty[key] = depth
+        empty[key] = depth
 
 
-def _inhabitants(ctx: Context, hyps, empty, goal: TypeExpr,
+def _inhabitants(ctx: Context, call, bound, goal: TypeExpr,
                  depth: int) -> Iterator[TermExpr]:
     """The enumeration behind iter_inhabitants: eliminations of each
-    hypothesis in turn, then the goal's introduction rule."""
-    for head, head_type in hyps:
-        yield from _eliminate(ctx, hyps, empty, head, head_type, goal,
+    hypothesis in turn, bound ones last, then the introduction rule."""
+    for head, head_type in call[0] + bound:
+        yield from _eliminate(ctx, call, bound, head, head_type, goal,
                               depth - 1)
 
     if isinstance(goal, (Fun, Pi)):
-        x = fresh_name(halves(goal)[1] or "x", ctx.names)
+        x = fresh_name(halves(goal)[1] or "x", ctx.names,
+                       [v.name for v, _ in bound])
         dom, cod = components(goal, Var(x))
-        ctx2 = ctx.extended(TermDecl(x, dom))
-        hyps2 = hyps + ((Var(x), dom),)
-        for body in iter_inhabitants(ctx2, cod, depth - 1, hyps2, empty):
+        for body in iter_inhabitants(ctx, cod, depth - 1, call,
+                                     bound + ((Var(x), dom),)):
             yield Lam(x, dom, body)
     elif isinstance(goal, (Prod, CoFun, Sigma)):
         first_type, var, _ = halves(goal)
-        for fst in iter_inhabitants(ctx, first_type, depth - 1, hyps, empty):
+        for fst in iter_inhabitants(ctx, first_type, depth - 1, call, bound):
             _, snd_type = components(goal, fst)
             found = False
-            for snd in iter_inhabitants(ctx, snd_type, depth - 1, hyps,
-                                        empty):
+            for snd in iter_inhabitants(ctx, snd_type, depth - 1, call, bound):
                 found = True
                 yield Pair(fst, snd)
             if not found and var is None:
                 break
     elif isinstance(goal, Sum):
-        for arg in iter_inhabitants(ctx, goal.left, depth - 1, hyps, empty):
+        for arg in iter_inhabitants(ctx, goal.left, depth - 1, call, bound):
             yield Inl(arg)
-        for arg in iter_inhabitants(ctx, goal.right, depth - 1, hyps, empty):
+        for arg in iter_inhabitants(ctx, goal.right, depth - 1, call, bound):
             yield Inr(arg)
     # atoms and opposite atoms: no introduction rule
 
 
-def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
+def _eliminate(ctx: Context, call, bound, head: TermExpr,
                head_type: TypeExpr, goal: TypeExpr,
                depth: int) -> Iterator[TermExpr]:
     """Extend an elimination spine of the given type toward the goal."""
@@ -134,9 +136,9 @@ def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
         dom, var, cod = halves(head_type)
         if not _reaches(cod, goal):
             return
-        for arg in iter_inhabitants(ctx, dom, depth, hyps, empty):
+        for arg in iter_inhabitants(ctx, dom, depth, call, bound):
             found = False
-            for term in _eliminate(ctx, hyps, empty, App(head, arg),
+            for term in _eliminate(ctx, call, bound, App(head, arg),
                                    components(head_type, arg)[1], goal,
                                    depth - 1):
                 found = True
@@ -145,20 +147,17 @@ def _eliminate(ctx: Context, hyps, empty, head: TermExpr,
                 break
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
         c1, c2 = components(head_type, Proj1(head))
-        yield from _eliminate(ctx, hyps, empty, Proj1(head), c1, goal,
+        yield from _eliminate(ctx, call, bound, Proj1(head), c1, goal,
                               depth - 1)
-        yield from _eliminate(ctx, hyps, empty, Proj2(head), c2, goal,
+        yield from _eliminate(ctx, call, bound, Proj2(head), c2, goal,
                               depth - 1)
     elif isinstance(head_type, Sum):
-        w = fresh_name("w", ctx.names)
-        ctxl = ctx.extended(TermDecl(w, head_type.left))
-        ctxr = ctx.extended(TermDecl(w, head_type.right))
-        hypl = hyps + ((Var(w), head_type.left),)
-        hypr = hyps + ((Var(w), head_type.right),)
-        for lbody in iter_inhabitants(ctxl, goal, depth - 1, hypl, empty):
+        w = fresh_name("w", ctx.names, [v.name for v, _ in bound])
+        boundr = bound + ((Var(w), head_type.right),)
+        for lbody in iter_inhabitants(ctx, goal, depth - 1, call,
+                                      bound + ((Var(w), head_type.left),)):
             found = False
-            for rbody in iter_inhabitants(ctxr, goal, depth - 1, hypr,
-                                          empty):
+            for rbody in iter_inhabitants(ctx, goal, depth - 1, call, boundr):
                 found = True
                 yield Case(head, w, lbody, w, rbody)
             if not found:

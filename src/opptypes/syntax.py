@@ -470,14 +470,13 @@ def all_names(e: Expr) -> frozenset:
     return out
 
 
-def fresh_name(base: str, avoid) -> str:
-    """Deterministic fresh identifier: base, then base1, base2, ..."""
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
+def fresh_name(base: str, avoid, also=()) -> str:
+    """The first of base, base1, base2, ... in neither avoid nor also."""
+    name, i = base, 0
+    while name in avoid or name in also:
         i += 1
-    return f"{base}{i}"
+        name = f"{base}{i}"
+    return name
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ check and recheck, and answers that do not depend on earlier calls.
 """
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,7 @@ import search_oracle
 from opptypes import (EMPTY, Atom, Fun, bounded_inhabit, check,
                       declare_term, declare_type_const, onf, parse_type,
                       recheck)
+from opptypes.kernel import Context, ensure_formed
 from opptypes.search import iter_inhabitants
 
 from generators import rand_type, std_ctx
@@ -142,6 +144,10 @@ PRUNED_CASES = {
     "polarity_same": ((("x", "a"), ("f", "a -> ~b")), "~b", True),
     "empty_second": (TREES, "a * b", False),
     "empty_argument": (TREES + (("k", "a -> b -> b"),), "b", False),
+    # the terms bind w2 and x2: fresh names skip the context's names and
+    # those bound higher on the branch
+    "fresh_names": ((("x", "a"), ("x1", "a"), ("w", "b"), ("w1", "a + b")),
+                    "a -> b + a", True),
 }
 
 
@@ -167,6 +173,44 @@ def test_an_empty_half_ends_the_other(case, at_6, at_8, monkeypatch):
         searched.clear()
         assert next(search.iter_inhabitants(ctx, goal, depth), None) is None
         assert len(searched) <= most, (depth, len(searched))
+
+
+def _wide_ctx(n=2000):
+    ctx = EMPTY
+    for i in range(n):
+        ctx = declare_type_const(ctx, f"a{i}")
+    for name, ty in (("x", "a0"), ("w", "a1"), ("s", "a0 + a1"),
+                     ("f", "a0 -> a1 -> a2")):
+        ctx = declare_term(ctx, name, parse_type(ty))
+    return ctx
+
+
+def test_the_search_extends_no_context(monkeypatch):
+    # the search reads its caller's context and keeps the hypotheses it
+    # binds on its own; only bounded_inhabit's formation check extends one
+    wide = _wide_ctx()
+    cases = [(_sweep_ctx(), goal) for goal in _sweep_goals()]
+    cases += [(wide, parse_type(goal)) for goal in
+              ("a0 -> a0 -> a2", "a1 -> a0 -> a2 + a0", "a0 -> a2", "~a2")]
+    expected = [(first_inhabitant(ctx, goal, 6),
+                 list(islice(oracle_inhabitants(ctx, onf(goal), 6), 200)))
+                for ctx, goal in cases]
+
+    def no_extension(self, entry):
+        raise AssertionError(f"a context was extended by {entry.name}")
+
+    def formed(*args):
+        with pytest.MonkeyPatch.context() as inside:
+            inside.setattr(Context, "extended", extended)
+            ensure_formed(*args)
+
+    extended = Context.extended
+    monkeypatch.setattr(Context, "extended", no_extension)
+    monkeypatch.setattr(search, "ensure_formed", formed)
+    got = [(bounded_inhabit(ctx, goal, 6),
+            list(islice(iter_inhabitants(ctx, onf(goal), 6), 200)))
+           for ctx, goal in cases]
+    assert got == expected
 
 
 def test_reach_walk_is_stack_safe():
