@@ -91,14 +91,17 @@ class Context:
     Each context has an index from every name to the last entry under
     that name, beside the fields, so ==, hash, repr and replace ignore
     it.  A context built directly indexes its entries on first use.
-    Below _HANDOVER entries, extended copies the parent's index; from
-    that size on, the new context takes it over, and the parent keeps an
-    undo record (ctx, name, entry) in its place: its index is ctx's with
-    name mapped back to entry, or unmapped for None (Baker's shallow
-    binding).  Contexts sharing an index form a tree rooted at the one
-    holding it; using another context reroots the tree there, turning
-    the records round one step at a time.  So a names view is valid
-    only until another context of its tree is used.  A lookup reads the
+    Below _HANDOVER entries, extended copies the parent's index, which
+    for the kernel's binders is cheaper than an undo record and a
+    reroot; from that size on, the new context takes it over, and the
+    parent keeps an undo record (ctx, name, entry) in its place: its
+    index is ctx's with name mapped back to entry, or unmapped for None
+    (Baker's shallow binding).  Contexts sharing an index form a tree
+    rooted at the one holding it; using another context reroots the
+    tree there, turning the records round one step at a time.  So a
+    names view is valid only until another context of its tree is used,
+    and a held context of _HANDOVER or more entries keeps the contexts
+    built from it alive until it is used again.  A lookup reads the
     index and scans the entries only when the last entry under the name
     is of the other kind, which only a context built by hand can give.
 

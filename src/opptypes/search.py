@@ -10,13 +10,12 @@ of non-inhabitation at that depth, which is what the paraconsistency and
 non-collapse tests rely on.  Rule order (assumptions left to right, then
 introductions) is fixed, so results are deterministic.
 
-The caller's context is only read; the hypotheses bound on a branch go
-down it as one tuple, tried after the caller's, and fresh names avoid
-both.  Per top-level call the caller's hypotheses are normalized once,
-and each (bound hypotheses, goal) subproblem whose enumeration ran to
-the end without a result is remembered with its depth.  Enumeration only
-grows with depth, so such a subproblem met again at that depth or less
-is skipped.
+The caller's context is read, never extended: hypotheses bound on a
+branch go down it as one tuple, tried after the caller's, and fresh
+names avoid both.  Per top-level call the caller's hypotheses are
+normalized once, and each (bound hypotheses, goal) subproblem that ran
+out without a result is remembered with its depth; enumeration only
+grows with depth, so it is skipped when met again at that depth or less.
 
 An elimination spine is focused on the goal (Liang and Miller, TCS 2009):
 before the argument of a function-typed spine is enumerated, _reaches

@@ -175,20 +175,15 @@ def test_an_empty_half_ends_the_other(case, at_6, at_8, monkeypatch):
         assert len(searched) <= most, (depth, len(searched))
 
 
-def _wide_ctx(n=2000):
-    ctx = EMPTY
-    for i in range(n):
-        ctx = declare_type_const(ctx, f"a{i}")
-    for name, ty in (("x", "a0"), ("w", "a1"), ("s", "a0 + a1"),
-                     ("f", "a0 -> a1 -> a2")):
-        ctx = declare_term(ctx, name, parse_type(ty))
-    return ctx
-
-
 def test_the_search_extends_no_context(monkeypatch):
     # the search reads its caller's context and keeps the hypotheses it
     # binds on its own; only bounded_inhabit's formation check extends one
-    wide = _wide_ctx()
+    wide = EMPTY
+    for i in range(2000):
+        wide = declare_type_const(wide, f"a{i}")
+    for name, ty in (("x", "a0"), ("w", "a1"), ("s", "a0 + a1"),
+                     ("f", "a0 -> a1 -> a2")):
+        wide = declare_term(wide, name, parse_type(ty))
     cases = [(_sweep_ctx(), goal) for goal in _sweep_goals()]
     cases += [(wide, parse_type(goal)) for goal in
               ("a0 -> a0 -> a2", "a1 -> a0 -> a2 + a0", "a0 -> a2", "~a2")]
@@ -214,12 +209,14 @@ def test_the_search_extends_no_context(monkeypatch):
 
 
 def test_reach_walk_is_stack_safe():
-    # the chain reaches the memo's hash too, which once overflowed at 498
+    # bound by the search, the chain reaches the memo's hash too, which
+    # once overflowed at 498
     chain = Atom("d")
     for _ in range(500):
         chain = Fun(Atom("c"), chain)
     ctx = declare_term(_sweep_ctx(), "h", chain)
     assert bounded_inhabit(ctx, Atom("b"), 8) is None
+    assert bounded_inhabit(_sweep_ctx(), Fun(chain, Atom("b")), 8) is None
 
 
 def _count_calls(monkeypatch, module, name):
