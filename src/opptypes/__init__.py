@@ -12,7 +12,8 @@ from .kernel import (Context, Derivation, EMPTY, Formation, TermDecl, TermEq,
                      TypeConstDecl, TypeEq, Typing, U0, U1, Universe, check,
                      check_context, check_duality_principle, check_formation,
                      declare_term, declare_type_const, ensure_formed,
-                     equivalent, infer, recheck, term_equal, type_equal)
+                     ensure_typed, equivalent, infer, recheck, term_equal,
+                     type_equal)
 from .logic import (And, CoImpl, Exists, Forall, Formula, Impl, Neg, Or,
                     Pred, Signature, check_sorts, formula_nnf,
                     strong_equiv_check, translate)

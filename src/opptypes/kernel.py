@@ -84,6 +84,22 @@ ContextEntry = Union[TermDecl, TypeConstDecl]
 _HANDOVER = 160
 
 
+class _Index(dict):
+    """The index of a context of _HANDOVER or more entries, which
+    contexts may share (see Context); root is a weak reference to the
+    context whose index it holds."""
+    __slots__ = ("root",)
+
+
+def _reclaim(holder, watch):
+    """Called back when the context an undo record points at is freed:
+    if it held the index, the record's holder takes the index back."""
+    ctx = holder()
+    record = None if ctx is None else ctx.__dict__["_by_name"]
+    if type(record) is tuple and record[3].root is record[0]:
+        ctx._index()
+
+
 @dataclass(frozen=True)
 class Context:
     """Ordered telescope of term declarations and type-constant declarations.
@@ -94,16 +110,24 @@ class Context:
     Below _HANDOVER entries, extended copies the parent's index, which
     for the kernel's binders is cheaper than an undo record and a
     reroot; from that size on, the new context takes it over, and the
-    parent keeps an undo record (ctx, name, entry) in its place: its
-    index is ctx's with name mapped back to entry, or unmapped for None
-    (Baker's shallow binding).  Contexts sharing an index form a tree
-    rooted at the one holding it; using another context reroots the
-    tree there, turning the records round one step at a time.  So a
-    names view is valid only until another context of its tree is used,
-    and a held context of _HANDOVER or more entries keeps the contexts
-    built from it alive until it is used again.  A lookup reads the
-    index and scans the entries only when the last entry under the name
-    is of the other kind, which only a context built by hand can give.
+    parent keeps an undo record in its place: its index is ctx's with
+    name mapped back to entry, or unmapped for None (Baker's shallow
+    binding).  Contexts sharing an index form a tree rooted at the one
+    holding it; using another context reroots the tree there, turning
+    the records round one step at a time.  So a names view is valid
+    only until another context of its tree is used.
+
+    A record holds ctx only through weak references, so a held context
+    keeps none of those built from it alive.  When ctx is freed while it
+    holds the index, the record's holder takes the index back, as a
+    kernel binder's context is freed before its parent's; when a
+    context's way to the root leads through a context freed while
+    another held the index, it rebuilds its own index from its entries.
+
+    A lookup reads the index and scans the entries only when the last
+    entry under the name is of the other kind, which only a context
+    built by hand can give.  Pickling and copying drop the index, which
+    the copy builds again on first use.
 
     A context may also keep, beside its fields, the printed text of its
     first entries, which its builder notes with with_printed_prefix and
@@ -111,6 +135,11 @@ class Context:
     of their signature's declarations.
     """
     entries: Tuple[ContextEntry, ...] = ()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_by_name", None)
+        return state
 
     def with_printed_prefix(self, n: int, text: str) -> "Context":
         """Note beside the fields that the first n entries print as
@@ -126,25 +155,43 @@ class Context:
     def _index(self) -> dict:
         """The index, rerooting the tree here first (see Context)."""
         index = self.__dict__.get("_by_name")
-        if type(index) is dict:
+        if index is not None and type(index) is not tuple:
             return index
+        path, ctx = [], self
+        while type(index) is tuple:
+            link, name, entry, shared, _ = index
+            other = link()
+            path.append((ctx, other, name, entry))
+            if other is None:
+                # freed: go on from its index if it held the index last
+                index = shared if shared.root is link else None
+                break
+            ctx, index = other, other.__dict__["_by_name"]
         if index is None:
+            # never indexed, or a context on the way was freed while
+            # another held the index
             index = {e.name: e for e in self.entries}
+            if len(self.entries) >= _HANDOVER:
+                index = _Index(index)
         else:
-            path, ctx, record = [], self, index
-            while type(record) is not dict:
-                path.append((ctx, record))
-                ctx = record[0]
-                record = ctx.__dict__["_by_name"]
-            index = record
-            for ctx, (other, name, entry) in reversed(path):
-                other.__dict__["_by_name"] = (ctx, name, index.get(name))
+            for ctx, other, name, entry in reversed(path):
+                if other is not None:
+                    other._hand_over(ctx, name, index)
                 if entry is None:
                     del index[name]
                 else:
                     index[name] = entry
+            index.root = weakref.ref(self)
         self.__dict__["_by_name"] = index
         return index
+
+    def _hand_over(self, ctx, name: str, index: _Index) -> None:
+        """Put the undo record (ctx, name, entry, index, watch) in place
+        of this context's index, which ctx takes over: watch calls
+        _reclaim when ctx is freed."""
+        self.__dict__["_by_name"] = (
+            weakref.ref(ctx), name, index.get(name), index,
+            weakref.ref(ctx, partial(_reclaim, weakref.ref(self))))
 
     @property
     def names(self):
@@ -171,10 +218,12 @@ class Context:
     def extended(self, entry: ContextEntry) -> "Context":
         ctx = Context(self.entries + (entry,))
         index, name = self._index(), entry.name
-        if len(self.entries) < _HANDOVER:
-            index = index.copy()
+        n = len(self.entries)
+        if n < _HANDOVER:
+            index = index.copy() if n + 1 < _HANDOVER else _Index(index)
         else:
-            self.__dict__["_by_name"] = (ctx, name, index.get(name))
+            self._hand_over(ctx, name, index)
+            index.root = weakref.ref(ctx)
         index[name] = entry
         ctx.__dict__["_by_name"] = index
         return ctx
@@ -295,19 +344,20 @@ def ensure_formed(ctx: Context, A: TypeExpr, u: Universe) -> None:
     _form(ctx, A, u, _no_node)
 
 
-def _node(rule: str, ctx: Context, A: TypeExpr, u: Universe, premises):
-    return Derivation(rule, Formation(ctx, A, u), tuple(premises))
+def _node(rule: str, judgment, ctx: Context, x, y, premises):
+    return Derivation(rule, judgment(ctx, x, y), tuple(premises))
 
 
-def _no_node(rule, ctx, A, u, premises):
+def _no_node(rule, judgment, ctx, x, y, premises):
     return None
 
 
 def _form(ctx: Context, A: TypeExpr, u: Universe, node):
     """The formation walk behind check_formation and ensure_formed: node
     makes each node of the derivation from its rule, its conclusion's
-    parts and its premises, or makes nothing.  The kernel's own
-    formations go through here, as its own typings go through _check."""
+    judgment class and parts, and its premises, or makes nothing.  The
+    kernel's own formations go through here, as its own typings go
+    through _check, with the same node."""
     if isinstance(A, Atom):
         decl = ctx.lookup_const(A.name)
         if decl is None:
@@ -321,10 +371,10 @@ def _form(ctx: Context, A: TypeExpr, u: Universe, node):
         premises = []
         inst = {}
         for (tvar, sort), arg in zip(decl.telescope, A.args):
-            premises.append(_check(ctx, arg, subst(sort, inst)))
+            premises.append(_check(ctx, arg, subst(sort, inst), node))
             inst[tvar] = arg
         rule = "atom-form" if decl.universe is u else "atom-form-lift"
-        return node(rule, ctx, A, u, premises)
+        return node(rule, Formation, ctx, A, u, premises)
 
     if u is U1 and not isinstance(A, Fun):
         raise IllFormedType(
@@ -338,7 +388,7 @@ def _form(ctx: Context, A: TypeExpr, u: Universe, node):
             A = A.inner
         d = _form(ctx, A, U0, node)
         for opp in reversed(run):
-            d = node("opp-form", ctx, opp, U0, (d,))
+            d = node("opp-form", Formation, ctx, opp, U0, (d,))
         return d
     if isinstance(A, TypeExpr):
         # the subtrees of SCOPES in order; a binder's body is formed
@@ -351,7 +401,8 @@ def _form(ctx: Context, A: TypeExpr, u: Universe, node):
                     ctx.names, (A.var,), [(sub, (A.var,))], [A.gen])
                 inner = ctx.extended(TermDecl(var, A.gen))
             premises.append(_form(inner, sub, u, node))
-        return node(f"{_STEM[type(A)]}-form", ctx, A, u, premises)
+        return node(f"{_STEM[type(A)]}-form", Formation, ctx, A, u,
+                    premises)
     raise IllFormedType(f"not a type: {A!r}")
 
 
@@ -419,7 +470,8 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
 
     Expects A to be well formed (see check_formation); introductions are
     checked against the normal form of A, eliminations are inferred and
-    their type compared up to equivalence.
+    their type compared up to equivalence.  A caller that drops the
+    derivation should call ensure_typed, which builds none.
 
     Asked again with the very objects (is, not ==) of the judgment it
     proved last, check returns the derivation it gave then, which it
@@ -431,16 +483,23 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         c = d.conclusion
         if c.ctx is ctx and c.term is t and c.type is A:
             return d
-    d = _check(ctx, t, A)
+    d = _check(ctx, t, A, _node)
     _last[0] = weakref.ref(d)
     return d
 
 
-def _check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
-    """check without the memo: the kernel's own typings go through here,
-    so they neither add a Python frame a level nor displace the slot."""
+def ensure_typed(ctx: Context, t: TermExpr, A: TypeExpr) -> None:
+    """Check that ctx |- t : A, as check does, with the same errors in the
+    same order, but build no derivation and neither read nor fill
+    check's memo."""
+    _check(ctx, t, A, _no_node)
+
+
+def _check(ctx: Context, t: TermExpr, A: TypeExpr, node):
+    """The typing walk behind check and ensure_typed, with node as in
+    _form: the kernel's own typings go through here, so they neither add
+    a Python frame a level nor displace check's memo."""
     goal = onf(A)
-    conc = Typing(ctx, t, A)
 
     if isinstance(t, Lam):
         if not isinstance(goal, (Fun, Pi)):
@@ -453,56 +512,57 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         (var,), (body,) = open_binders(ctx.names, (t.var,),
                                        ((t.body, (t.var,)),), (dom,))
         _, cod = components(goal, Var(var))
-        d = _check(ctx.extended(TermDecl(var, dom)), body, cod)
-        return Derivation(f"{_STEM[type(goal)]}-intro", conc, (d,))
+        d = _check(ctx.extended(TermDecl(var, dom)), body, cod, node)
+        return node(f"{_STEM[type(goal)]}-intro", Typing, ctx, t, A, (d,))
 
     if isinstance(t, Pair):
         if isinstance(goal, (Prod, CoFun, Sigma)):
             c1, c2 = components(goal, t.fst)
-            d1 = _check(ctx, t.fst, c1)
-            d2 = _check(ctx, t.snd, c2)
-            return Derivation(f"{_STEM[type(goal)]}-intro", conc, (d1, d2))
+            d1 = _check(ctx, t.fst, c1, node)
+            d2 = _check(ctx, t.snd, c2, node)
+            return node(f"{_STEM[type(goal)]}-intro", Typing, ctx, t, A,
+                        (d1, d2))
         raise TypeMismatch(
             f"a pair cannot have type {goal}", expected=goal, actual=None)
 
     if isinstance(t, (Inl, Inr)):
         side = "left" if isinstance(t, Inl) else "right"
         if isinstance(goal, Sum):
-            return Derivation(f"sum-intro-{side}", conc,
-                              (_check(ctx, t.arg, getattr(goal, side)),))
+            d = _check(ctx, t.arg, getattr(goal, side), node)
+            return node(f"sum-intro-{side}", Typing, ctx, t, A, (d,))
         raise TypeMismatch(
             f"a {side} injection cannot have type {goal}",
             expected=goal, actual=None)
 
     if isinstance(t, (Case, Split)):
-        rule, dscrut, branches = _open_elim(ctx, t, goal)
+        rule, dscrut, branches = _open_elim(ctx, t, node, goal)
         premises = [dscrut]
         for ctx2, _, (body,) in branches:
-            premises.append(_check(ctx2, body, goal))
-        return Derivation(rule, conc, tuple(premises))
+            premises.append(_check(ctx2, body, goal, node))
+        return node(rule, Typing, ctx, t, A, premises)
 
     if isinstance(t, Ann):
-        df = _form(ctx, t.type, U0, _node)
-        dt = _check(ctx, t.term, t.type)
+        df = _form(ctx, t.type, U0, node)
+        dt = _check(ctx, t.term, t.type, node)
         if not equiv(onf(t.type), goal):
             raise TypeMismatch(
                 f"annotation {onf(t.type)} does not match expected {goal}",
                 expected=goal, actual=onf(t.type))
-        return Derivation("ann", conc, (df, dt))
+        return node("ann", Typing, ctx, t, A, (df, dt))
 
     # elimination or variable: infer then convert
-    ity, d = _infer(ctx, t)
+    ity, d = _infer(ctx, t, node)
     if not equiv(ity, goal):
         raise TypeMismatch(
             f"term {t} has type {ity}, expected {goal}",
             expected=goal, actual=ity)
-    return Derivation("conv", conc, (d,))
+    return node("conv", Typing, ctx, t, A, (d,))
 
 
-def _open_elim(ctx: Context, t: Union[Case, Split], goal=None):
-    """The rule that eliminates t's scrutinee, the scrutinee's derivation,
-    and t's opened branches (see _open_branches)."""
-    styp, dscrut = _infer(ctx, t.scrut)
+def _open_elim(ctx: Context, t: Union[Case, Split], node, goal=None):
+    """The rule that eliminates t's scrutinee, the scrutinee's derivation
+    (made by node), and t's opened branches (see _open_branches)."""
+    styp, dscrut = _infer(ctx, t.scrut, node)
     if isinstance(t, Case) and not isinstance(styp, Sum):
         raise TypeMismatch(
             f"case scrutinee must have a sum-shaped type, got {styp}",
@@ -550,37 +610,39 @@ def infer(ctx: Context, t: TermExpr) -> TypeExpr:
 
     Bare pairs and injections are rejected: several non-equal types share
     their introduction rule, so no canonical choice exists; annotate them.
+    Like ensure_typed, infer builds no derivation.
     """
-    ty, _ = _infer(ctx, t)
-    return ty
+    return _infer(ctx, t, _no_node)[0]
 
 
-def _infer(ctx: Context, t: TermExpr):
+def _infer(ctx: Context, t: TermExpr, node):
+    """The inferred type of t in normal form, and its derivation made by
+    node as in _form."""
     if isinstance(t, Var):
         ty = ctx.lookup_term(t.name)
         if ty is None:
             raise UnboundVariable(f"unbound variable: {t.name}")
         nf = onf(ty)
-        return nf, Derivation("var", Typing(ctx, t, nf))
+        return nf, node("var", Typing, ctx, t, nf, ())
 
     if isinstance(t, Ann):
-        df = _form(ctx, t.type, U0, _node)
-        dt = _check(ctx, t.term, t.type)
+        df = _form(ctx, t.type, U0, node)
+        dt = _check(ctx, t.term, t.type, node)
         nf = onf(t.type)
-        return nf, Derivation("ann", Typing(ctx, t, nf), (df, dt))
+        return nf, node("ann", Typing, ctx, t, nf, (df, dt))
 
     if isinstance(t, App):
-        fty, df = _infer(ctx, t.fn)
+        fty, df = _infer(ctx, t.fn, node)
         if not isinstance(fty, (Fun, Pi)):
             raise TypeMismatch(f"cannot apply a term of type {fty}",
                                expected=None, actual=fty)
-        da = _check(ctx, t.arg, halves(fty)[0])
+        da = _check(ctx, t.arg, halves(fty)[0], node)
         _, res = components(fty, t.arg)
-        return res, Derivation(f"{_STEM[type(fty)]}-elim",
-                               Typing(ctx, t, res), (df, da))
+        return res, node(f"{_STEM[type(fty)]}-elim", Typing, ctx, t, res,
+                         (df, da))
 
     if isinstance(t, (Proj1, Proj2)):
-        sty, d = _infer(ctx, t.arg)
+        sty, d = _infer(ctx, t.arg, node)
         if not isinstance(sty, (Prod, CoFun, Sigma)):
             raise TypeMismatch(
                 f"cannot project from a term of type {sty}",
@@ -589,14 +651,14 @@ def _infer(ctx: Context, t: TermExpr):
             res, side = halves(sty)[0], 1
         else:
             res, side = components(sty, Proj1(t.arg))[1], 2
-        return res, Derivation(f"{_STEM[type(sty)]}-elim-{side}",
-                               Typing(ctx, t, res), (d,))
+        return res, node(f"{_STEM[type(sty)]}-elim-{side}", Typing, ctx, t,
+                         res, (d,))
 
     if isinstance(t, (Case, Split)):
-        rule, dscrut, branches = _open_elim(ctx, t)
+        rule, dscrut, branches = _open_elim(ctx, t, node)
         types, premises, escaped = [], [dscrut], False
         for ctx2, names, (body,) in branches:
-            ty, d = _infer(ctx2, body)
+            ty, d = _infer(ctx2, body, node)
             types.append(ty)
             premises.append(d)
             escaped = escaped or not free_vars(ty).isdisjoint(names)
@@ -611,16 +673,16 @@ def _infer(ctx: Context, t: TermExpr):
             raise TypeMismatch(
                 f"case branches have different types: {ty} vs {types[1]}",
                 expected=ty, actual=types[1])
-        return ty, Derivation(rule, Typing(ctx, t, ty), tuple(premises))
+        return ty, node(rule, Typing, ctx, t, ty, premises)
 
     if isinstance(t, Lam):
-        df = _form(ctx, t.dom, U0, _node)
+        df = _form(ctx, t.dom, U0, node)
         (var,), (body,) = open_binders(ctx.names, (t.var,),
                                        [(t.body, (t.var,))], [t.dom])
-        bty, db = _infer(ctx.extended(TermDecl(var, t.dom)), body)
+        bty, db = _infer(ctx.extended(TermDecl(var, t.dom)), body, node)
         res = onf(Pi(var, t.dom, bty))
-        return res, Derivation(f"{_STEM[type(res)]}-intro",
-                               Typing(ctx, t, res), (df, db))
+        return res, node(f"{_STEM[type(res)]}-intro", Typing, ctx, t, res,
+                         (df, db))
 
     if isinstance(t, Pair):
         raise NonInferableTerm(
@@ -641,8 +703,12 @@ def term_equal(ctx: Context, t: TermExpr, u: TermExpr, A: TypeExpr) -> bool:
     """Definitional term equality at type A.
 
     Like check, expects A to be well formed.  Both terms are checked
-    against A first (errors propagate), then reduced to normal form and
-    compared type-directed.  The theory is beta, the identity
+    against A first (errors propagate): t by check, so a t the caller has
+    just checked hits check's memo, and u by ensure_typed, which builds
+    no derivation.  Each is then reduced to normal form once and the two
+    are compared type-directed: an eta or projection step reads the
+    normal form of t z, p1 t or p2 t off that of t, as the body renamed
+    to z, a component, or a neutral node.  The theory is beta, the identity
     contractions of case and split (see normalize_term), and eta at
     function-like types (Fun, Pi; compared by applying to a fresh
     variable) and at pair-like types (Prod, Sigma, and CoFun, which
@@ -652,7 +718,7 @@ def term_equal(ctx: Context, t: TermExpr, u: TermExpr, A: TypeExpr) -> bool:
     equal to the case of its branches' eta expansions.
     """
     check(ctx, t, A)
-    check(ctx, u, A)
+    ensure_typed(ctx, u, A)
     return _teq(ctx, _norm(t), _norm(u), onf(A))
 
 
@@ -671,14 +737,14 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
         (z,), (cod,) = open_binders(ctx.names, (var or "z",),
                                     [(cod, (var,))], [])
         ctx2 = ctx.extended(TermDecl(z, dom))
-        return _teq(ctx2, _norm(App(t, Var(z))), _norm(App(u, Var(z))), cod)
+        return _teq(ctx2, _applied(t, z), _applied(u, z), cod)
 
     if isinstance(T, (Prod, CoFun, Sigma)):
-        p1t, p1u = _norm(Proj1(t)), _norm(Proj1(u))
+        p1t, p1u = _projected(Proj1, t), _projected(Proj1, u)
         c1, c2 = components(T, p1t)
         if not _teq(ctx, p1t, p1u, c1):
             return False
-        return _teq(ctx, _norm(Proj2(t)), _norm(Proj2(u)), c2)
+        return _teq(ctx, _projected(Proj2, t), _projected(Proj2, u), c2)
 
     if type(t) is not type(u):
         return False
@@ -693,6 +759,22 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
         return all(_teq(ctx2, tb, ub, T) for ctx2, _, (tb, ub)
                    in _open_branches(ctx, styp, (t, u)))
     return _neutral_eq(ctx, t, u) is not None
+
+
+def _applied(t: TermExpr, z: str) -> TermExpr:
+    """The normal form of t z, for t normal and z fresh: renaming a
+    lambda's variable to z makes no redex, since subst renames any
+    binder that z would meet."""
+    if isinstance(t, Lam):
+        return subst(t.body, {t.var: Var(z)})
+    return App(t, Var(z))
+
+
+def _projected(proj, t: TermExpr) -> TermExpr:
+    """The normal form of proj t (Proj1 or Proj2), for t normal."""
+    if isinstance(t, Pair):
+        return t.fst if proj is Proj1 else t.snd
+    return proj(t)
 
 
 def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
@@ -814,11 +896,11 @@ def _premise(d: Derivation, i: int, form, opened: int = 0):
     if len(inner) != n + opened or inner[:n] != outer:
         _bad(d, f"premise {i + 1} is not in the node's context"
              + (f" extended by {opened} declaration(s)" if opened else ""))
-    taken = {e.name for e in outer}
+    taken, new = () if c.ctx is None else c.ctx.names, set()
     for e in inner[n:]:
-        if type(e) is not TermDecl or e.name in taken:
+        if type(e) is not TermDecl or e.name in taken or e.name in new:
             _bad(d, f"premise {i + 1} declares no fresh variable")
-        taken.add(e.name)
+        new.add(e.name)
     return pc, inner[n:]
 
 

@@ -21,8 +21,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import script as s
 from .duality import dual, expand_in_basis, onf
 from .errors import TypeTheoryError
-from .kernel import (Context, EMPTY, U0, check, declare_term,
-                     declare_type_const, ensure_formed, infer, type_equal)
+from .kernel import (Context, EMPTY, U0, declare_term, declare_type_const,
+                     ensure_formed, ensure_typed, infer, type_equal)
 from .logic import Signature, check_sorts, formula_nnf, translate
 from .printer import context_str, formula_str, term_str, type_str
 from .search import bounded_inhabit
@@ -74,7 +74,7 @@ def _execute(ctx: Context, sig: Signature, d):
 
     if isinstance(d, s.CheckDirective):
         ensure_formed(ctx, d.type, U0)
-        check(ctx, d.term, d.type)
+        ensure_typed(ctx, d.term, d.type)
         return ctx, f"{term_str(d.term)} : {type_str(d.type)}", "ok"
 
     if isinstance(d, s.InferDirective):

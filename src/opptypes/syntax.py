@@ -586,9 +586,9 @@ def open_binders(taken, hints, scopes, near):
         if clash:
             if avoid is None:
                 exprs = [body for body, _ in scopes] + list(near)
-                avoid = set(taken).union(*map(all_names, exprs))
+                avoid = set().union(*map(all_names, exprs))
             later = hints[len(names) + 1:]
-            hint = fresh_name(hint, avoid.union(names, later))
+            hint = fresh_name(hint, taken, avoid.union(names, later))
         names.append(hint)
     names = tuple(names)
     bodies = []

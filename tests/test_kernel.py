@@ -1,6 +1,8 @@
 """Judgment checking: formation, typing, equality, derivation soundness."""
 
+import copy
 import gc
+import pickle
 import random
 import sys
 import time
@@ -24,7 +26,8 @@ from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       Var, bounded_inhabit, check, check_context,
                       check_duality_principle,
                       check_formation, declare_term, declare_type_const,
-                      ensure_formed, equivalent, infer, onf, parse,
+                      ensure_formed, ensure_typed, equivalent, infer, onf,
+                      parse,
                       parse_term, parse_type, recheck, report_json, run,
                       strong_equiv_check, subst, subst_term, subst_type,
                       term_equal, type_equal, U0, U1)
@@ -179,6 +182,53 @@ class TestContext:
         q = declare_type_const(ctx, "q", (("x", a), ("y", Atom("a"))))
         assert q.lookup_const("q").telescope[0] == ("x", a)
         assert "x" not in q.names and "x" not in ctx.names
+
+    def test_a_held_context_keeps_no_chain_alive(self):
+        first = EMPTY.extended(TypeConstDecl("s"))
+        for i in range(kernel._HANDOVER - 1):
+            first = first.extended(TermDecl(f"v{i}", a))
+        assert len(first.entries) == kernel._HANDOVER
+        names, s_decl = set(first.names), first.lookup_const("s")
+        ctx, probes = first, []
+        for i in range(2000):
+            ctx = ctx.extended(TermDecl(f"w{i}", Opp(a)))
+            if i % 100 == 99:
+                probes.append(weakref.ref(ctx))
+        assert ctx.lookup_term("w0") == Opp(a)
+        del ctx
+        gc.collect()
+        assert [p for p in probes if p() is not None] == []
+        assert first.names == names and "w0" not in first.names
+        assert first.lookup_term("v0") == a and first.lookup_term("w0") is None
+        assert first.lookup_const("s") is s_decl
+        _assert_scan_agrees(first, ("s", "v0", "v158", "w0", "w1999"))
+
+    def test_copies_of_a_context_that_shares_its_index(self):
+        ctx = EMPTY
+        for i in range(kernel._HANDOVER + 5):
+            ctx = ctx.extended(TermDecl(f"v{i}", a))
+        child = ctx.extended(TermDecl("w", b))
+        assert child.lookup_term("w") == b
+        for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx)):
+            assert twin == ctx and "_by_name" not in twin.__dict__
+            _assert_scan_agrees(twin, ("v0", "w"))
+        _assert_scan_agrees(child, ("v0", "w"))
+
+    def test_a_freed_binder_context_hands_the_index_back(self):
+        # freed innermost first, as the kernel's binders are, each context
+        # takes the index back instead of rebuilding it
+        big = EMPTY
+        for i in range(kernel._HANDOVER + 5):
+            big = big.extended(TermDecl(f"v{i}", a))
+        index = big._index()
+        outer = big.extended(TermDecl("x", a))
+        inner = outer.extended(TermDecl("y", b))
+        assert inner.lookup_term("x") == a and "y" in inner.names
+        del inner
+        assert outer.__dict__["_by_name"] is index
+        del outer
+        assert big.__dict__["_by_name"] is index
+        assert "x" not in big.names and big._index() is index
 
 
 def _rand_entry(rng, pool):
@@ -537,6 +587,72 @@ class TestCheckMemo:
         assert check(ctx, t, A) is d
 
 
+def _rejection(fn, *args):
+    """The class and message of the error fn raises on args, or None."""
+    try:
+        fn(*args)
+    except TypeTheoryError as e:
+        return type(e), str(e)
+    return None
+
+
+class TestEnsureTyped:
+    def test_builds_no_derivation(self, monkeypatch):
+        ctx = _audit_ctx()
+        judgments = [(parse_term(t), parse_type(ty))
+                     for t, ty in AUDIT_JUDGMENTS + (
+                         ("y", "b"), ("\\v:b. v", "a -> b"),
+                         ("<y, k>", "a -> b"), ("p1 f", "a"),
+                         ("case y of { inl u => u | inr v => v }", "a"))]
+        family = parse_type("p(y) -> p(y) * p(y)")
+        t, twin = parse_term("\\v:a. f v"), Var("f")
+        A = parse_type("Pi u:a. p(u)")
+
+        def verdicts():
+            out = []
+            for term, ty in judgments:
+                out.append(_rejection(ensure_typed, ctx, term, ty))
+                try:
+                    out.append(infer(ctx, term))
+                except TypeTheoryError as e:
+                    out.append((type(e), str(e)))
+            out.append(_rejection(ensure_formed, ctx, family, U0))
+            out.append(term_equal(ctx, t, twin, A))
+            return out
+
+        before = verdicts()
+        errors = [v for v in before if type(v) is tuple]
+        assert len(errors) >= 5 and before[-2:] == [None, True]
+        d = check(ctx, t, A)      # the memo that term_equal's check hits
+
+        def banned(*args):
+            raise AssertionError("a derivation node was built")
+
+        monkeypatch.setattr(kernel, "Derivation", banned)
+        monkeypatch.setattr(kernel, "Typing", banned)
+        assert verdicts() == before
+        assert d.conclusion.term is t
+
+    def test_rejects_what_check_rejects_with_the_same_error(self):
+        # every check and infer directive of the pinned error script, by
+        # the walk that builds derivations and the one that builds none
+        ctx, sig, rejected = EMPTY, Signature(), 0
+        text = (REPO / "tests" / "golden" / "errors.ptt").read_text()
+        for d in parse(text).directives:
+            if isinstance(d, (s.AtomDecl, s.PredDecl, s.Assume)):
+                ctx, _, _ = _execute(ctx, sig, d)
+                continue
+            if isinstance(d, s.CheckDirective):
+                want = _rejection(check, ctx, d.term, d.type)
+                got = _rejection(ensure_typed, ctx, d.term, d.type)
+            else:
+                want = _rejection(kernel._infer, ctx, d.term, kernel._node)
+                got = _rejection(infer, ctx, d.term)
+            assert got == want
+            rejected += want is not None
+        assert rejected >= 15
+
+
 class TestInfer:
     def test_cofun_projection_right(self):
         ctx = ctx_with(("c0", "~(a->b)"))
@@ -742,6 +858,42 @@ class TestTermEqual:
         assert not term_equal(ctx, t, u, A)
         assert not term_equal(ctx, u, t, A)
 
+    @pytest.mark.parametrize("shape", ("chain", "nest"))
+    @pytest.mark.parametrize("depth", (20, 40))
+    def test_each_term_is_normalized_once(self, monkeypatch, shape, depth):
+        # an eta or projection step reads its operand's normal form off the
+        # normal form it has, instead of normalizing again
+        if shape == "chain":
+            # f against \x1:a. ... \xn:a. f x1 ... xn
+            A = a
+            for _ in range(depth):
+                A = Fun(a, A)
+            names = [f"x{i}" for i in range(depth)]
+            twin = Var("f")
+            for name in names:
+                twin = App(twin, Var(name))
+            for name in reversed(names):
+                twin = Lam(name, a, twin)
+        else:
+            # f against its full expansion by projections, through
+            # products and co-functions in turn
+            A = a
+            for i in range(depth):
+                A = Prod(A, b) if i % 2 else CoFun(A, b)
+            twin = _expand_pairs(Var("f"), A)
+        ctx = declare_term(std_ctx(), "f", A)
+        calls = []
+
+        def norm(t):
+            calls.append(t)
+            return normalize(t)
+
+        normalize = kernel._norm
+        monkeypatch.setattr(kernel, "_norm", norm)
+        assert term_equal(ctx, Var("f"), twin, A)
+        assert term_equal(ctx, twin, Var("f"), A)
+        assert len(calls) == 4
+
     def test_agrees_with_the_three_function_walk(self):
         # up to 40 inhabitants per goal, each alone and eta-expanded, all
         # compared in both orders with the walk kept in teq_oracle
@@ -775,6 +927,14 @@ def _eta_expand(ctx, t, goal):
         e = fresh_name("e", set(ctx.names) | all_names(t))
         return Lam(e, kernel.halves(goal)[0], App(t, Var(e)))
     return Pair(Proj1(t), Proj2(t))
+
+
+def _expand_pairs(t, A):
+    """t expanded by projections at every pair-like level of A."""
+    if not isinstance(A, (Prod, CoFun, Sigma)):
+        return t
+    c1, c2 = kernel.components(A, Proj1(t))
+    return Pair(_expand_pairs(Proj1(t), c1), _expand_pairs(Proj2(t), c2))
 
 
 _ARM_HYPS = (("x", "a"), ("s", "a + b"), ("g", "a -> a"),
@@ -1124,6 +1284,36 @@ class TestRecheck:
         # term-equal is for TermEq judgments, which no producer emits
         assert used == set(_RULES) - {"term-equal"}
 
+    @pytest.mark.parametrize("size", (10, 200))
+    def test_premise_freshness_at_both_index_sizes(self, size):
+        # a node context below the handover size, and one whose index its
+        # parent handed over
+        ctx, i = ctx_with(("s", "Sg u:a. p(u)")), 0
+        while len(ctx.entries) < size:
+            parent, ctx = ctx, declare_term(ctx, f"v{i}", a)
+            i += 1
+        handed = type(parent.__dict__["_by_name"]) is tuple
+        assert handed == (size > kernel._HANDOVER)
+        lam = check(ctx, parse_term("\\x:a. x"), parse_type("a -> a"))
+        split = check(ctx, parse_term("split s as (t, h) => t"), a)
+        assert recheck(lam) and recheck(split)
+
+        def with_premise_ctx(d, k, *decls):
+            pc = d.premises[k].conclusion
+            bad = replace(pc, ctx=Context(ctx.entries + decls))
+            premises = list(d.premises)
+            premises[k] = replace(d.premises[k], conclusion=bad)
+            return replace(d, premises=tuple(premises))
+
+        bad = [with_premise_ctx(lam, 0, TermDecl(name, a))
+               for name in ("s", f"v{i - 1}", "a")]
+        bad.append(with_premise_ctx(split, 1, TermDecl("t", a),
+                                    TermDecl("t", parse_type("p(t)"))))
+        for d in bad:
+            with pytest.raises(InvalidDerivation,
+                               match="declares no fresh variable"):
+                recheck(d)
+
     def test_renamed_rule_is_rejected(self):
         d = check(std_ctx(), parse_term("\\v:a. v"), parse_type("a -> a"))
         assert d.rule == "fun-intro"
@@ -1321,8 +1511,9 @@ class TestRecheckInference:
         t = Case(Var("e"), "u", self.LAM, "n", self.LAM)
         branches = [check(ctx.extended(TermDecl(v, ty)), self.LAM, self.F)
                     for v, ty in (("u", a), ("n", Opp(b)))]
+        scrut_d = kernel._infer(ctx, Var("e"), kernel._node)[1]
         case_d = Derivation("sum-elim", Typing(ctx, t, onf(self.F)),
-                            (kernel._infer(ctx, Var("e"))[1], *branches))
+                            (scrut_d, *branches))
         with pytest.raises(InvalidDerivation):
             recheck(self._applied(case_d))
 
@@ -1335,8 +1526,8 @@ class TestRecheckInference:
         inner = ctx.extended(TermDecl("t", a)).extended(
             TermDecl("h", parse_type("p(t)")))
         split_d = Derivation("sigma-elim", Typing(ctx, t.arg, onf(body.type)),
-                             (kernel._infer(ctx, Var("s"))[1],
-                              kernel._infer(inner, body)[1]))
+                             (kernel._infer(ctx, Var("s"), kernel._node)[1],
+                              kernel._infer(inner, body, kernel._node)[1]))
         d = Derivation("conv", Typing(ctx, t, a), (
             Derivation("prod-elim-1", Typing(ctx, t, a), (split_d,)),))
         with pytest.raises(InvalidDerivation):
@@ -1345,7 +1536,7 @@ class TestRecheckInference:
     def test_inferred_annotation_has_its_own_type(self):
         ctx = _audit_ctx()
         t = parse_term("(x : ~(a -> b))")
-        d = kernel._infer(ctx, t)[1]
+        d = kernel._infer(ctx, t, kernel._node)[1]
         assert recheck(d)
         equivalent_d = replace(d, conclusion=replace(
             d.conclusion, type=parse_type("a * ~b")))
