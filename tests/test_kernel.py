@@ -623,7 +623,7 @@ class TestEnsureTyped:
         before = verdicts()
         errors = [v for v in before if type(v) is tuple]
         assert len(errors) >= 5 and before[-2:] == [None, True]
-        d = check(ctx, t, A)      # the memo that term_equal's check hits
+        memo = check(ctx, t, A)   # held, so that term_equal's check hits it
 
         def banned(*args):
             raise AssertionError("a derivation node was built")
@@ -631,7 +631,7 @@ class TestEnsureTyped:
         monkeypatch.setattr(kernel, "Derivation", banned)
         monkeypatch.setattr(kernel, "Typing", banned)
         assert verdicts() == before
-        assert d.conclusion.term is t
+        assert check(ctx, t, A) is memo
 
     def test_rejects_what_check_rejects_with_the_same_error(self):
         # every check and infer directive of the pinned error script, by
@@ -882,13 +882,12 @@ class TestTermEqual:
                 A = Prod(A, b) if i % 2 else CoFun(A, b)
             twin = _expand_pairs(Var("f"), A)
         ctx = declare_term(std_ctx(), "f", A)
-        calls = []
+        calls, normalize = [], kernel._norm
 
         def norm(t):
             calls.append(t)
             return normalize(t)
 
-        normalize = kernel._norm
         monkeypatch.setattr(kernel, "_norm", norm)
         assert term_equal(ctx, Var("f"), twin, A)
         assert term_equal(ctx, twin, Var("f"), A)
