@@ -17,13 +17,27 @@ normalized once, and each (bound hypotheses, goal) subproblem that ran
 out without a result is remembered with its depth; enumeration only
 grows with depth, so it is skipped when met again at that depth or less.
 
-An elimination spine is focused on the goal (Liang and Miller, TCS 2009):
-before the argument of a function-typed spine is enumerated, _reaches
-asks whether any spine from its codomain can end in the goal's head.  An
-atom or an opposite atom matches by name and polarity, any other normal
-form by its duality.FAMILY, the only heads duality.equiv relates, and a
-Sum on the way reaches every goal, because a case can.  Family arguments
-are not looked at, so a dependent substitution cannot change the answer.
+An elimination spine is focused on the goal (Liang and Miller, TCS 2009),
+and the hypotheses are indexed by where their spines can end, in the way
+of first-argument term indexing.  A spine applies a function-like type
+and projects a pair-like one.  Its head is _head's: an atom or an
+opposite atom by name and polarity, any other normal form by its
+duality.FAMILY, the only heads duality.equiv relates.  _spine records,
+for a hypothesis type and for each half a spine goes on to, the set of
+heads a spine from there can end in; a Sum on the way makes it a
+wildcard, because a case can reach every goal.  Each type node keeps
+its record, so a type is walked once, not once per call.  Family
+arguments are not looked at, so a dependent substitution cannot change
+a set, and one record serves every instance of a type.  Each call
+indexes its hypotheses by these sets, and a node tries only those whose
+set holds the goal's head (at depth 1, where only the equiv test is
+left, those of that very head); an application is not tried when its
+codomain's set lacks the goal's head; and a dependent pair whose second
+half is an atom or an opposite atom, which only a spine can reach, ends
+before its first half is enumerated when no hypothesis reaches that
+half's head.  (Substituting for the pair's variable changes only family
+arguments, and only a case split, itself a wildcard, binds a hypothesis
+on the way to that half.)
 
 Where one enumeration runs inside another and the inner one cannot
 depend on the outer value, one empty inner run ends the outer loop: the
@@ -32,10 +46,11 @@ application and the right branch of a case use the outer term only to
 build terms, so if they have no inhabitant once, they have none for any
 later outer term.  (A Pi or Sg half may depend on it, and is not cut.)
 
-The memo, the reach test and the early stop skip only enumerations that
-are provably empty: a skipped branch could yield only terms whose type
-equiv accepts against the goal, and there are none.  So the terms found,
-and their order, are those of the plain enumeration.
+The memo, the index and the early stop skip only enumerations that are
+provably empty: a skipped branch could yield only terms whose type equiv
+accepts against the goal, and equiv accepts only types of the goal's
+head.  So the terms found, and their order, are those of the plain
+enumeration.
 """
 
 from __future__ import annotations
@@ -69,16 +84,16 @@ def iter_inhabitants(ctx: Context, goal: TypeExpr, depth: int,
                      _call=None, _bound=()) -> Iterator[TermExpr]:
     """Enumerate all spine-form inhabitants of a normal goal up to depth.
 
-    ctx is read, never extended.  _call, made once per top-level call,
-    holds ctx's normalized hypotheses and the memo, keyed on _bound, the
-    (variable, type) pairs bound on this branch, and the goal.
+    ctx is read, never extended.  _call, a _Call made once per top-level
+    call, holds ctx's normalized hypotheses with their index and the memo,
+    keyed on _bound, the (variable, type) pairs bound on this branch, and
+    the goal.
     """
     if depth <= 0:
         return
     if _call is None:
-        _call = (tuple((Var(d.name), onf(d.type))
-                       for d in ctx.term_decls()), {})
-    empty, key = _call[1], (_bound, goal)
+        _call = _Call(ctx)
+    empty, key = _call.empty, (_bound, goal)
     if empty.get(key, 0) >= depth:
         return
     found = False
@@ -89,13 +104,49 @@ def iter_inhabitants(ctx: Context, goal: TypeExpr, depth: int,
         empty[key] = depth
 
 
-def _inhabitants(ctx: Context, call, bound, goal: TypeExpr,
+class _Call:
+    """The state of one top-level search call: hyps, the caller's
+    hypotheses as (variable, normal type, _spine); picked, the part of
+    them tried, by (goal head, leaf), see tried; and empty, the memo of
+    iter_inhabitants."""
+
+    __slots__ = ("hyps", "picked", "empty")
+
+    def __init__(self, ctx: Context):
+        hyps = []
+        for d in ctx.term_decls():
+            T = onf(d.type)
+            hyps.append((Var(d.name), T, _spine(T)))
+        self.hyps = tuple(hyps)
+        self.picked, self.empty = {}, {}
+
+    def tried(self, bound, want, leaf: bool):
+        """The hypotheses, the caller's then those in bound, as (variable,
+        type, _spine), whose spines can end in a type of head want; at a
+        leaf, where only the equiv test is left, those of head want."""
+        picked = self.picked.get((want, leaf))
+        if picked is None:
+            picked = self.picked[want, leaf] = _pick(self.hyps, want, leaf)
+        if not bound:
+            return picked
+        return picked + _pick([(v, T, _spine(T)) for v, T in bound], want,
+                              leaf)
+
+
+def _pick(hyps, want, leaf: bool) -> tuple:
+    if leaf:
+        return tuple(h for h in hyps if h[2][0] == want)
+    return tuple(h for h in hyps if h[2][1] is None or want in h[2][1])
+
+
+def _inhabitants(ctx: Context, call: _Call, bound, goal: TypeExpr,
                  depth: int) -> Iterator[TermExpr]:
     """The enumeration behind iter_inhabitants: eliminations of each
     hypothesis in turn, bound ones last, then the introduction rule."""
-    for head, head_type in call[0] + bound:
-        yield from _eliminate(ctx, call, bound, head, head_type, goal,
-                              depth - 1)
+    want = _head(goal)
+    for head, head_type, spine in call.tried(bound, want, depth == 1):
+        yield from _eliminate(ctx, call, bound, head, head_type, spine,
+                              goal, want, depth - 1)
 
     if isinstance(goal, (Fun, Pi)):
         x = fresh_name(halves(goal)[1] or "x", ctx.names,
@@ -105,7 +156,10 @@ def _inhabitants(ctx: Context, call, bound, goal: TypeExpr,
                                      bound + ((Var(x), dom),)):
             yield Lam(x, dom, body)
     elif isinstance(goal, (Prod, CoFun, Sigma)):
-        first_type, var, _ = halves(goal)
+        first_type, var, second = halves(goal)
+        if (var is not None and isinstance(second, (Atom, Opp))
+                and not call.tried(bound, _head(second), False)):
+            return
         for fst in iter_inhabitants(ctx, first_type, depth - 1, call, bound):
             _, snd_type = components(goal, fst)
             found = False
@@ -122,34 +176,37 @@ def _inhabitants(ctx: Context, call, bound, goal: TypeExpr,
     # atoms and opposite atoms: no introduction rule
 
 
-def _eliminate(ctx: Context, call, bound, head: TermExpr,
-               head_type: TypeExpr, goal: TypeExpr,
+def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
+               head_type: TypeExpr, spine, goal: TypeExpr, want,
                depth: int) -> Iterator[TermExpr]:
-    """Extend an elimination spine of the given type toward the goal."""
-    if equiv(head_type, goal):
+    """Extend an elimination spine of the given type toward the goal;
+    spine is the type's _spine and want the goal's _head."""
+    if spine[0] == want and equiv(head_type, goal):
         yield head
     if depth <= 0:
         return
 
     if isinstance(head_type, (Fun, Pi)):
-        dom, var, cod = halves(head_type)
-        if not _reaches(cod, goal):
+        dom, var, _ = halves(head_type)
+        (cod,) = spine[2]
+        if cod[1] is not None and want not in cod[1]:
             return
         for arg in iter_inhabitants(ctx, dom, depth, call, bound):
             found = False
             for term in _eliminate(ctx, call, bound, App(head, arg),
-                                   components(head_type, arg)[1], goal,
-                                   depth - 1):
+                                   components(head_type, arg)[1], cod, goal,
+                                   want, depth - 1):
                 found = True
                 yield term
             if not found and var is None:
                 break
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
         c1, c2 = components(head_type, Proj1(head))
-        yield from _eliminate(ctx, call, bound, Proj1(head), c1, goal,
-                              depth - 1)
-        yield from _eliminate(ctx, call, bound, Proj2(head), c2, goal,
-                              depth - 1)
+        first, second = spine[2]
+        yield from _eliminate(ctx, call, bound, Proj1(head), c1, first, goal,
+                              want, depth - 1)
+        yield from _eliminate(ctx, call, bound, Proj2(head), c2, second,
+                              goal, want, depth - 1)
     elif isinstance(head_type, Sum):
         w = fresh_name("w", ctx.names, [v.name for v, _ in bound])
         boundr = bound + ((Var(w), head_type.right),)
@@ -172,18 +229,33 @@ def _head(T: TypeExpr):
     return FAMILY[type(T)]
 
 
-def _reaches(T: TypeExpr, goal: TypeExpr) -> bool:
-    """Whether an elimination spine from a term of normal type T can end
-    in a type with the goal's head.  A spine applies a function-like type
-    and projects a pair-like one; a Sum reaches every goal."""
-    want = _head(goal)
-    stack = [T]
-    while stack:
-        T = stack.pop()
-        if isinstance(T, Sum) or _head(T) == want:
-            return True
-        if isinstance(T, (Fun, Pi)):
-            stack.append(halves(T)[2])
-        elif isinstance(T, (Prod, CoFun, Sigma)):
-            stack += halves(T)[::2]
-    return False
+def _spine(T: TypeExpr):
+    """(head, heads, halves) for a normal type T: T's _head; the set of
+    heads an elimination spine from a term of type T can end in, or None
+    where a Sum on the way lets it end in any; and the same for the halves
+    a spine goes on to, the codomain of a function-like T or the two
+    components of a pair-like one.  Each node keeps its own (_spine), so
+    a type is walked once, and the walk needs no recursion."""
+    if T._spine is not None:
+        return T._spine
+    walk, starts = [T], []
+    for S in walk:  # each type's halves are appended after it
+        starts.append(len(walk))
+        if S._spine is not None:
+            continue
+        if isinstance(S, (Fun, Pi)):
+            walk.append(halves(S)[2])
+        elif isinstance(S, (Prod, CoFun, Sigma)):
+            walk += halves(S)[::2]
+    starts.append(len(walk))
+    for i in range(len(walk) - 1, -1, -1):
+        S = walk[i]
+        if S._spine is not None:
+            continue
+        subs = tuple(H._spine for H in walk[starts[i]:starts[i + 1]])
+        head = _head(S)
+        heads = None if isinstance(S, Sum) else frozenset((head,))
+        for sub in subs:
+            heads = None if heads is None or sub[1] is None else heads | sub[1]
+        object.__setattr__(S, "_spine", (head, heads, subs))
+    return T._spine

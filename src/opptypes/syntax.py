@@ -38,16 +38,17 @@ from .errors import IllFormedType, NormalizationOverflow
 class _Node:
     """Base class of trees.  A node keeps, outside the dataclass fields,
     what is worked out from it once asked: its hash (_hash, see _hash),
-    and where free_vars and all_names say so, its free variables (_fv)
-    and every name in it (_names).  Pickling and copying drop all three:
-    string hashes differ between processes, and the sets are worked out
-    again on demand."""
+    where free_vars and all_names say so, its free variables (_fv) and
+    every name in it (_names), and for a type the search indexes, where
+    its elimination spines can end (_spine, see search._spine).  Pickling
+    and copying drop all four: string hashes differ between processes,
+    and the rest is worked out again on demand."""
 
-    _hash = _fv = _names = None
+    _hash = _fv = _names = _spine = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for kept in ("_hash", "_fv", "_names"):
+        for kept in ("_hash", "_fv", "_names", "_spine"):
             state.pop(kept, None)
         return state
 

@@ -6,6 +6,8 @@ the same sequence of terms, results that only grow with depth, terms that
 check and recheck, and answers that do not depend on earlier calls.
 """
 
+import copy
+import pickle
 import random
 from itertools import islice
 
@@ -140,6 +142,18 @@ PRUNED_CASES = {
     "family": ((("k", "Pi u:c. p(u)"), ("z", "c")), "p(z)", True),
     "family_in_codomain": ((("x", "a"), ("k", "a -> Pi u:c. p(u)"),
                             ("z", "c")), "p(z)", True),
+    # a Sum is a wildcard: a case split keeps a dependent pair open
+    "sum_keeps_pair_open": ((("z", "c"), ("s", "p(z) + p(z)")),
+                            "Sg u:c. p(u)", True),
+    # p is reached only through the hypothesis the lambda binds
+    "bound_reaches_pair": ((("z", "c"),), "(Pi u:c. p(u)) -> Sg u:c. p(u)",
+                           True),
+    "sigma_second": ((("x", "a"), ("q", "Sg u:c. (a -> p(u))")),
+                     "Sg u:c. p(u)", True),
+    # the pair's ~p is reached only through a co-function's first half
+    "cofun_first_in_pair": ((("z", "c"), ("x", "a"),
+                             ("f", "a -> (b <~ p(z))")), "Sg u:c. ~p(u)",
+                            True),
     "polarity_other": ((("x", "a"), ("f", "a -> ~b")), "b", False),
     "polarity_same": ((("x", "a"), ("f", "a -> ~b")), "~b", True),
     "empty_second": (TREES, "a * b", False),
@@ -173,6 +187,40 @@ def test_an_empty_half_ends_the_other(case, at_6, at_8, monkeypatch):
         searched.clear()
         assert next(search.iter_inhabitants(ctx, goal, depth), None) is None
         assert len(searched) <= most, (depth, len(searched))
+
+
+def _defect_ctx():
+    ctx = declare_type_const(declare_type_const(EMPTY, "a"), "p",
+                             (("x1", Atom("a")),))
+    for name, ty in TREES:
+        ctx = declare_term(ctx, name, parse_type(ty))
+    return ctx
+
+
+def test_a_dependent_pair_with_an_unreachable_half_ends(monkeypatch):
+    # no hypothesis spine ends in p, so Sg u:a. p(u) is empty whatever
+    # term of a comes first; the parent enumerated them all, with 1074
+    # iter_inhabitants calls at depth 6 and 54561 at depth 7, and had
+    # not answered after 300 s at depth 8
+    ctx, goal = _defect_ctx(), onf(parse_type("Sg u:a. p(u)"))
+    searched = _count_calls(monkeypatch, search, "iter_inhabitants")
+    for depth in (6, 8):
+        searched.clear()
+        assert next(search.iter_inhabitants(ctx, goal, depth), None) is None
+        assert len(searched) == 1, (depth, len(searched))
+    assert bounded_inhabit(ctx, goal, 8) is None
+
+
+def test_the_index_starts_fewer_eliminations(monkeypatch):
+    # every term of every sweep goal at depth 6; the parent made 957
+    # iter_inhabitants and 6701 _eliminate calls
+    ctx, goals = _sweep_ctx(), [onf(g) for g in _sweep_goals()]
+    searched = _count_calls(monkeypatch, search, "iter_inhabitants")
+    eliminated = _count_calls(monkeypatch, search, "_eliminate")
+    for goal in goals:
+        list(search.iter_inhabitants(ctx, goal, 6))
+    assert len(searched) == 957
+    assert len(eliminated) <= 1524, len(eliminated)
 
 
 def test_the_search_extends_no_context(monkeypatch):
@@ -217,6 +265,17 @@ def test_reach_walk_is_stack_safe():
     ctx = declare_term(_sweep_ctx(), "h", chain)
     assert bounded_inhabit(ctx, Atom("b"), 8) is None
     assert bounded_inhabit(_sweep_ctx(), Fun(chain, Atom("b")), 8) is None
+
+
+def test_a_type_keeps_its_spine_as_a_node_keeps_its_hash():
+    # what _spine finds stays on the node, like _hash; pickling and
+    # copying drop it, and it is worked out again on demand
+    ctx = _sweep_ctx()
+    k, p = onf(ctx.lookup_term("k")), ("p", True)
+    bounded_inhabit(ctx, parse_type("Sg u:c. p(u)"), 3)
+    assert k._spine == (Fun, {Fun, p}, ((p, {p}, ()),))
+    for twin in (pickle.loads(pickle.dumps(k)), copy.deepcopy(k)):
+        assert twin == k and twin._spine is None
 
 
 def _count_calls(monkeypatch, module, name):
