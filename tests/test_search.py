@@ -148,6 +148,7 @@ PRUNED_CASES = {
     # p is reached only through the hypothesis the lambda binds
     "bound_reaches_pair": ((("z", "c"),), "(Pi u:c. p(u)) -> Sg u:c. p(u)",
                            True),
+    # p is reached only through the second half of a Sg hypothesis
     "sigma_second": ((("x", "a"), ("q", "Sg u:c. (a -> p(u))")),
                      "Sg u:c. p(u)", True),
     # the pair's ~p is reached only through a co-function's first half
@@ -199,9 +200,9 @@ def _defect_ctx():
 
 def test_a_dependent_pair_with_an_unreachable_half_ends(monkeypatch):
     # no hypothesis spine ends in p, so Sg u:a. p(u) is empty whatever
-    # term of a comes first; the parent enumerated them all, with 1074
-    # iter_inhabitants calls at depth 6 and 54561 at depth 7, and had
-    # not answered after 300 s at depth 8
+    # term of a comes first; without the index the search enumerated
+    # them all, with 1074 iter_inhabitants calls at depth 6 and 54561 at
+    # depth 7, and had not answered after 300 s at depth 8
     ctx, goal = _defect_ctx(), onf(parse_type("Sg u:a. p(u)"))
     searched = _count_calls(monkeypatch, search, "iter_inhabitants")
     for depth in (6, 8):
@@ -212,8 +213,8 @@ def test_a_dependent_pair_with_an_unreachable_half_ends(monkeypatch):
 
 
 def test_the_index_starts_fewer_eliminations(monkeypatch):
-    # every term of every sweep goal at depth 6; the parent made 957
-    # iter_inhabitants and 6701 _eliminate calls
+    # every term of every sweep goal at depth 6; without the index the
+    # search made 957 iter_inhabitants and 6701 _eliminate calls
     ctx, goals = _sweep_ctx(), [onf(g) for g in _sweep_goals()]
     searched = _count_calls(monkeypatch, search, "iter_inhabitants")
     eliminated = _count_calls(monkeypatch, search, "_eliminate")
