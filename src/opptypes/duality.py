@@ -54,12 +54,18 @@ def onf(A: TypeExpr) -> TypeExpr:
     Each node onf returns is marked normal, outside the dataclass fields
     (TypeExpr._nf), and a marked input is returned at once.  Invariant: a
     marked node is its own normal form, and so is every subtree of it.
-    Nodes are immutable, so a mark cannot go stale; ==, hash, repr and
-    dataclasses.replace ignore it.
+    An unmarked input keeps the normal form found for it (TypeExpr._onf),
+    which is returned at once when it is asked again.  Invariant: _onf is
+    set only on an unmarked node, and always points to a marked one; a
+    normal node does not point to itself, so no normal form is a cycle.
+    Nodes are immutable, so neither can go stale; ==, hash, repr and
+    dataclasses.replace ignore both.
     """
     try:
         if A._nf:
             return A
+        if A._onf is not None:
+            return A._onf
     except AttributeError:
         raise IllFormedType(f"not a type: {A!r}") from None
     if isinstance(A, Atom):
@@ -99,6 +105,8 @@ def onf(A: TypeExpr) -> TypeExpr:
     else:
         raise IllFormedType(f"not a type: {A!r}")
     object.__setattr__(nf, "_nf", True)
+    if nf is not A:
+        object.__setattr__(A, "_onf", nf)
     return nf
 
 

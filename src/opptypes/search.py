@@ -134,9 +134,16 @@ class _Call:
 
 
 def _pick(hyps, want, leaf: bool) -> tuple:
+    return tuple(h for h in hyps if _ends_in(h[2], want, leaf))
+
+
+def _ends_in(spine, want, leaf: bool) -> bool:
+    """Whether a spine from a type with this _spine can end in a type of
+    head want; at a leaf, where only the equiv test is left, whether the
+    type's own head is want."""
     if leaf:
-        return tuple(h for h in hyps if h[2][0] == want)
-    return tuple(h for h in hyps if h[2][1] is None or want in h[2][1])
+        return spine[0] == want
+    return spine[1] is None or want in spine[1]
 
 
 def _inhabitants(ctx: Context, call: _Call, bound, goal: TypeExpr,
@@ -189,7 +196,7 @@ def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
     if isinstance(head_type, (Fun, Pi)):
         dom, var, _ = halves(head_type)
         (cod,) = spine[2]
-        if cod[1] is not None and want not in cod[1]:
+        if not _ends_in(cod, want, False):
             return
         for arg in iter_inhabitants(ctx, dom, depth, call, bound):
             found = False
@@ -201,12 +208,12 @@ def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
             if not found and var is None:
                 break
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
-        c1, c2 = components(head_type, Proj1(head))
-        first, second = spine[2]
-        yield from _eliminate(ctx, call, bound, Proj1(head), c1, first, goal,
-                              want, depth - 1)
-        yield from _eliminate(ctx, call, bound, Proj2(head), c2, second,
-                              goal, want, depth - 1)
+        for proj, half, sub in zip((Proj1, Proj2),
+                                   components(head_type, Proj1(head)),
+                                   spine[2]):
+            if _ends_in(sub, want, depth <= 1):
+                yield from _eliminate(ctx, call, bound, proj(head), half,
+                                      sub, goal, want, depth - 1)
     elif isinstance(head_type, Sum):
         w = fresh_name("w", ctx.names, [v.name for v, _ in bound])
         boundr = bound + ((Var(w), head_type.right),)

@@ -40,15 +40,18 @@ class _Node:
     what is worked out from it once asked: its hash (_hash, see _hash),
     where free_vars and all_names say so, its free variables (_fv) and
     every name in it (_names), and for a type the search indexes, where
-    its elimination spines can end (_spine, see search._spine).  Pickling
-    and copying drop all four: string hashes differ between processes,
-    and the rest is worked out again on demand."""
+    its elimination spines can end (_spine, see search._spine) and the
+    normal form duality.onf found for it (_onf).  Pickling and copying
+    drop these five: string hashes differ between processes, _onf would
+    carry a second tree along, and each is worked out again on demand.
+    They keep the normal-form mark (_nf) on purpose: a twin of a normal
+    node is as normal as the node."""
 
     _hash = _fv = _names = _spine = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for kept in ("_hash", "_fv", "_names", "_spine"):
+        for kept in ("_hash", "_fv", "_names", "_spine", "_onf"):
             state.pop(kept, None)
         return state
 
@@ -58,6 +61,8 @@ class TypeExpr(_Node):
 
     # set on each node duality.onf returns: the node is its own normal form
     _nf = False
+    # set by duality.onf on an unmarked node: the normal form it found
+    _onf = None
 
     def __str__(self) -> str:
         from .printer import type_str

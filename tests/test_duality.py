@@ -176,28 +176,61 @@ def test_the_normal_form_mark_is_sound(A, seed):
         expected = _rewrite_nf(T)
         n = onf(T)
         assert n == expected
-        assert onf(T) == expected      # again, with T's normal parts marked
+        assert onf(T) is n             # again: kept on T, or T is n
         assert onf(n) is n
         assert n._nf
+        assert T._onf is (None if T is n else n)
         for N in (*_type_nodes(T), *_type_nodes(n)):
             if N._nf:
                 assert _rewrite_nf(N) == N
+            # a kept normal form hangs off an unmarked node, and is marked
+            if N._onf is not None:
+                assert not N._nf and N._onf._nf
+                assert N._onf == _rewrite_nf(N)
 
 
 @settings(max_examples=100, deadline=None)
 @given(types(max_depth=5))
 def test_the_normal_form_mark_is_invisible(A):
-    n = onf(Opp(A))
+    opp = Opp(A)
+    n = onf(opp)
+    assert opp._onf is (None if opp is n else n)
     fresh = dataclasses.replace(n)
     assert not fresh._nf and n._nf
     assert fresh == n and hash(fresh) == hash(n)
     assert repr(fresh) == repr(n) and str(fresh) == str(n)
-    for T in (A, n):
-        for twin in (pickle.loads(pickle.dumps(T)), copy.deepcopy(T)):
+    for T in (A, opp, n):
+        twins = [pickle.loads(pickle.dumps(T)), copy.deepcopy(T)]
+        if T is not n:
+            twins.append(dataclasses.replace(T))
+        for twin in twins:
+            assert twin._onf is None
             assert twin == T and hash(twin) == hash(T)
             assert repr(twin) == repr(T) and str(twin) == str(T)
             assert onf(twin) == onf(T)
     assert onf(fresh) is fresh and fresh._nf
+
+
+def test_a_kept_normal_form_is_not_walked_again(monkeypatch):
+    # 64 layers, each T -> b written as ~(~b <~ ~T): the first onf walks
+    # every layer and negates, the second reads the form kept on the root
+    T = a
+    for _ in range(64):
+        T = Opp(CoFun(Opp(b), Opp(T)))
+    calls = {"onf": [], "_opposite": []}
+    for name, seen in calls.items():
+        real = getattr(duality, name)
+        # the recursion goes through the module's name, so it is counted
+        monkeypatch.setattr(
+            duality, name,
+            lambda *args, real=real, seen=seen: seen.append(1) or real(*args))
+    n = duality.onf(T)
+    assert len(calls["onf"]) > 64 and calls["_opposite"]
+    assert n == rewrite_to_fixpoint(T, step_innermost)
+    for seen in calls.values():
+        seen.clear()
+    assert duality.onf(T) is n
+    assert len(calls["onf"]) == 1 and calls["_opposite"] == []
 
 
 def test_is_onf_reads_the_mark(monkeypatch):

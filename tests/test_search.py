@@ -214,14 +214,15 @@ def test_a_dependent_pair_with_an_unreachable_half_ends(monkeypatch):
 
 def test_the_index_starts_fewer_eliminations(monkeypatch):
     # every term of every sweep goal at depth 6; without the index the
-    # search made 957 iter_inhabitants and 6701 _eliminate calls
+    # search made 957 iter_inhabitants and 6701 _eliminate calls, and
+    # 1524 _eliminate calls while it projected into every half
     ctx, goals = _sweep_ctx(), [onf(g) for g in _sweep_goals()]
     searched = _count_calls(monkeypatch, search, "iter_inhabitants")
     eliminated = _count_calls(monkeypatch, search, "_eliminate")
     for goal in goals:
         list(search.iter_inhabitants(ctx, goal, 6))
     assert len(searched) == 957
-    assert len(eliminated) <= 1524, len(eliminated)
+    assert len(eliminated) <= 1359, len(eliminated)
 
 
 def test_the_search_extends_no_context(monkeypatch):

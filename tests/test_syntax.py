@@ -8,14 +8,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import opptypes.search as search
 import opptypes.syntax as syntax
 
 from opptypes import (EMPTY, Ann, App, Atom, Basis, Case, CoFun, Fun, Inl,
-                      Inr, Lam, NormalizationOverflow, Opp, Pair, Pi, Proj1,
-                      Proj2, Split, TermExpr, TypeExpr, Var, alpha_eq, check,
-                      declare_type_const, dual, expand_in_basis, free_vars,
-                      is_onf, normalize_term, onf, parse_term, subst,
-                      subst_term, subst_type, uses_only_basis)
+                      Inr, Lam, NormalizationOverflow, Opp, Pair, Pi, Prod,
+                      Proj1, Proj2, Split, TermExpr, TypeExpr, Var, alpha_eq,
+                      check, declare_type_const, dual, expand_in_basis,
+                      free_vars, is_onf, normalize_term, onf, parse_term,
+                      subst, subst_term, subst_type, uses_only_basis)
 from opptypes.syntax import SCOPES, all_names
 
 import binding_oracle as oracle
@@ -174,6 +175,24 @@ def test_hash_is_structural(A, t):
         state = e.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
         assert not {"_hash", "_fv", "_names"} & set(state)
         assert pickle.loads(pickle.dumps(e)) == e
+
+
+def test_pickling_and_copying_keep_only_the_fields_and_the_mark():
+    # fill every attribute a node keeps, on an input and on its normal form
+    u, c = Var("u"), Atom("c")
+    T = Pi("u", c, Opp(Prod(Atom("p", (u,)), Opp(Opp(Atom("b"))))))
+    N = onf(T)
+    for e in (T, N):
+        hash(e), free_vars(e), all_names(e)
+    search._spine(N)
+    assert {"_hash", "_fv", "_names", "_onf"} <= set(T.__dict__)
+    assert {"_hash", "_fv", "_names", "_spine", "_nf"} <= set(N.__dict__)
+    for e in (T, N):
+        fields = {f.name for f in dataclasses.fields(e)}
+        for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert twin == e
+            assert set(twin.__dict__) == fields | ({"_nf"} if e is N else set())
+    assert copy.deepcopy(N)._nf and pickle.loads(pickle.dumps(N))._nf
 
 
 def test_hash_of_a_deep_tree():
