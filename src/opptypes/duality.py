@@ -55,11 +55,10 @@ def onf(A: TypeExpr) -> TypeExpr:
     (TypeExpr._nf), and a marked input is returned at once.  Invariant: a
     marked node is its own normal form, and so is every subtree of it.
     An unmarked input keeps the normal form found for it (TypeExpr._onf),
-    which is returned at once when it is asked again.  Invariant: _onf is
-    set only on an unmarked node, and always points to a marked one; a
-    normal node does not point to itself, so no normal form is a cycle.
-    Nodes are immutable, so neither can go stale; ==, hash, repr and
-    dataclasses.replace ignore both.
+    returned at once when asked again.  Invariant: _onf is set only on an
+    unmarked node and points to a marked one, never to itself, so no
+    normal form is a cycle.  Nodes are immutable, so neither can go stale;
+    ==, hash, repr and dataclasses.replace ignore both.
     """
     try:
         if A._nf:

@@ -32,12 +32,14 @@ a set, and one record serves every instance of a type.  Each call
 indexes its hypotheses by these sets, and a node tries only those whose
 set holds the goal's head (at depth 1, where only the equiv test is
 left, those of that very head); an application is not tried when its
-codomain's set lacks the goal's head; and a dependent pair whose second
-half is an atom or an opposite atom, which only a spine can reach, ends
-before its first half is enumerated when no hypothesis reaches that
-half's head.  (Substituting for the pair's variable changes only family
-arguments, and only a case split, itself a wildcard, binds a hypothesis
-on the way to that half.)
+codomain's set lacks the goal's head, and a projection is not tried when
+its half's set lacks it (at the last level, when the half is not of that
+very head); and a dependent pair whose second half is an atom or an
+opposite atom, which only a spine can reach, ends before its first half
+is enumerated when no hypothesis reaches that half's head.
+(Substituting for the pair's variable changes only family arguments, and
+only a case split, itself a wildcard, binds a hypothesis on the way to
+that half.)
 
 Where one enumeration runs inside another and the inner one cannot
 depend on the outer value, one empty inner run ends the outer loop: the
@@ -134,16 +136,9 @@ class _Call:
 
 
 def _pick(hyps, want, leaf: bool) -> tuple:
-    return tuple(h for h in hyps if _ends_in(h[2], want, leaf))
-
-
-def _ends_in(spine, want, leaf: bool) -> bool:
-    """Whether a spine from a type with this _spine can end in a type of
-    head want; at a leaf, where only the equiv test is left, whether the
-    type's own head is want."""
     if leaf:
-        return spine[0] == want
-    return spine[1] is None or want in spine[1]
+        return tuple(h for h in hyps if h[2][0] == want)
+    return tuple(h for h in hyps if h[2][1] is None or want in h[2][1])
 
 
 def _inhabitants(ctx: Context, call: _Call, bound, goal: TypeExpr,
@@ -196,7 +191,7 @@ def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
     if isinstance(head_type, (Fun, Pi)):
         dom, var, _ = halves(head_type)
         (cod,) = spine[2]
-        if not _ends_in(cod, want, False):
+        if cod[1] is not None and want not in cod[1]:
             return
         for arg in iter_inhabitants(ctx, dom, depth, call, bound):
             found = False
@@ -208,10 +203,13 @@ def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
             if not found and var is None:
                 break
     elif isinstance(head_type, (Prod, CoFun, Sigma)):
+        # a half is entered only if its spine can end in want, as in _pick
+        leaf = depth <= 1
         for proj, half, sub in zip((Proj1, Proj2),
                                    components(head_type, Proj1(head)),
                                    spine[2]):
-            if _ends_in(sub, want, depth <= 1):
+            if (sub[0] == want if leaf
+                    else sub[1] is None or want in sub[1]):
                 yield from _eliminate(ctx, call, bound, proj(head), half,
                                       sub, goal, want, depth - 1)
     elif isinstance(head_type, Sum):
