@@ -192,13 +192,19 @@ def halves(T: TypeExpr):
     """(first, var, second) of a normal form with a FAMILY head: the
     domain and codomain, the component types or the summands.  var is
     None but for Pi and Sg; in second it stands for the argument or the
-    first projection."""
+    first projection.  The first half of a co-function B <~ A is ~A,
+    worked out on the first read and kept on the node (TypeExpr._first);
+    it is a new tree, which does not point back at the node."""
     if isinstance(T, Fun):
         return T.dom, None, T.cod
     if isinstance(T, (Prod, Sum)):
         return T.left, None, T.right
     if isinstance(T, CoFun):
-        return _neg(T.dom), None, T.cod
+        first = T._first
+        if first is None:
+            first = _neg(T.dom)
+            object.__setattr__(T, "_first", first)
+        return first, None, T.cod
     if isinstance(T, (Pi, Sigma)):
         return T.gen, T.var, T.body
     raise AssertionError(f"not function-, pair- or sum-like: {T!r}")

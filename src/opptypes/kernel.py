@@ -132,13 +132,16 @@ class Context:
     A context may also keep, beside its fields, the printed text of its
     first entries, which its builder notes with with_printed_prefix and
     printer.context_str reuses: logic's translation contexts keep that
-    of their signature's declarations.
+    of their signature's declarations.  And it keeps what kept makes from
+    it, once per context, as the search keeps its hypotheses' index;
+    pickling, copying and extending do not carry that over.
     """
     entries: Tuple[ContextEntry, ...] = ()
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_by_name", None)
+        state.pop("_kept", None)
         return state
 
     def with_printed_prefix(self, n: int, text: str) -> "Context":
@@ -151,6 +154,14 @@ class Context:
     def printed_prefix(self) -> Tuple[int, str]:
         """(n, text) as noted by with_printed_prefix, else (0, "")."""
         return self.__dict__.get("_printed_prefix", (0, ""))
+
+    def kept(self, make):
+        """make(self), made at the first call with make and kept beside
+        the fields after that (see Context)."""
+        kept = self.__dict__.setdefault("_kept", {})
+        if make not in kept:
+            kept[make] = make(self)
+        return kept[make]
 
     def _index(self) -> dict:
         """The index, rerooting the tree here first (see Context)."""

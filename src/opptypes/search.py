@@ -12,10 +12,11 @@ introductions) is fixed, so results are deterministic.
 
 The caller's context is read, never extended: hypotheses bound on a
 branch go down it as one tuple, tried after the caller's, and fresh
-names avoid both.  Per top-level call the caller's hypotheses are
-normalized once, and each (bound hypotheses, goal) subproblem that ran
-out without a result is remembered with its depth; enumeration only
-grows with depth, so it is skipped when met again at that depth or less.
+names avoid both.  The caller's hypotheses are normalized and indexed
+once per context, by the first search over it (Context.kept).  Per
+top-level call, each (bound hypotheses, goal) subproblem that ran out
+without a result is remembered with its depth; enumeration only grows
+with depth, so it is skipped when met again at that depth or less.
 
 An elimination spine is focused on the goal (Liang and Miller, TCS 2009),
 and the hypotheses are indexed by where their spines can end, in the way
@@ -28,15 +29,15 @@ heads a spine from there can end in; a Sum on the way makes it a
 wildcard, because a case can reach every goal.  Each type node keeps
 its record, so a type is walked once, not once per call.  Family
 arguments are not looked at, so a dependent substitution cannot change
-a set, and one record serves every instance of a type.  Each call
-indexes its hypotheses by these sets, and a node tries only those whose
-set holds the goal's head (at depth 1, where only the equiv test is
-left, those of that very head); an application is not tried when its
-codomain's set lacks the goal's head, and a projection is not tried when
-its half's set lacks it (at the last level, when the half is not of that
-very head); and a dependent pair whose second half is an atom or an
-opposite atom, which only a spine can reach, ends before its first half
-is enumerated when no hypothesis reaches that half's head.
+a set, and one record serves every instance of a type.  The hypotheses
+are indexed by these sets, and a node tries only those whose set holds
+the goal's head (at depth 1, where only the equiv test is left, it tests
+those of that very head and starts nothing else); an application is not
+tried when its codomain's set lacks the goal's head, and a projection is
+not tried when its half's set lacks it (at the last level, when the half
+is not of that very head); and a dependent pair whose second half is an
+atom or an opposite atom, which only a spine can reach, ends before its
+first half is enumerated when no hypothesis reaches that half's head.
 (Substituting for the pair's variable changes only family arguments, and
 only a case split, itself a wildcard, binds a hypothesis on the way to
 that half.)
@@ -87,9 +88,9 @@ def iter_inhabitants(ctx: Context, goal: TypeExpr, depth: int,
     """Enumerate all spine-form inhabitants of a normal goal up to depth.
 
     ctx is read, never extended.  _call, a _Call made once per top-level
-    call, holds ctx's normalized hypotheses with their index and the memo,
-    keyed on _bound, the (variable, type) pairs bound on this branch, and
-    the goal.
+    call, holds ctx's normalized hypotheses with their index, kept on ctx,
+    and this call's memo, keyed on _bound, the (variable, type) pairs
+    bound on this branch, and the goal.
     """
     if depth <= 0:
         return
@@ -108,19 +109,16 @@ def iter_inhabitants(ctx: Context, goal: TypeExpr, depth: int,
 
 class _Call:
     """The state of one top-level search call: hyps, the caller's
-    hypotheses as (variable, normal type, _spine); picked, the part of
-    them tried, by (goal head, leaf), see tried; and empty, the memo of
-    iter_inhabitants."""
+    hypotheses as (variable, normal type, _spine), and picked, the part
+    of them tried, by (goal head, leaf), see tried, both kept on the
+    context (Context.kept) and shared by every call over it; and empty,
+    the memo of iter_inhabitants, this call's own."""
 
     __slots__ = ("hyps", "picked", "empty")
 
     def __init__(self, ctx: Context):
-        hyps = []
-        for d in ctx.term_decls():
-            T = onf(d.type)
-            hyps.append((Var(d.name), T, _spine(T)))
-        self.hyps = tuple(hyps)
-        self.picked, self.empty = {}, {}
+        self.hyps, self.picked = ctx.kept(_hypotheses)
+        self.empty = {}
 
     def tried(self, bound, want, leaf: bool):
         """The hypotheses, the caller's then those in bound, as (variable,
@@ -135,6 +133,16 @@ class _Call:
                               leaf)
 
 
+def _hypotheses(ctx: Context):
+    """ctx's hypotheses as (variable, normal type, _spine), and an empty
+    index for tried to fill."""
+    hyps = []
+    for d in ctx.term_decls():
+        T = onf(d.type)
+        hyps.append((Var(d.name), T, _spine(T)))
+    return tuple(hyps), {}
+
+
 def _pick(hyps, want, leaf: bool) -> tuple:
     if leaf:
         return tuple(h for h in hyps if h[2][0] == want)
@@ -146,7 +154,12 @@ def _inhabitants(ctx: Context, call: _Call, bound, goal: TypeExpr,
     """The enumeration behind iter_inhabitants: eliminations of each
     hypothesis in turn, bound ones last, then the introduction rule."""
     want = _head(goal)
-    for head, head_type, spine in call.tried(bound, want, depth == 1):
+    if depth == 1:  # a leaf: an introduction's parts would get depth 0
+        for head, head_type, _ in call.tried(bound, want, True):
+            if equiv(head_type, goal):
+                yield head
+        return
+    for head, head_type, spine in call.tried(bound, want, False):
         yield from _eliminate(ctx, call, bound, head, head_type, spine,
                               goal, want, depth - 1)
 

@@ -40,10 +40,12 @@ class _Node:
     what is worked out from it once asked: its hash (_hash, see _hash),
     where free_vars and all_names say so, its free variables (_fv) and
     every name in it (_names), and for a type the search indexes, where
-    its elimination spines can end (_spine, see search._spine) and the
-    normal form duality.onf found for it (_onf).  Pickling and copying
-    drop these five: string hashes differ between processes, _onf would
-    carry a second tree along, and each is worked out again on demand.
+    its elimination spines can end (_spine, see search._spine), the
+    normal form duality.onf found for it (_onf) and, for a co-function,
+    its first half as duality.halves reads it (_first).  Pickling and
+    copying drop these six: string hashes differ between processes, _onf
+    and _first would carry a second tree along, and each is worked out
+    again on demand.
     They keep the normal-form mark (_nf) on purpose: a twin of a normal
     node is as normal as the node."""
 
@@ -51,7 +53,7 @@ class _Node:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for kept in ("_hash", "_fv", "_names", "_spine", "_onf"):
+        for kept in ("_hash", "_fv", "_names", "_spine", "_onf", "_first"):
             state.pop(kept, None)
         return state
 
@@ -63,6 +65,8 @@ class TypeExpr(_Node):
     _nf = False
     # set by duality.onf on an unmarked node: the normal form it found
     _onf = None
+    # set by duality.halves on a co-function: its first half
+    _first = None
 
     def __str__(self) -> str:
         from .printer import type_str

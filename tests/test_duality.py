@@ -233,6 +233,27 @@ def test_a_kept_normal_form_is_not_walked_again(monkeypatch):
     assert len(calls["onf"]) == 1 and calls["_opposite"] == []
 
 
+def test_a_co_function_keeps_its_first_half(monkeypatch):
+    # B <~ A pairs a refutation ~A with a proof of B: ~A is worked out on
+    # the first read of the halves and read off the node after that
+    T = onf(parse_type("b <~ (Pi u:c. p(u) * ~a)"))
+    assert isinstance(T, CoFun) and T._first is None
+    first = halves(T)[0]
+    assert first is halves(T)[0] is T._first
+    assert alpha_eq(first, onf(Opp(T.dom)))
+    built = []
+    real = duality._opposite
+    monkeypatch.setattr(duality, "_opposite",
+                        lambda *args: built.append(1) or real(*args))
+    assert duality.halves(T) == (first, None, T.cod)
+    assert duality.components(T, Var("t"))[0] is first
+    assert built == []
+    # a co-function not yet read negates its domain once
+    fresh = onf(parse_type("c <~ a + b"))
+    assert duality.halves(fresh)[0] == onf(parse_type("~a * ~b"))
+    assert built
+
+
 def test_is_onf_reads_the_mark(monkeypatch):
     A = parse_type("~(a -> b)")
     n = onf(A)

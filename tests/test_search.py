@@ -214,15 +214,72 @@ def test_a_dependent_pair_with_an_unreachable_half_ends(monkeypatch):
 
 def test_the_index_starts_fewer_eliminations(monkeypatch):
     # every term of every sweep goal at depth 6; without the index the
-    # search made 957 iter_inhabitants and 6701 _eliminate calls, and
-    # 1524 _eliminate calls while it projected into every half
+    # search made 957 iter_inhabitants and 6701 _eliminate calls, 1524
+    # _eliminate calls while it projected into every half, and 957 and
+    # 1359 while a leaf started an _eliminate per hypothesis and an
+    # introduction whose parts were searched at depth 0
     ctx, goals = _sweep_ctx(), [onf(g) for g in _sweep_goals()]
+    expected = [t for goal in goals for t in oracle_inhabitants(ctx, goal, 6)]
     searched = _count_calls(monkeypatch, search, "iter_inhabitants")
     eliminated = _count_calls(monkeypatch, search, "_eliminate")
-    for goal in goals:
-        list(search.iter_inhabitants(ctx, goal, 6))
-    assert len(searched) == 957
-    assert len(eliminated) <= 1359, len(eliminated)
+    found = [t for goal in goals
+             for t in search.iter_inhabitants(ctx, goal, 6)]
+    assert found == expected and len(found) == 340
+    assert len(searched) == 940
+    assert len(eliminated) <= 1063, len(eliminated)
+
+
+def test_a_second_search_reads_the_kept_hypotheses(monkeypatch):
+    # the first search over a context normalizes and indexes its
+    # hypotheses; a later one normalizes only its goal and works out the
+    # spines only of the hypotheses it binds
+    ctx = _sweep_ctx()
+    seen = {"onf": [], "_spine": []}
+    for name, args in seen.items():
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda T, real=real, args=args:
+                            args.append(T) or real(T))
+    assert str(bounded_inhabit(ctx, parse_type("~d * a"), 2)) == "<r, x>"
+    assert len(seen["onf"]) == 1 + len(SWEEP_HYPS)
+    assert len(seen["_spine"]) == len(SWEEP_HYPS)
+    hyps = {id(T) for _, T, _ in ctx.kept(search._hypotheses)[0]}
+    for args in seen.values():
+        args.clear()
+    goal = parse_type("a -> ~a -> b")
+    assert bounded_inhabit(ctx, goal, 6) is None
+    assert seen["onf"] == [goal]
+    assert seen["_spine"] and not hyps & set(map(id, seen["_spine"]))
+
+
+def test_kept_hypotheses_do_not_depend_on_the_order_of_goals():
+    shared, goals = _sweep_ctx(), _sweep_goals()
+    forward = [bounded_inhabit(shared, goal, 6) for goal in goals]
+    backward = [bounded_inhabit(shared, goal, 6) for goal in reversed(goals)]
+    alone = [bounded_inhabit(_sweep_ctx(), goal, 6) for goal in goals]
+    assert forward == backward[::-1] == alone
+    assert sum(t is not None for t in forward) == 8
+
+
+def test_twins_of_a_searched_context_keep_only_the_fields():
+    ctx = _sweep_ctx()
+    bounded_inhabit(ctx, parse_type("Sg u:c. p(u)"), 4)
+    assert {"_by_name", "_kept"} <= set(ctx.__dict__)
+    for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx)):
+        assert twin == ctx
+        assert "_by_name" not in twin.__dict__
+        assert "_kept" not in twin.__dict__
+        assert (bounded_inhabit(twin, parse_type("Sg u:c. p(u)"), 4)
+                == bounded_inhabit(ctx, parse_type("Sg u:c. p(u)"), 4))
+
+
+def test_an_extended_context_has_its_own_hypotheses():
+    ctx, goal = _sweep_ctx(), parse_type("b * a")
+    assert bounded_inhabit(ctx, goal, 4) is None
+    wider = declare_term(ctx, "z", parse_type("b"))
+    assert wider.kept(search._hypotheses) is not ctx.kept(search._hypotheses)
+    assert str(bounded_inhabit(wider, goal, 2)) == "<z, x>"
+    assert bounded_inhabit(wider, goal, 4) == first_inhabitant(wider, goal, 4)
+    assert bounded_inhabit(ctx, goal, 4) is None
 
 
 def test_the_search_extends_no_context(monkeypatch):

@@ -178,16 +178,19 @@ def test_hash_is_structural(A, t):
 
 
 def test_pickling_and_copying_keep_only_the_fields_and_the_mark():
-    # fill every attribute a node keeps, on an input and on its normal form
+    # fill every attribute a node keeps, on an input and on its normal
+    # form, and on a co-function its first half
     u, c = Var("u"), Atom("c")
     T = Pi("u", c, Opp(Prod(Atom("p", (u,)), Opp(Opp(Atom("b"))))))
     N = onf(T)
-    for e in (T, N):
+    C = onf(CoFun(N, Opp(Prod(c, Atom("a")))))
+    for e in (T, N, C):
         hash(e), free_vars(e), all_names(e)
-    search._spine(N)
+    search._spine(N), search._spine(C)
     assert {"_hash", "_fv", "_names", "_onf"} <= set(T.__dict__)
     assert {"_hash", "_fv", "_names", "_spine", "_nf"} <= set(N.__dict__)
-    for e in (T, N):
+    assert {"_hash", "_fv", "_spine", "_nf", "_first"} <= set(C.__dict__)
+    for e in (T, N, C):
         fields = {f.name for f in dataclasses.fields(e)}
         for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
             assert twin == e and set(twin.__dict__) <= fields | {"_nf"}
