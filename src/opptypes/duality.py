@@ -47,7 +47,9 @@ from .syntax import (SCOPES, Atom, CoFun, Fun, Opp, Pi, Prod, Sigma, Sum,
 def onf(A: TypeExpr) -> TypeExpr:
     """Opposite normal form: the canonical representative of A's equality
     class.  Pushes ~ down to atoms, cancels double opposites, collapses
-    degenerate binders, and beta-normalizes atom arguments.  A subtree
+    degenerate binders, and beta-normalizes atom arguments.  An ~ over a
+    constructor is pushed one constructor down (see _pushed) before the
+    fields are normalized, so each input node is walked once.  A subtree
     already in normal form is returned as it is, not rebuilt, so
     onf(onf(A)) is onf(A).
 
@@ -67,42 +69,42 @@ def onf(A: TypeExpr) -> TypeExpr:
             return A._onf
     except AttributeError:
         raise IllFormedType(f"not a type: {A!r}") from None
-    if isinstance(A, Atom):
-        nf = A
-        if A.args:
-            args = tuple([normalize_term(t, type_norm=onf) for t in A.args])
-            if not all(map(is_, args, A.args)):
-                nf = Atom(A.name, args)
-    elif isinstance(A, Fun):
-        dom, cod = onf(A.dom), onf(A.cod)
-        nf = A if dom is A.dom and cod is A.cod else Fun(dom, cod)
-    elif isinstance(A, CoFun):
-        cod, dom = onf(A.cod), onf(A.dom)
-        nf = A if cod is A.cod and dom is A.dom else CoFun(cod, dom)
-    elif isinstance(A, (Prod, Sum)):
-        left, right = onf(A.left), onf(A.right)
-        nf = (A if left is A.left and right is A.right
-              else type(A)(left, right))
-    elif isinstance(A, (Pi, Sigma)):
-        gen, body = onf(A.gen), onf(A.body)
-        if A.var in free_vars(body):
-            nf = (A if gen is A.gen and body is A.body
-                  else type(A)(A.var, gen, body))
-        elif isinstance(A, Pi):
+    # a run of ~ is read with a loop, so a deep one costs no stack; ~~B
+    # is B, and ~B is normalized in this frame, so a level costs one frame
+    T, odd = A, False
+    while isinstance(T, Opp):
+        T, odd = T.inner, not odd
+    if odd and not isinstance(T, Atom):
+        T = _pushed(T)
+    if isinstance(T, Atom):
+        nf = T
+        if T.args:
+            args = tuple([normalize_term(t, type_norm=onf) for t in T.args])
+            if not all(map(is_, args, T.args)):
+                nf = Atom(T.name, args)
+        if odd:
+            nf = A if nf is A.inner else Opp(nf)
+    elif isinstance(T, Fun):
+        dom, cod = onf(T.dom), onf(T.cod)
+        nf = T if dom is T.dom and cod is T.cod else Fun(dom, cod)
+    elif isinstance(T, CoFun):
+        cod, dom = onf(T.cod), onf(T.dom)
+        nf = T if cod is T.cod and dom is T.dom else CoFun(cod, dom)
+    elif isinstance(T, (Prod, Sum)):
+        left, right = onf(T.left), onf(T.right)
+        nf = (T if left is T.left and right is T.right
+              else type(T)(left, right))
+    elif isinstance(T, (Pi, Sigma)):
+        gen, body = onf(T.gen), onf(T.body)
+        if T.var in free_vars(body):
+            nf = (T if gen is T.gen and body is T.body
+                  else type(T)(T.var, gen, body))
+        elif isinstance(T, Pi):
             nf = Fun(gen, body)
         else:
             nf = CoFun(body, _neg(gen))
-    elif isinstance(A, Opp):
-        # a run of ~ is read with a loop, so a deep one costs no stack;
-        # ~~B is B
-        inner, odd = A.inner, True
-        while isinstance(inner, Opp):
-            inner, odd = inner.inner, not odd
-        nf = onf(inner)
-        if odd:
-            nf = A if nf is A.inner and isinstance(nf, Atom) else _neg(nf)
     else:
-        raise IllFormedType(f"not a type: {A!r}")
+        raise IllFormedType(f"not a type: {T!r}")
     object.__setattr__(nf, "_nf", True)
     if nf is not A:
         object.__setattr__(A, "_onf", nf)
@@ -170,6 +172,20 @@ def _opposite(A: TypeExpr, keep: bool) -> TypeExpr:
     return dcls(_opposite(first, keep), _opposite(second, keep))
 
 
+def _pushed(A: TypeExpr) -> TypeExpr:
+    """~A read one constructor down, for A not an atom nor an opposite:
+    ~(A * B) is ~A + ~B, with ~ on the fields DUALS marks."""
+    plan = _DUAL_PLANS.get(type(A))
+    if plan is None:
+        raise IllFormedType(f"not a type: {A!r}")
+    dcls, get, binder = plan
+    if binder:
+        var, gen, body = get(A)
+        return dcls(var, gen, Opp(body))
+    first, second = get(A)
+    return dcls(Opp(first), Opp(second))
+
+
 def _neg(N: TypeExpr) -> TypeExpr:
     """Normal form of ~N for N already in normal form.  Atom arguments
     stay intact, so a binder's variable stays free in the negated body and
@@ -228,8 +244,8 @@ def equiv(X: TypeExpr, Y: TypeExpr) -> bool:
     with equivalent halves, the second halves read under one binder.
     Equivalent types carry exactly the same inhabitants but are not
     inter-substitutable, because their opposites may differ: e.g.
-    ~(A -> B) and A * ~B."""
-    if alpha_eq(X, Y):
+    ~(A -> B) and A * ~B.  An object is equivalent to itself at once."""
+    if X is Y or alpha_eq(X, Y):
         return True
     family = FAMILY.get(type(X))
     if family is None or family is not FAMILY.get(type(Y)):
@@ -302,14 +318,7 @@ def expand_in_basis(A: TypeExpr, basis: Basis) -> TypeExpr:
         else:
             raise IllFormedType(f"not a type: {T!r}")
         T = cls(*fields)
-        if cls in basis.value:
-            return T
-        dcls, get, binder = _DUAL_PLANS[cls]
-        if binder:
-            var, gen, body = get(T)
-            return Opp(dcls(var, gen, Opp(body)))
-        first, second = get(T)
-        return Opp(dcls(Opp(first), Opp(second)))
+        return T if cls in basis.value else Opp(_pushed(T))
 
     return go(A)
 

@@ -382,7 +382,8 @@ def _form(ctx: Context, A: TypeExpr, u: Universe, node):
         premises = []
         inst = {}
         for (tvar, sort), arg in zip(decl.telescope, A.args):
-            premises.append(_check(ctx, arg, subst(sort, inst), node))
+            sort = subst(sort, inst)
+            premises.append(_check(ctx, arg, sort, node, onf(sort)))
             inst[tvar] = arg
         rule = "atom-form" if decl.universe is u else "atom-form-lift"
         return node(rule, Formation, ctx, A, u, premises)
@@ -408,8 +409,10 @@ def _form(ctx: Context, A: TypeExpr, u: Universe, node):
         for field, *binders in SCOPES[type(A)]:
             sub, inner = getattr(A, field), ctx
             if binders:
-                (var,), (sub,) = open_binders(
-                    ctx.names, (A.var,), [(sub, (A.var,))], [A.gen])
+                var = A.var
+                if var in ctx.names:
+                    (var,), (sub,) = open_binders(
+                        ctx.names, (var,), [(sub, (var,))], [A.gen])
                 inner = ctx.extended(TermDecl(var, A.gen))
             premises.append(_form(inner, sub, u, node))
         return node(f"{_STEM[type(A)]}-form", Formation, ctx, A, u,
@@ -494,7 +497,7 @@ def check(ctx: Context, t: TermExpr, A: TypeExpr) -> Derivation:
         c = d.conclusion
         if c.ctx is ctx and c.term is t and c.type is A:
             return d
-    d = _check(ctx, t, A, _node)
+    d = _check(ctx, t, A, _node, onf(A))
     _last[0] = weakref.ref(d)
     return d
 
@@ -503,26 +506,33 @@ def ensure_typed(ctx: Context, t: TermExpr, A: TypeExpr) -> None:
     """Check that ctx |- t : A, as check does, with the same errors in the
     same order, but build no derivation and neither read nor fill
     check's memo."""
-    _check(ctx, t, A, _no_node)
+    _check(ctx, t, A, _no_node, onf(A))
 
 
-def _check(ctx: Context, t: TermExpr, A: TypeExpr, node):
+def _check(ctx: Context, t: TermExpr, A: TypeExpr, node, goal=None):
     """The typing walk behind check and ensure_typed, with node as in
     _form: the kernel's own typings go through here, so they neither add
-    a Python frame a level nor displace check's memo."""
-    goal = onf(A)
+    a Python frame a level nor displace check's memo.  The conclusion
+    states A, and the rules read goal, its normal form, which an entry
+    point works out once; a rule passing on a normal half passes no
+    goal.  A binder whose name ctx does not hold is opened as it stands."""
+    if goal is None:
+        goal = A
 
     if isinstance(t, Lam):
         if not isinstance(goal, (Fun, Pi)):
             raise TypeMismatch(
                 f"a lambda cannot have type {goal}", expected=goal, actual=None)
-        dom, ann = halves(goal)[0], onf(t.dom)
+        (dom, gvar, cod), ann = halves(goal), onf(t.dom)
         if not equiv(ann, dom):
             raise TypeMismatch(f"lambda domain {ann} does not match {dom}",
                                expected=dom, actual=ann)
-        (var,), (body,) = open_binders(ctx.names, (t.var,),
-                                       ((t.body, (t.var,)),), (dom,))
-        _, cod = components(goal, Var(var))
+        var, body = t.var, t.body
+        if var in ctx.names:
+            (var,), (body,) = open_binders(ctx.names, (var,),
+                                           ((body, (var,)),), (dom,))
+        if gvar not in (None, var):
+            cod = components(goal, Var(var))[1]
         d = _check(ctx.extended(TermDecl(var, dom)), body, cod, node)
         return node(f"{_STEM[type(goal)]}-intro", Typing, ctx, t, A, (d,))
 
@@ -554,11 +564,12 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr, node):
 
     if isinstance(t, Ann):
         df = _form(ctx, t.type, U0, node)
-        dt = _check(ctx, t.term, t.type, node)
-        if not equiv(onf(t.type), goal):
+        ann = onf(t.type)
+        dt = _check(ctx, t.term, t.type, node, ann)
+        if not equiv(ann, goal):
             raise TypeMismatch(
-                f"annotation {onf(t.type)} does not match expected {goal}",
-                expected=goal, actual=onf(t.type))
+                f"annotation {ann} does not match expected {goal}",
+                expected=goal, actual=ann)
         return node("ann", Typing, ctx, t, A, (df, dt))
 
     # elimination or variable: infer then convert
@@ -638,8 +649,8 @@ def _infer(ctx: Context, t: TermExpr, node):
 
     if isinstance(t, Ann):
         df = _form(ctx, t.type, U0, node)
-        dt = _check(ctx, t.term, t.type, node)
         nf = onf(t.type)
+        dt = _check(ctx, t.term, t.type, node, nf)
         return nf, node("ann", Typing, ctx, t, nf, (df, dt))
 
     if isinstance(t, App):
@@ -688,8 +699,10 @@ def _infer(ctx: Context, t: TermExpr, node):
 
     if isinstance(t, Lam):
         df = _form(ctx, t.dom, U0, node)
-        (var,), (body,) = open_binders(ctx.names, (t.var,),
-                                       [(t.body, (t.var,))], [t.dom])
+        var, body = t.var, t.body
+        if var in ctx.names:
+            (var,), (body,) = open_binders(ctx.names, (var,),
+                                           [(body, (var,))], [t.dom])
         bty, db = _infer(ctx.extended(TermDecl(var, t.dom)), body, node)
         res = onf(Pi(var, t.dom, bty))
         return res, node(f"{_STEM[type(res)]}-intro", Typing, ctx, t, res,
@@ -1038,11 +1051,15 @@ def _lam(kind, d, infer):
         dom, gvar, cod = halves(goal)
         if not equiv(onf(t.dom), dom):
             _bad(d, f"lambda domain {onf(t.dom)} does not match {dom}")
-        rebuilt = Fun(dom, bty) if gvar is None else Pi(decl.name, dom, bty)
+        # a body typed at the goal's own codomain rebuilds the goal itself
+        rebuilt = (goal if bty is cod and gvar in (None, decl.name)
+                   else Fun(dom, bty) if gvar is None
+                   else Pi(decl.name, dom, bty))
         todo = []
     if not (type(rebuilt) is kind and alpha_eq(rebuilt, goal)
             and _has_nf(decl.type, dom)
-            and alpha_eq(Lam(decl.name, t.dom, body.term), t)):
+            and (decl.name == t.var and body.term is t.body
+                 or alpha_eq(Lam(decl.name, t.dom, body.term), t))):
         _bad(d, f"the body premise does not give {t} type {goal}")
     todo.append((d.premises[-1], inferred))
     return todo

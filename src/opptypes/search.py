@@ -225,7 +225,8 @@ def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
                     else sub[1] is None or want in sub[1]):
                 yield from _eliminate(ctx, call, bound, proj(head), half,
                                       sub, goal, want, depth - 1)
-    elif isinstance(head_type, Sum):
+    elif isinstance(head_type, Sum) and depth > 1:
+        # a case's branches get depth - 1, and none is found at depth 0
         w = fresh_name("w", ctx.names, [v.name for v, _ in bound])
         boundr = bound + ((Var(w), head_type.right),)
         for lbody in iter_inhabitants(ctx, goal, depth - 1, call,

@@ -616,7 +616,10 @@ def open_binders(taken, hints, scopes, near):
 # ---------------------------------------------------------------------------
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
+    """Structural equality up to consistent renaming of bound variables.
+    An object is equal to itself at once, without a walk."""
+    if a is b:
+        return True
     env = {}
     return _alpha(a, b, env, env, 0)
 

@@ -211,12 +211,8 @@ def test_the_normal_form_mark_is_invisible(A):
     assert onf(fresh) is fresh and fresh._nf
 
 
-def test_a_kept_normal_form_is_not_walked_again(monkeypatch):
-    # 64 layers, each T -> b written as ~(~b <~ ~T): the first onf walks
-    # every layer and negates, the second reads the form kept on the root
-    T = a
-    for _ in range(64):
-        T = Opp(CoFun(Opp(b), Opp(T)))
+def _count_onf_work(monkeypatch):
+    """Lists that onf and _opposite calls append to, by name."""
     calls = {"onf": [], "_opposite": []}
     for name, seen in calls.items():
         real = getattr(duality, name)
@@ -224,13 +220,49 @@ def test_a_kept_normal_form_is_not_walked_again(monkeypatch):
         monkeypatch.setattr(
             duality, name,
             lambda *args, real=real, seen=seen: seen.append(1) or real(*args))
+    return calls
+
+
+def test_a_kept_normal_form_is_not_walked_again(monkeypatch):
+    # 64 layers, each T -> b written as ~(~b <~ ~T): the first onf walks
+    # every layer once, the second reads the form kept on the root
+    T = a
+    for _ in range(64):
+        T = Opp(CoFun(Opp(b), Opp(T)))
+    calls = _count_onf_work(monkeypatch)
     n = duality.onf(T)
-    assert len(calls["onf"]) > 64 and calls["_opposite"]
+    assert 64 < len(calls["onf"]) + len(calls["_opposite"]) <= 3 * 64
     assert n == rewrite_to_fixpoint(T, step_innermost)
     for seen in calls.values():
         seen.clear()
     assert duality.onf(T) is n
     assert len(calls["onf"]) == 1 and calls["_opposite"] == []
+
+
+def _opposite_layers(n: int) -> TypeExpr:
+    """n layers, ~(~T + ~b) alternating with T * b: each ~ lies over a
+    sum whose operands hold more of them."""
+    T = a
+    for i in range(n):
+        T = Opp(Sum(Opp(T), Opp(b))) if i % 2 == 0 else Prod(T, b)
+    return T
+
+
+def test_onf_walks_nested_opposites_in_linear_time(monkeypatch):
+    # normalizing each ~'s operand before negating it walked the layers
+    # below every ~ again: _opposite ran 2499 times at 50 layers and
+    # 9999 at 100
+    work = {}
+    for n in (50, 100, 200):
+        T = _opposite_layers(n)
+        with monkeypatch.context() as m:
+            calls = _count_onf_work(m)
+            nf = duality.onf(T)
+        work[n] = len(calls["onf"]) + len(calls["_opposite"])
+        assert nf == rewrite_to_fixpoint(T, step_outermost)
+        assert is_onf(nf)
+    assert work[100] <= 2.2 * work[50] and work[200] <= 2.2 * work[100]
+    assert work[50] <= 3 * 50, work
 
 
 def test_a_co_function_keeps_its_first_half(monkeypatch):

@@ -1634,3 +1634,69 @@ def test_shadowing_chain_costs_linear_work(monkeypatch):
         counts.append((names[0], alpha[0]))
     (names1, alpha1), (names2, alpha2) = counts
     assert names2 <= 2.1 * names1 and alpha2 <= 2.1 * alpha1, counts
+
+
+def _same_up_to_renaming(d, e, n, m):
+    """True iff d and e apply the same rules node by node, and each node
+    of e concludes what d's does once the names its binders declared
+    (its context's entries past the first m) are renamed to those of d's
+    (past the first n)."""
+    todo = [(d, e)]
+    while todo:
+        d, e = todo.pop()
+        if d.rule != e.rule or len(d.premises) != len(e.premises):
+            return False
+        cd, ce = d.conclusion, e.conclusion
+        mine, theirs = cd.ctx.entries[n:], ce.ctx.entries[m:]
+        if [x.type for x in mine] != [y.type for y in theirs]:
+            return False
+        ren = {y.name: Var(x.name) for x, y in zip(mine, theirs)}
+        if (subst(ce.term, ren), subst(ce.type, ren)) != (cd.term, cd.type):
+            return False
+        todo += zip(d.premises, e.premises)
+    return True
+
+
+@pytest.mark.parametrize("goal", [Var("x"), Lam("x", a, Var("x")), "a"])
+@pytest.mark.parametrize("term", ["\\x:a. x", "y", "<y, y>"])
+def test_a_goal_that_is_not_a_type_is_rejected(goal, term):
+    ctx, t = ctx_with(("y", "a")), parse_term(term)
+    for fn, args in ((check, (ctx, t, goal)), (ensure_typed, (ctx, t, goal)),
+                     (term_equal, (ctx, t, t, goal)),
+                     (infer, (ctx, Ann(t, goal)))):
+        with pytest.raises(IllFormedType, match="not a type"):
+            fn(*args)
+
+
+def test_untaken_binders_are_opened_as_they_stand(monkeypatch):
+    # no binder of \x0:a. ... \x199:a. x0 is in scope where it stands,
+    # so check renames none and reads each codomain off its arrow; each
+    # annotation is its own object, as a parsed term's would be
+    ctx = declare_type_const(EMPTY, "a")
+    t, T = Var("x0"), a
+    for i in reversed(range(200)):
+        t, T = Lam(f"x{i}", Atom("a"), t), Fun(a, T)
+    opened, built = [], []
+    real, init = kernel.open_binders, Var.__init__
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "open_binders",
+                  lambda *args: opened.append(args) or real(*args))
+        m.setattr(Var, "__init__",
+                  lambda self, *args: built.append(args) or init(self, *args))
+        d = check(ctx, t, T)
+    assert opened == [] and built == []
+    with monkeypatch.context() as m:
+        alpha = _counted(m, "_alpha")
+        assert recheck(d)
+    # one walk per lambda, of its annotation against the arrow's domain;
+    # every other comparison is of an object with itself (7 a node before)
+    assert alpha[0] <= 200, alpha
+    # where every binder's name is taken, each is renamed, to the same
+    # derivation up to the renaming
+    clash = ctx
+    for i in range(200):
+        clash = declare_term(clash, f"x{i}", a)
+    e = check(clash, t, T)
+    assert recheck(e)
+    assert e.premises[0].conclusion.ctx.entries[-1].name != "x0"
+    assert _same_up_to_renaming(d, e, 1, 201)
