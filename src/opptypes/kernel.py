@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import weakref
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple, Union
@@ -80,54 +81,24 @@ class TypeConstDecl:
 ContextEntry = Union[TermDecl, TypeConstDecl]
 
 
-# from this many entries on, extended hands the index over (see Context)
-_HANDOVER = 160
-
-
-class _Index(dict):
-    """The index of a context of _HANDOVER or more entries, which
-    contexts may share (see Context); root is a weak reference to the
-    context whose index it holds."""
-    __slots__ = ("root",)
-
-
-def _reclaim(holder, watch):
-    """Called back when the context an undo record points at is freed:
-    if it held the index, the record's holder takes the index back."""
-    ctx = holder()
-    record = None if ctx is None else ctx.__dict__["_by_name"]
-    if type(record) is tuple and record[3].root is record[0]:
-        ctx._index()
-
-
 @dataclass(frozen=True)
 class Context:
     """Ordered telescope of term declarations and type-constant declarations.
 
     Each context has an index from every name to the last entry under
     that name, beside the fields, so ==, hash, repr and replace ignore
-    it.  A context built directly indexes its entries on first use.
-    Below _HANDOVER entries, extended copies the parent's index, which
-    for the kernel's binders is cheaper than an undo record and a
-    reroot; from that size on, the new context takes it over, and the
-    parent keeps an undo record in its place: its index is ctx's with
-    name mapped back to entry, or unmapped for None (Baker's shallow
-    binding).  Contexts sharing an index form a tree rooted at the one
-    holding it; using another context reroots the tree there, turning
-    the records round one step at a time.  So a names view is valid
-    only until another context of its tree is used.
+    it.  A context built directly indexes its entries on first use, and
+    extended hands the index over to the new context: a context used
+    again after that builds its own from its entries.  A lookup reads
+    the index and scans the entries only when the last entry under the
+    name is of the other kind, which only a context built by hand can
+    give.  Pickling and copying drop the index, which the copy builds
+    again on first use.
 
-    A record holds ctx only through weak references, so a held context
-    keeps none of those built from it alive.  When ctx is freed while it
-    holds the index, the record's holder takes the index back, as a
-    kernel binder's context is freed before its parent's; when a
-    context's way to the root leads through a context freed while
-    another held the index, it rebuilds its own index from its entries.
-
-    A lookup reads the index and scans the entries only when the last
-    entry under the name is of the other kind, which only a context
-    built by hand can give.  Pickling and copying drop the index, which
-    the copy builds again on first use.
+    A kernel walk binds the names it opens in the index of the context
+    it walks in, while it runs (see _Bound), so a names view shows them
+    until the walk leaves their binders.  No two threads may walk one
+    context at once, and a context a walk is in must not be extended.
 
     A context may also keep, beside its fields, the printed text of its
     first entries, which its builder notes with with_printed_prefix and
@@ -164,45 +135,12 @@ class Context:
         return kept[make]
 
     def _index(self) -> dict:
-        """The index, rerooting the tree here first (see Context)."""
+        """The index, built from the entries if this context has none."""
         index = self.__dict__.get("_by_name")
-        if index is not None and type(index) is not tuple:
-            return index
-        path, ctx = [], self
-        while type(index) is tuple:
-            link, name, entry, shared, _ = index
-            other = link()
-            path.append((ctx, other, name, entry))
-            if other is None:
-                # freed: go on from its index if it held the index last
-                index = shared if shared.root is link else None
-                break
-            ctx, index = other, other.__dict__["_by_name"]
         if index is None:
-            # never indexed, or a context on the way was freed while
-            # another held the index
             index = {e.name: e for e in self.entries}
-            if len(self.entries) >= _HANDOVER:
-                index = _Index(index)
-        else:
-            for ctx, other, name, entry in reversed(path):
-                if other is not None:
-                    other._hand_over(ctx, name, index)
-                if entry is None:
-                    del index[name]
-                else:
-                    index[name] = entry
-            index.root = weakref.ref(self)
-        self.__dict__["_by_name"] = index
+            self.__dict__["_by_name"] = index
         return index
-
-    def _hand_over(self, ctx, name: str, index: _Index) -> None:
-        """Put the undo record (ctx, name, entry, index, watch) in place
-        of this context's index, which ctx takes over: watch calls
-        _reclaim when ctx is freed."""
-        self.__dict__["_by_name"] = (
-            weakref.ref(ctx), name, index.get(name), index,
-            weakref.ref(ctx, partial(_reclaim, weakref.ref(self))))
 
     @property
     def names(self):
@@ -227,15 +165,10 @@ class Context:
         return None
 
     def extended(self, entry: ContextEntry) -> "Context":
+        index = self._index()
+        del self.__dict__["_by_name"]
+        index[entry.name] = entry
         ctx = Context(self.entries + (entry,))
-        index, name = self._index(), entry.name
-        n = len(self.entries)
-        if n < _HANDOVER:
-            index = index.copy() if n + 1 < _HANDOVER else _Index(index)
-        else:
-            self._hand_over(ctx, name, index)
-            index.root = weakref.ref(ctx)
-        index[name] = entry
         ctx.__dict__["_by_name"] = index
         return ctx
 
@@ -259,13 +192,13 @@ def declare_type_const(ctx: Context, name: str,
     """Extend ctx with a type constant, validating its telescope."""
     if name in ctx.names:
         raise IllFormedContext(f"duplicate declaration of {name}")
-    scope = ctx
-    for var, sort in telescope:
-        ensure_formed(scope, sort, U0)
-        if var in scope.names:
-            raise IllFormedContext(
-                f"duplicate telescope variable {var} in declaration of {name}")
-        scope = scope.extended(TermDecl(var, sort))
+    with ExitStack() as scope:
+        for var, sort in telescope:
+            ensure_formed(ctx, sort, U0)
+            if var in ctx.names:
+                raise IllFormedContext(f"duplicate telescope variable {var} "
+                                       f"in declaration of {name}")
+            scope.enter_context(_Bound(ctx, (TermDecl(var, sort),)))
     return ctx.extended(TypeConstDecl(name, tuple(telescope), universe))
 
 
@@ -363,6 +296,34 @@ def _no_node(rule, judgment, ctx, x, y, premises):
     return None
 
 
+class _Bound:
+    """`with _Bound(ctx, decls, node) as inner:` runs its block with decls,
+    term declarations of names ctx does not hold, bound in ctx's index,
+    and unbinds them on the way out, raised or not.  inner is ctx itself,
+    or, when node builds derivation nodes, a context of their own for
+    them: ctx's entries and decls, over a copy of the bound index."""
+    __slots__ = ("ctx", "decls", "node", "index")
+
+    def __init__(self, ctx: "Context", decls, node=_no_node):
+        self.ctx, self.decls, self.node = ctx, decls, node
+
+    def __enter__(self) -> "Context":
+        ctx = self.ctx
+        index = self.index = ctx._index()
+        for decl in self.decls:
+            index[decl.name] = decl
+        if self.node is _no_node:
+            return ctx
+        inner = Context(ctx.entries + self.decls)
+        inner.__dict__["_by_name"] = index.copy()
+        return inner
+
+    def __exit__(self, *exc) -> None:
+        index = self.index
+        for decl in self.decls:
+            del index[decl.name]
+
+
 def _form(ctx: Context, A: TypeExpr, u: Universe, node):
     """The formation walk behind check_formation and ensure_formed: node
     makes each node of the derivation from its rule, its conclusion's
@@ -407,14 +368,16 @@ def _form(ctx: Context, A: TypeExpr, u: Universe, node):
         # under its generating type
         premises = []
         for field, *binders in SCOPES[type(A)]:
-            sub, inner = getattr(A, field), ctx
-            if binders:
-                var = A.var
-                if var in ctx.names:
-                    (var,), (sub,) = open_binders(
-                        ctx.names, (var,), [(sub, (var,))], [A.gen])
-                inner = ctx.extended(TermDecl(var, A.gen))
-            premises.append(_form(inner, sub, u, node))
+            sub = getattr(A, field)
+            if not binders:
+                premises.append(_form(ctx, sub, u, node))
+                continue
+            var = A.var
+            if var in ctx.names:
+                (var,), (sub,) = open_binders(
+                    ctx.names, (var,), [(sub, (var,))], [A.gen])
+            with _Bound(ctx, (TermDecl(var, A.gen),), node) as inner:
+                premises.append(_form(inner, sub, u, node))
         return node(f"{_STEM[type(A)]}-form", Formation, ctx, A, u,
                     premises)
     raise IllFormedType(f"not a type: {A!r}")
@@ -533,7 +496,8 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr, node, goal=None):
                                            ((body, (var,)),), (dom,))
         if gvar not in (None, var):
             cod = components(goal, Var(var))[1]
-        d = _check(ctx.extended(TermDecl(var, dom)), body, cod, node)
+        with _Bound(ctx, (TermDecl(var, dom),), node) as inner:
+            d = _check(inner, body, cod, node)
         return node(f"{_STEM[type(goal)]}-intro", Typing, ctx, t, A, (d,))
 
     if isinstance(t, Pair):
@@ -558,8 +522,9 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr, node, goal=None):
     if isinstance(t, (Case, Split)):
         rule, dscrut, branches = _open_elim(ctx, t, node, goal)
         premises = [dscrut]
-        for ctx2, _, (body,) in branches:
-            premises.append(_check(ctx2, body, goal, node))
+        for decls, (body,) in branches:
+            with _Bound(ctx, decls, node) as inner:
+                premises.append(_check(inner, body, goal, node))
         return node(rule, Typing, ctx, t, A, premises)
 
     if isinstance(t, Ann):
@@ -603,8 +568,9 @@ def _open_branches(ctx: Context, styp: TypeExpr, elims, goal=None):
 
     The binders are named after the first term's, but not after a
     variable free in goal, the type the branches are checked against,
-    which the binders must not capture.  Returns, per branch, the context
-    extended by its binders, their names, and each term's body.
+    which the binders must not capture.  Returns, per branch, the term
+    declarations of its binders and each term's body; the caller binds
+    one branch at a time (see _Bound).
     """
     n, case = len(elims), isinstance(elims[0], Case)
     # the goal lies in the binders' scope, but none of them binds in it
@@ -614,17 +580,15 @@ def _open_branches(ctx: Context, styp: TypeExpr, elims, goal=None):
                  (styp.right, [(e.rbranch, (e.rvar,)) for e in elims]))
         branches = []
         for ty, scopes in sides:
-            names, bodies = open_binders(ctx.names, scopes[0][1],
-                                         scopes + outer, [ty])
-            branches.append((ctx.extended(TermDecl(names[0], ty)),
-                             names, bodies[:n]))
+            (name,), bodies = open_binders(ctx.names, scopes[0][1],
+                                           scopes + outer, [ty])
+            branches.append(((TermDecl(name, ty),), bodies[:n]))
         return branches
     scopes = [(e.body, (e.var1, e.var2)) for e in elims]
     (v1, v2), bodies = open_binders(ctx.names, scopes[0][1], scopes + outer,
                                     [styp])
     gen, snd = components(styp, Var(v1))
-    ctx2 = ctx.extended(TermDecl(v1, gen)).extended(TermDecl(v2, snd))
-    return [(ctx2, (v1, v2), bodies[:n])]
+    return [((TermDecl(v1, gen), TermDecl(v2, snd)), bodies[:n])]
 
 
 def infer(ctx: Context, t: TermExpr) -> TypeExpr:
@@ -679,11 +643,13 @@ def _infer(ctx: Context, t: TermExpr, node):
     if isinstance(t, (Case, Split)):
         rule, dscrut, branches = _open_elim(ctx, t, node)
         types, premises, escaped = [], [dscrut], False
-        for ctx2, names, (body,) in branches:
-            ty, d = _infer(ctx2, body, node)
+        for decls, (body,) in branches:
+            with _Bound(ctx, decls, node) as inner:
+                ty, d = _infer(inner, body, node)
             types.append(ty)
             premises.append(d)
-            escaped = escaped or not free_vars(ty).isdisjoint(names)
+            escaped = escaped or not free_vars(ty).isdisjoint(
+                decl.name for decl in decls)
         if escaped:
             raise NonInferableTerm(
                 "case branch type mentions its bound variable; "
@@ -703,7 +669,8 @@ def _infer(ctx: Context, t: TermExpr, node):
         if var in ctx.names:
             (var,), (body,) = open_binders(ctx.names, (var,),
                                            [(body, (var,))], [t.dom])
-        bty, db = _infer(ctx.extended(TermDecl(var, t.dom)), body, node)
+        with _Bound(ctx, (TermDecl(var, t.dom),), node) as inner:
+            bty, db = _infer(inner, body, node)
         res = onf(Pi(var, t.dom, bty))
         return res, node(f"{_STEM[type(res)]}-intro", Typing, ctx, t, res,
                          (df, db))
@@ -760,8 +727,8 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
         dom, var, cod = halves(T)
         (z,), (cod,) = open_binders(ctx.names, (var or "z",),
                                     [(cod, (var,))], [])
-        ctx2 = ctx.extended(TermDecl(z, dom))
-        return _teq(ctx2, _applied(t, z), _applied(u, z), cod)
+        with _Bound(ctx, (TermDecl(z, dom),)):
+            return _teq(ctx, _applied(t, z), _applied(u, z), cod)
 
     if isinstance(T, (Prod, CoFun, Sigma)):
         p1t, p1u = _projected(Proj1, t), _projected(Proj1, u)
@@ -780,8 +747,11 @@ def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
         styp = _neutral_eq(ctx, t.scrut, u.scrut)
         if not isinstance(styp, Sum if isinstance(t, Case) else Sigma):
             return False
-        return all(_teq(ctx2, tb, ub, T) for ctx2, _, (tb, ub)
-                   in _open_branches(ctx, styp, (t, u)))
+        for decls, (tb, ub) in _open_branches(ctx, styp, (t, u)):
+            with _Bound(ctx, decls):
+                if not _teq(ctx, tb, ub, T):
+                    return False
+        return True
     return _neutral_eq(ctx, t, u) is not None
 
 

@@ -57,8 +57,8 @@ def _atomic_eq(ctx: Context, t: TermExpr, u: TermExpr,
         styp = _neutral_eq(ctx, t.scrut, u.scrut)
         if not isinstance(styp, Sum if isinstance(t, Case) else Sigma):
             return False
-        for ctx2, _, (tb, ub) in _open_branches(ctx, styp, (t, u)):
-            if not _teq(ctx2, tb, ub, goal):
+        for decls, (tb, ub) in _open_branches(ctx, styp, (t, u)):
+            if not _teq(Context(ctx.entries + decls), tb, ub, goal):
                 return False
         return True
 

@@ -132,12 +132,12 @@ class TestContext:
         assert best_time(100_000) < 10 * best_time(100)
 
     def test_lookups_in_a_version_tree_across_the_handover_size(self):
-        # a chain past the size from which extension hands the index over,
+        # a 200-long chain, each version handing its index to the next,
         # siblings of old versions, and every version used in random order
         rng = random.Random(23)
         pool = tuple(f"n{i}" for i in range(40)) + ("a", "x")
         versions = [EMPTY]
-        for _ in range(kernel._HANDOVER + 40):
+        for _ in range(200):
             versions.append(versions[-1].extended(_rand_entry(rng, pool)))
         for _ in range(300):
             ctx = rng.choice(versions)
@@ -150,7 +150,7 @@ class TestContext:
 
     def test_names_of_a_large_context_after_its_child_is_used(self):
         big = EMPTY
-        for i in range(kernel._HANDOVER + 5):
+        for i in range(200):
             big = big.extended(TermDecl(f"v{i}", a))
         own = set(big.names)
         child = big.extended(TermDecl("w", a))
@@ -162,17 +162,23 @@ class TestContext:
         assert set(child.names) == own | {"w"}
 
     def test_a_large_context_hands_its_index_over(self):
+        # at every size, the child holds the parent's former dict, and the
+        # parent, used again, rebuilds its own from its entries
         ctx = EMPTY
-        for i in range(kernel._HANDOVER + 1):
+        for i in range(200):
             index = ctx._index()
             child = ctx.extended(TermDecl(f"v{i}", a))
-            handed = child.__dict__["_by_name"] is index
-            assert handed == (len(ctx.entries) >= kernel._HANDOVER)
+            assert child.__dict__["_by_name"] is index
+            assert "_by_name" not in ctx.__dict__
+            own = ctx._index()
+            assert own is not index and f"v{i}" not in own
+            _assert_scan_agrees(ctx, (f"v{i}", "v0"))
+            assert child._index() is index
             ctx = child
 
     def test_duplicate_telescope_variable_of_a_large_context(self):
         ctx = EMPTY.extended(TypeConstDecl("a"))
-        for i in range(kernel._HANDOVER + 5):
+        for i in range(200):
             ctx = declare_term(ctx, f"v{i}", a)
         for telescope in ((("x", a), ("x", a)), (("x", a), ("v3", a))):
             with pytest.raises(IllFormedContext,
@@ -185,9 +191,9 @@ class TestContext:
 
     def test_a_held_context_keeps_no_chain_alive(self):
         first = EMPTY.extended(TypeConstDecl("s"))
-        for i in range(kernel._HANDOVER - 1):
+        for i in range(159):
             first = first.extended(TermDecl(f"v{i}", a))
-        assert len(first.entries) == kernel._HANDOVER
+        assert len(first.entries) == 160
         names, s_decl = set(first.names), first.lookup_const("s")
         ctx, probes = first, []
         for i in range(2000):
@@ -203,9 +209,9 @@ class TestContext:
         assert first.lookup_const("s") is s_decl
         _assert_scan_agrees(first, ("s", "v0", "v158", "w0", "w1999"))
 
-    def test_copies_of_a_context_that_shares_its_index(self):
+    def test_copies_of_a_context_that_handed_its_index_over(self):
         ctx = EMPTY
-        for i in range(kernel._HANDOVER + 5):
+        for i in range(200):
             ctx = ctx.extended(TermDecl(f"v{i}", a))
         child = ctx.extended(TermDecl("w", b))
         assert child.lookup_term("w") == b
@@ -214,21 +220,25 @@ class TestContext:
             _assert_scan_agrees(twin, ("v0", "w"))
         _assert_scan_agrees(child, ("v0", "w"))
 
-    def test_a_freed_binder_context_hands_the_index_back(self):
-        # freed innermost first, as the kernel's binders are, each context
-        # takes the index back instead of rebuilding it
+    def test_a_parent_used_after_its_chain_is_freed_rebuilds_its_index(self):
+        # the dict goes down the chain and stays with the last context;
+        # each context used again builds its own from its entries
         big = EMPTY
-        for i in range(kernel._HANDOVER + 5):
+        for i in range(200):
             big = big.extended(TermDecl(f"v{i}", a))
         index = big._index()
         outer = big.extended(TermDecl("x", a))
         inner = outer.extended(TermDecl("y", b))
+        assert inner._index() is index
         assert inner.lookup_term("x") == a and "y" in inner.names
         del inner
-        assert outer.__dict__["_by_name"] is index
+        gc.collect()
+        assert "y" not in outer.names and outer.lookup_term("x") == a
+        assert outer._index() is not index
         del outer
-        assert big.__dict__["_by_name"] is index
-        assert "x" not in big.names and big._index() is index
+        gc.collect()
+        assert "x" not in big.names and big._index() is not index
+        _assert_scan_agrees(big, ("v0", "v199", "x", "y"))
 
 
 def _rand_entry(rng, pool):
@@ -597,32 +607,39 @@ def _rejection(fn, *args):
 
 
 class TestEnsureTyped:
-    def test_builds_no_derivation(self, monkeypatch):
-        ctx = _audit_ctx()
-        judgments = [(parse_term(t), parse_type(ty))
-                     for t, ty in AUDIT_JUDGMENTS + (
+    @staticmethod
+    def _equal():
+        """t, twin and A, for term_equal to compare by an eta step."""
+        return (parse_term("\\v:a. f v"), Var("f"),
+                parse_type("Pi u:a. p(u)"))
+
+    def _verdicts(self, ctx, t, twin, A):
+        """The verdicts of ensure_typed, infer, ensure_formed and
+        term_equal on judgments, with binders and without, over ctx."""
+        judgments = [(parse_term(term), parse_type(ty))
+                     for term, ty in AUDIT_JUDGMENTS + (
                          ("y", "b"), ("\\v:b. v", "a -> b"),
                          ("<y, k>", "a -> b"), ("p1 f", "a"),
                          ("case y of { inl u => u | inr v => v }", "a"))]
+        binders = parse_type("Pi u:a. Sg w:a. p(u) -> p(w)")
         family = parse_type("p(y) -> p(y) * p(y)")
-        t, twin = parse_term("\\v:a. f v"), Var("f")
-        A = parse_type("Pi u:a. p(u)")
+        out = []
+        for term, ty in judgments:
+            out.append(_rejection(ensure_typed, ctx, term, ty))
+            try:
+                out.append(infer(ctx, term))
+            except TypeTheoryError as e:
+                out.append((type(e), str(e)))
+        out.append(_rejection(ensure_formed, ctx, binders, U0))
+        out.append(_rejection(ensure_formed, ctx, family, U0))
+        out.append(term_equal(ctx, t, twin, A))
+        return out
 
-        def verdicts():
-            out = []
-            for term, ty in judgments:
-                out.append(_rejection(ensure_typed, ctx, term, ty))
-                try:
-                    out.append(infer(ctx, term))
-                except TypeTheoryError as e:
-                    out.append((type(e), str(e)))
-            out.append(_rejection(ensure_formed, ctx, family, U0))
-            out.append(term_equal(ctx, t, twin, A))
-            return out
-
-        before = verdicts()
+    def test_builds_no_derivation(self, monkeypatch):
+        ctx, (t, twin, A) = _audit_ctx(), self._equal()
+        before = self._verdicts(ctx, t, twin, A)
         errors = [v for v in before if type(v) is tuple]
-        assert len(errors) >= 5 and before[-2:] == [None, True]
+        assert len(errors) >= 5 and before[-3:] == [None, None, True]
         memo = check(ctx, t, A)   # held, so that term_equal's check hits it
 
         def banned(*args):
@@ -630,8 +647,23 @@ class TestEnsureTyped:
 
         monkeypatch.setattr(kernel, "Derivation", banned)
         monkeypatch.setattr(kernel, "Typing", banned)
-        assert verdicts() == before
+        assert self._verdicts(ctx, t, twin, A) == before
         assert check(ctx, t, A) is memo
+
+    def test_builds_no_context(self, monkeypatch):
+        # their binders bind in the index of the context they walk in
+        ctx, (t, twin, A) = _audit_ctx(), self._equal()
+        before = self._verdicts(ctx, t, twin, A)
+        index, names = ctx._index(), set(ctx.names)
+        memo = check(ctx, t, A)
+
+        def banned(context, *args):
+            raise AssertionError("a context was built")
+
+        monkeypatch.setattr(Context, "__init__", banned)
+        assert self._verdicts(ctx, t, twin, A) == before
+        assert check(ctx, t, A) is memo
+        assert ctx._index() is index and set(index) == names
 
     def test_rejects_what_check_rejects_with_the_same_error(self):
         # every check and infer directive of the pinned error script, by
@@ -651,6 +683,84 @@ class TestEnsureTyped:
             assert got == want
             rejected += want is not None
         assert rejected >= 15
+
+
+class TestBindersBindInPlace:
+    """A walk binds the names it opens in its context's index while it
+    runs, and leaves that index as it found it, raised or not."""
+
+    # a walk, the term it types (None: it forms the type), the type, and
+    # the names it binds before it meets the unbound zz
+    RAISING = (
+        (ensure_typed, "\\x:a. \\y:b. zz", "a -> b -> a", ("x", "y")),
+        (check, "\\x:a. \\y:b. zz", "a -> b -> a", ("x", "y")),
+        (ensure_formed, None, "Pi x:a. Sg y:a. p(zz)", ("x", "y")),
+        (ensure_formed, None, "Sg x:a. Pi y:b. p(x) * p(zz)", ("x", "y")),
+        (ensure_typed, "split s as (t, h) => zz", "a", ("t", "h")),
+        (check, "case e of { inl l => l | inr r => zz }", "a", ("l", "r")),
+    )
+
+    @staticmethod
+    def _ctx(size):
+        ctx = ctx_with(("s", "Sg u:a. p(u)"), ("e", "a + a"),
+                       ("f", "a -> a"), ("g", "a -> a"))
+        for i in range(size):
+            ctx = declare_term(ctx, f"v{i}", a)
+        return ctx
+
+    @pytest.mark.parametrize("size", (0, 2000))
+    def test_a_walk_that_raises_under_binders(self, size):
+        ctx = self._ctx(size)
+        index, names = ctx._index(), set(ctx.names)
+        for walk, term, ty, bound in self.RAISING:
+            args = ((parse_type(ty), U0) if term is None
+                    else (parse_term(term), parse_type(ty)))
+            with pytest.raises(UnboundVariable, match="zz"):
+                walk(ctx, *args)
+            assert ctx._index() is index and set(index) == names
+            _assert_scan_agrees(ctx, bound + ("zz", "s", "v0"))
+
+    @pytest.mark.parametrize("size", (0, 2000))
+    def test_an_eta_step_that_raises(self, size, monkeypatch):
+        ctx = self._ctx(size)
+        index, names = ctx._index(), set(ctx.names)
+        seen = []
+
+        class Boom(Exception):
+            pass
+
+        def boom(ctx, n, m):
+            seen.append(set(ctx.names) - names)
+            raise Boom
+
+        monkeypatch.setattr(kernel, "_neutral_eq", boom)
+        with pytest.raises(Boom):
+            term_equal(ctx, Var("f"), parse_term("\\x:a. g x"),
+                       parse_type("a -> a"))
+        assert seen == [{"z"}]
+        assert ctx._index() is index and set(index) == names
+        _assert_scan_agrees(ctx, ("x", "z", "f"))
+
+    def test_a_dropped_derivation_leaves_the_index_in_place(self):
+        big = self._ctx(2000)
+        index = big._index()
+        d = check(big, parse_term("\\u:a. \\w:a. u"),
+                  parse_type("a -> a -> a"))
+        inner = d.premises[0].conclusion.ctx
+        assert inner.names - big.names == {"u"}
+        assert recheck(d)
+        del d, inner
+        gc.collect()
+        assert big._index() is index
+        _assert_scan_agrees(big, ("u", "w", "v0"))
+
+    @pytest.mark.parametrize("text", (
+        "atom a; pred q(a, zz); assume x1 : a;",
+        "atom a; check \\x1:a. zz : a -> a; assume x1 : a;"))
+    def test_a_failed_directive_leaves_its_binder_free(self, text):
+        report = run(parse(text))
+        assert [e.status for e in report.entries] == ["ok", "error", "ok"]
+        assert report.entries[-1].payload == "assumed x1 : a"
 
 
 class TestInfer:
@@ -1285,14 +1395,13 @@ class TestRecheck:
 
     @pytest.mark.parametrize("size", (10, 200))
     def test_premise_freshness_at_both_index_sizes(self, size):
-        # a node context below the handover size, and one whose index its
-        # parent handed over
+        # a small node context and a large one, each holding the index
+        # its parent handed over
         ctx, i = ctx_with(("s", "Sg u:a. p(u)")), 0
         while len(ctx.entries) < size:
             parent, ctx = ctx, declare_term(ctx, f"v{i}", a)
             i += 1
-        handed = type(parent.__dict__["_by_name"]) is tuple
-        assert handed == (size > kernel._HANDOVER)
+        assert "_by_name" not in parent.__dict__
         lam = check(ctx, parse_term("\\x:a. x"), parse_type("a -> a"))
         split = check(ctx, parse_term("split s as (t, h) => t"), a)
         assert recheck(lam) and recheck(split)

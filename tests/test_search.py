@@ -19,7 +19,7 @@ import search_oracle
 from opptypes import (EMPTY, Atom, Fun, bounded_inhabit, check,
                       declare_term, declare_type_const, onf, parse_type,
                       recheck)
-from opptypes.kernel import Context, ensure_formed
+from opptypes.kernel import Context
 from opptypes.search import iter_inhabitants
 
 from generators import rand_type, std_ctx
@@ -281,7 +281,8 @@ def test_an_extended_context_has_its_own_hypotheses():
 
 def test_the_search_extends_no_context(monkeypatch):
     # the search reads its caller's context and keeps the hypotheses it
-    # binds on its own; only bounded_inhabit's formation check extends one
+    # binds on its own, and bounded_inhabit's formation check binds in
+    # the context's index
     wide = EMPTY
     for i in range(2000):
         wide = declare_type_const(wide, f"a{i}")
@@ -298,14 +299,7 @@ def test_the_search_extends_no_context(monkeypatch):
     def no_extension(self, entry):
         raise AssertionError(f"a context was extended by {entry.name}")
 
-    def formed(*args):
-        with pytest.MonkeyPatch.context() as inside:
-            inside.setattr(Context, "extended", extended)
-            ensure_formed(*args)
-
-    extended = Context.extended
     monkeypatch.setattr(Context, "extended", no_extension)
-    monkeypatch.setattr(search, "ensure_formed", formed)
     got = [(bounded_inhabit(ctx, goal, 6),
             list(islice(iter_inhabitants(ctx, onf(goal), 6), 200)))
            for ctx, goal in cases]
