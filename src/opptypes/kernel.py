@@ -99,6 +99,8 @@ class Context:
     it walks in, while it runs (see _Bound), so a names view shows them
     until the walk leaves their binders.  No two threads may walk one
     context at once, and a context a walk is in must not be extended.
+    So runner.run and check_context start from a Context() of their
+    own, never from the shared EMPTY.
 
     A context may also keep, beside its fields, the printed text of its
     first entries, which its builder notes with with_printed_prefix and
@@ -204,7 +206,7 @@ def declare_type_const(ctx: Context, name: str,
 
 def check_context(ctx: Context) -> None:
     """Re-validate a context built by hand, left to right."""
-    acc = EMPTY
+    acc = Context()
     for entry in ctx.entries:
         if isinstance(entry, TermDecl):
             acc = declare_term(acc, entry.name, entry.type)
@@ -354,12 +356,15 @@ def _form(ctx: Context, A: TypeExpr, u: Universe, node):
             f"universe U1 is closed only under ->, cannot form {A}")
 
     if isinstance(A, Opp):
-        # a run of ~ is read with a loop, so a deep one costs no stack
+        # a run of ~ is read with a loop, so a deep one costs no stack,
+        # and gets a node per ~ only from a node builder that builds
         run = []
         while isinstance(A, Opp):
             run.append(A)
             A = A.inner
         d = _form(ctx, A, U0, node)
+        if node is _no_node:
+            return None
         for opp in reversed(run):
             d = node("opp-form", Formation, ctx, opp, U0, (d,))
         return d

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import script as s
 from .duality import dual, expand_in_basis, onf
 from .errors import TypeTheoryError
-from .kernel import (Context, EMPTY, U0, declare_term, declare_type_const,
+from .kernel import (Context, U0, declare_term, declare_type_const,
                      ensure_formed, ensure_typed, infer, type_equal)
 from .logic import Signature, check_sorts, formula_nnf, translate
 from .printer import context_str, formula_str, term_str, type_str
@@ -41,7 +41,7 @@ def failure_text(e: BaseException) -> str:
 
 def run(sc: s.Script) -> s.Report:
     """Execute a parsed script and collect one report entry per directive."""
-    ctx, sig = EMPTY, Signature()
+    ctx, sig = Context(), Signature()
     entries = []
     for d in sc.directives:
         kw = s.DIRECTIVE_KEYWORDS[type(d)]

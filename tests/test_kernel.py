@@ -7,6 +7,7 @@ import random
 import sys
 import time
 import weakref
+from types import SimpleNamespace
 from dataclasses import replace
 from itertools import combinations, islice, product
 from pathlib import Path
@@ -240,6 +241,22 @@ class TestContext:
         assert "x" not in big.names and big._index() is not index
         _assert_scan_agrees(big, ("v0", "v199", "x", "y"))
 
+    def test_runs_and_check_context_never_extend_the_shared_empty(
+            self, monkeypatch):
+        # a run, or a check_context, that grew EMPTY would bind its names
+        # in the index every other caller of EMPTY reads
+        built, grown = std_ctx(), []
+        extended = Context.extended
+
+        def watched(ctx, entry):
+            if ctx is EMPTY:
+                grown.append(entry)
+            return extended(ctx, entry)
+        monkeypatch.setattr(Context, "extended", watched)
+        run(parse(GOLDEN["golden"].read_text(encoding="utf-8")))
+        check_context(built)
+        assert grown == []
+
 
 def _rand_entry(rng, pool):
     name = rng.choice(pool)
@@ -293,6 +310,26 @@ class TestFormation:
             assert d.rule == "opp-form"
             (d,) = d.premises
         assert (d.rule, d.conclusion.type) == ("atom-form", a)
+
+    def test_ensure_formed_makes_no_node_per_opposite(self, monkeypatch):
+        # the builder that builds nothing is not called once per ~
+        ctx, towers = std_ctx(), []
+        for n in (100, 3000):
+            ty = a
+            for _ in range(n):
+                ty = Opp(ty)
+            towers.append(ty)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+        monkeypatch.setattr(kernel, "_no_node", counted)
+        counts = []
+        for ty in towers:
+            calls[0] = 0
+            ensure_formed(ctx, ty, U0)
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("n", [3000, 3001])
     def test_term_at_a_tower_of_opposites(self, n):
@@ -1428,6 +1465,30 @@ class TestRecheck:
         for rule in ("pi-intro", "no-such-rule"):
             with pytest.raises(InvalidDerivation):
                 recheck(replace(d, rule=rule))
+
+    def test_a_premise_of_another_type_is_rejected(self):
+        # premise 1 types the right term, inl x, but at a + c
+        ctx = ctx_with(("x", "a"), ("y", "c"))
+        d = check(ctx, parse_term("<inl x, y>"), parse_type("(a + b) * c"))
+        other = check(ctx, parse_term("inl x"), parse_type("a + c"))
+        with pytest.raises(InvalidDerivation,
+                           match=r"premise 1 has type a \+ c, not a \+ b"):
+            recheck(replace(d, premises=(other,) + d.premises[1:]))
+
+    def test_an_object_that_is_not_a_derivation_is_rejected(self):
+        with pytest.raises(InvalidDerivation, match="not a derivation"):
+            recheck(object())
+
+    def test_a_premise_shaped_like_a_derivation_is_rejected(self):
+        # the real premise's fields, on an object of another class
+        ctx = ctx_with(("x", "a"), ("y", "c"))
+        d = check(ctx, parse_term("<x, y>"), parse_type("a * c"))
+        p = d.premises[0]
+        fake = SimpleNamespace(rule=p.rule, conclusion=p.conclusion,
+                               premises=p.premises)
+        assert recheck(d)
+        with pytest.raises(InvalidDerivation, match="not a derivation"):
+            recheck(replace(d, premises=(fake,) + d.premises[1:]))
 
     def test_every_corruption_is_rejected(self, corpus):
         tried = 0
