@@ -16,7 +16,7 @@ from .errors import (DepthCapExceeded, IllFormedContext, IllFormedType,
                      NonInferableTerm, NormalizationOverflow, ParseError,
                      SortError, TypeMismatch, TypeTheoryError,
                      UnboundVariable)
-from .kernel import (Context, Derivation, EMPTY, Formation, TermDecl, TermEq,
+from .kernel import (Context, Derivation, EMPTY, Formation, TermDecl,
                      TypeConstDecl, TypeEq, Typing, U0, U1, Universe, check,
                      check_context, check_duality_principle, check_formation,
                      declare_term, declare_type_const, ensure_formed,

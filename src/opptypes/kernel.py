@@ -89,11 +89,13 @@ class Context:
     that name, beside the fields, so ==, hash, repr and replace ignore
     it.  A context built directly indexes its entries on first use, and
     extended hands the index over to the new context: a context used
-    again after that builds its own from its entries.  A lookup reads
-    the index and scans the entries only when the last entry under the
-    name is of the other kind, which only a context built by hand can
-    give.  Pickling and copying drop the index, which the copy builds
-    again on first use.
+    again after that builds its own from its entries.  An empty context
+    never hands its index over: its child gets a new one, so extending
+    the shared EMPTY neither reads nor changes EMPTY's index.  A lookup
+    reads the index and scans the entries only when the last entry under
+    the name is of the other kind, which only a context built by hand
+    can give.  Pickling and copying drop the index, which the copy
+    builds again on first use.
 
     A kernel walk binds the names it opens in the index of the context
     it walks in, while it runs (see _Bound), so a names view shows them
@@ -167,8 +169,11 @@ class Context:
         return None
 
     def extended(self, entry: ContextEntry) -> "Context":
-        index = self._index()
-        del self.__dict__["_by_name"]
+        if self.entries:
+            index = self._index()
+            del self.__dict__["_by_name"]
+        else:
+            index = {}
         index[entry.name] = entry
         ctx = Context(self.entries + (entry,))
         ctx.__dict__["_by_name"] = index
@@ -240,15 +245,7 @@ class TypeEq:
     right: TypeExpr
 
 
-@dataclass(frozen=True)
-class TermEq:
-    ctx: Context
-    left: TermExpr
-    right: TermExpr
-    type: TypeExpr
-
-
-Judgment = Union[Formation, Typing, TypeEq, TermEq]
+Judgment = Union[Formation, Typing, TypeEq]
 
 
 @dataclass(frozen=True)
@@ -818,9 +815,8 @@ def recheck(d: Derivation) -> bool:
     normal form), and each node reads its own type from its conclusion.
     A premise the rule needs inferred, such as an applied function, a
     projected pair or a scrutinee, must come from a rule that infers.
-    TypeEq and TermEq nodes are decided by type and term equality, a
-    TermEq node once its type is formed in its context.  The walk keeps
-    its own stack, so a deep derivation adds no Python frames.
+    A TypeEq node is decided by type equality.  The walk keeps its own
+    stack, so a deep derivation adds no Python frames.
 
     A root that concludes a typing must also have a type formed in its
     context, checked once: check takes its goal as formed, and no rule
@@ -834,6 +830,10 @@ def recheck(d: Derivation) -> bool:
     try:
         c = getattr(d, "conclusion", None)
         if type(c) is Typing and type(c.ctx) is Context:
+            # recheck's one call into the checker: the root's type is
+            # formed by the checker's own walk, which builds nothing, as
+            # building its check_formation derivation to audit would cost
+            # a tree per root (about a quarter of deep_terms' throughput)
             ensure_formed(c.ctx, c.type, U0)
         # a node, and whether its parent needs its typing inferred
         todo = [(d, False)]
@@ -861,10 +861,12 @@ def _bad(d: Derivation, why: str):
 
 
 def _judgment(d: Derivation, form, n: int):
-    """d's conclusion, checked to be of the given form, from n premises."""
+    """d's conclusion, checked to be of the given form, from n premises.
+    A Typing is in a Context; a Formation or a TypeEq is in a Context or
+    in None."""
     c = d.conclusion
-    if type(c) is not form or (form in (Typing, TermEq)
-                               and type(c.ctx) is not Context):
+    if type(c) is not form or (type(c.ctx) is not Context
+                               and (c.ctx is not None or form is Typing)):
         _bad(d, f"does not conclude a {form.__name__} judgment")
     if len(d.premises) != n:
         _bad(d, f"has {len(d.premises)} premise(s), not {n}")
@@ -889,6 +891,8 @@ def _premise(d: Derivation, i: int, form, opened: int = 0):
         _bad(d, f"premise {i + 1} is not a {form.__name__} judgment")
     if pc.ctx is c.ctx and not opened:
         return pc, ()
+    if type(pc.ctx) is not Context and (pc.ctx is not None or form is Typing):
+        _bad(d, f"premise {i + 1} is not a {form.__name__} judgment")
     outer = () if c.ctx is None else c.ctx.entries
     inner = () if pc.ctx is None else pc.ctx.entries
     n = len(outer)
@@ -1139,22 +1143,11 @@ def _duality_principle(d, infer):
     return [(p, False) for p in d.premises]
 
 
-def _term_eq(d, infer):
-    """term_equal expects its type formed, as check does, so the node's
-    type is formed first."""
-    c = _judgment(d, TermEq, 0)
-    ensure_formed(c.ctx, c.type, U0)
-    if not term_equal(c.ctx, c.left, c.right, c.type):
-        _bad(d, f"term equality does not hold at {c.type}")
-    return ()
-
-
 # rule name -> local check of a node under that rule: the check raises
 # InvalidDerivation unless the node's conclusion follows from its
 # premises' conclusions, and returns the premises' stack entries (see
-# recheck).  Every rule that check, _infer, check_formation and
-# check_duality_principle emit is here; term-equal is for TermEq
-# judgments built by hand.
+# recheck).  These are exactly the rules that check, _infer,
+# check_formation and check_duality_principle emit.
 _RULES = {
     "atom-form": partial(_atom_form, False),
     "atom-form-lift": partial(_atom_form, True),
@@ -1176,5 +1169,4 @@ _RULES = {
     "sigma-elim": partial(_elim, Split),
     "onf": _onf_eq,
     "duality-principle": _duality_principle,
-    "term-equal": _term_eq,
 }

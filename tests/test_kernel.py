@@ -22,7 +22,7 @@ from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       Derivation, Formation, Fun, IllFormedContext,
                       IllFormedType, InvalidDerivation, Lam, NonInferableTerm,
                       Opp, Pair, Pi, Prod, Proj1, Proj2, Sigma,
-                      Split, Sum, TermDecl, TermEq, TypeConstDecl, TypeEq,
+                      Split, Sum, TermDecl, TypeConstDecl, TypeEq,
                       TypeMismatch, TypeTheoryError, Typing, UnboundVariable,
                       Var, bounded_inhabit, check, check_context,
                       check_duality_principle,
@@ -163,9 +163,10 @@ class TestContext:
         assert set(child.names) == own | {"w"}
 
     def test_a_large_context_hands_its_index_over(self):
-        # at every size, the child holds the parent's former dict, and the
-        # parent, used again, rebuilds its own from its entries
-        ctx = EMPTY
+        # at every size but 0, the child holds the parent's former dict,
+        # and the parent, used again, rebuilds its own from its entries;
+        # an empty context keeps its index (see the test below on EMPTY)
+        ctx = EMPTY.extended(TypeConstDecl("a"))
         for i in range(200):
             index = ctx._index()
             child = ctx.extended(TermDecl(f"v{i}", a))
@@ -257,6 +258,14 @@ class TestContext:
         check_context(built)
         assert grown == []
 
+    def test_extending_the_empty_context_leaves_its_index_alone(self):
+        # EMPTY is shared by every caller, so its child gets an index of
+        # its own, not EMPTY's
+        held = EMPTY._index()
+        ctx = declare_type_const(EMPTY, "zz")
+        assert "zz" not in held and EMPTY._index() is held
+        assert ctx.lookup_const("zz") == TypeConstDecl("zz")
+
 
 def _rand_entry(rng, pool):
     name = rng.choice(pool)
@@ -296,6 +305,10 @@ class TestFormation:
 
     def test_double_opposite_in_u0(self):
         check_formation(std_ctx(), Opp(Opp(a)), U0)
+
+    def test_a_term_is_not_a_type(self):
+        with pytest.raises(IllFormedType, match="not a type"):
+            check_formation(ctx_with(("x", "a")), Var("x"), U0)
 
     @pytest.mark.parametrize("n, expected", [(3000, a), (3001, Opp(a))])
     def test_tower_of_opposites(self, n, expected):
@@ -819,6 +832,10 @@ class TestInfer:
         with pytest.raises(NonInferableTerm):
             infer(ctx, parse_term("inl x"))
 
+    def test_a_type_is_not_inferable(self):
+        with pytest.raises(NonInferableTerm, match="cannot infer a type for"):
+            infer(std_ctx(), a)
+
     def test_inferred_type_is_normal(self):
         ctx = ctx_with(("x", "~~((a->b))"))
         assert infer(ctx, Var("x")) == Fun(a, b)
@@ -904,6 +921,12 @@ class TestTypeEqual:
     def test_formation_validated_when_ctx_given(self):
         with pytest.raises(IllFormedType):
             type_equal(std_ctx(), Atom("nope"), a)
+
+    def test_equivalence_forms_its_types_only_in_a_context(self):
+        zzz = Atom("zzz")
+        with pytest.raises(IllFormedType, match="unbound type constant"):
+            equivalent(std_ctx(), zzz, zzz)
+        assert equivalent(None, zzz, zzz)
 
     def test_family_args_compared_up_to_beta_and_alpha_not_eta(self):
         # h and its eta expansion are equal terms at a -> a, but family
@@ -1421,14 +1444,17 @@ def _rectx(d, n, entries):
                       tuple(_rectx(p, n, entries) for p in d.premises))
 
 
+# a context that declares a, for nodes built at collection
+A_CTX = declare_type_const(Context(), "a")
+
+
 class TestRecheck:
     def test_corpus_rechecks_and_uses_every_rule(self, corpus):
         used = set()
         for d in corpus:
             assert recheck(d)
             used.update(n.rule for _, n in _nodes(d))
-        # term-equal is for TermEq judgments, which no producer emits
-        assert used == set(_RULES) - {"term-equal"}
+        assert used == set(_RULES)
 
     @pytest.mark.parametrize("size", (10, 200))
     def test_premise_freshness_at_both_index_sizes(self, size):
@@ -1556,36 +1582,12 @@ class TestRecheck:
                                TypeEq(None, d.conclusion.left, right),
                                (e1, e2)))
 
-    def test_term_equality_node(self):
-        ctx = ctx_with(("x", "~(a->b)"), ("z", "~(a->b)"))
-        t, A = parse_term("<p1 x, p2 x>"), parse_type("~(a->b)")
-        assert recheck(Derivation("term-equal", TermEq(ctx, t, Var("x"), A)))
-        with pytest.raises(InvalidDerivation):
-            recheck(Derivation("term-equal", TermEq(ctx, t, Var("z"), A)))
-
-    def test_term_equality_node_needs_a_formed_type(self):
-        # term_equal takes its type as formed, as check does, so the node
-        # is rejected although both sides are the same term
-        ctx = declare_type_const(EMPTY, "a")
-        t, A = parse_term("\\y:zzz. y"), parse_type("zzz -> zzz")
-        with pytest.raises(IllFormedType, match="unbound type constant"):
-            check_formation(ctx, A, U0)
-        with pytest.raises(InvalidDerivation,
-                           match="unbound type constant: zzz"):
-            recheck(Derivation("term-equal", TermEq(ctx, t, t, A), ()))
-        with pytest.raises(InvalidDerivation, match="TermEq"):
-            recheck(Derivation("term-equal", TermEq(None, t, t, A), ()))
-
     def test_every_failure_is_an_invalid_derivation(self):
-        # nodes whose own check raises another error: the terms of a
-        # term equality do not have its type, and a type equality or a
-        # duality principle is about a term, not a type
-        ctx = ctx_with(("x", "a"))
+        # nodes whose own check raises another error: a type equality or
+        # a duality principle is about a term, not a type
         x = Var("x")
         e = Derivation("onf", TypeEq(None, a, a))
         for d, why in (
-                (Derivation("term-equal", TermEq(ctx, x, x, b)),
-                 "rule term-equal: term x has type a, expected b"),
                 (Derivation("onf", TypeEq(None, a, x)),
                  "rule onf: not a type"),
                 (Derivation("duality-principle", TypeEq(None, x, a), (e, e)),
@@ -1608,9 +1610,26 @@ class TestRecheck:
                                            U0), (Derivation("var", None),)),
          r"rule atom-form: a\(x\) is not a declared type constant fully "
          "applied"),
+        # no producer emits it, so it is no rule
+        (Derivation("term-equal", TypeEq(None, a, a)),
+         "unknown rule 'term-equal'"),
+        # a context field that is not a context, at the node or a premise
+        (Derivation("atom-form", Formation("junk", a, U0)),
+         "rule atom-form: does not conclude a Formation judgment"),
+        (Derivation("prod-form", Formation(A_CTX, Prod(a, a), U0),
+                    (Derivation("atom-form", Formation("junk", a, U0)),
+                     Derivation("atom-form", Formation(A_CTX, a, U0)))),
+         "rule prod-form: premise 1 is not a Formation judgment"),
+        (Derivation("conv", Typing(A_CTX, Var("x"), a),
+                    (Derivation("var", Typing("junk", Var("x"), a)),)),
+         "rule conv: premise 1 is not a Typing judgment"),
+        (Derivation("onf", TypeEq("junk", a, a)),
+         "rule onf: does not conclude a TypeEq judgment"),
     ], ids=["term_argument_not_a_term", "rule_not_a_str",
             "premises_not_a_tuple", "onf_types_differ", "atom_undeclared",
-            "atom_wrongly_applied"])
+            "atom_wrongly_applied", "term_equal_is_no_rule",
+            "formation_in_junk", "premise_formation_in_junk",
+            "premise_typing_in_junk", "type_eq_in_junk"])
     def test_malformed_node_is_an_invalid_derivation(self, d, why):
         with pytest.raises(InvalidDerivation, match=why):
             recheck(d)
@@ -1619,7 +1638,7 @@ class TestRecheck:
         # the one judgment recheck derives is the formation of the root's
         # type, which no node of the tree states, and it builds no
         # derivation of it; while it runs, the kernel may check the type's
-        # family arguments
+        # family arguments.  Below the root, no checker walk runs
         formed, inside = [], []
 
         def guarded(name, orig):
@@ -1641,7 +1660,8 @@ class TestRecheck:
 
         formation = kernel.ensure_formed
         for name in ("check", "_check", "_infer", "open_binders",
-                     "term_equal", "check_formation"):
+                     "term_equal", "check_formation", "ensure_typed",
+                     "infer", "_form", "_teq", "_neutral_eq"):
             monkeypatch.setattr(kernel, name,
                                 guarded(name, getattr(kernel, name)))
         monkeypatch.setattr(kernel, "ensure_formed", root_formation)
