@@ -13,10 +13,7 @@ introductions) is fixed, so results are deterministic.
 The caller's context is read, never extended: hypotheses bound on a
 branch go down it as one tuple, tried after the caller's, and fresh
 names avoid both.  The caller's hypotheses are normalized and indexed
-once per context, by the first search over it (Context.kept).  Per
-top-level call, each (bound hypotheses, goal) subproblem that ran out
-without a result is remembered with its depth; enumeration only grows
-with depth, so it is skipped when met again at that depth or less.
+once per context, by the first search over it (Context.kept).
 
 An elimination spine is focused on the goal (Liang and Miller, TCS 2009),
 and the hypotheses are indexed by where their spines can end, in the way
@@ -49,11 +46,12 @@ application and the right branch of a case use the outer term only to
 build terms, so if they have no inhabitant once, they have none for any
 later outer term.  (A Pi or Sg half may depend on it, and is not cut.)
 
-The memo, the index and the early stop skip only enumerations that are
-provably empty: a skipped branch could yield only terms whose type equiv
+The index and the early stop skip only enumerations that are provably
+empty.  A branch the index skips could yield only terms whose type equiv
 accepts against the goal, and equiv accepts only types of the goal's
-head.  So the terms found, and their order, are those of the plain
-enumeration.
+head; an inner run the early stop skips is the one that already came up
+empty for an earlier outer term, and does not depend on it.  So the
+terms found, and their order, are those of the plain enumeration.
 """
 
 from __future__ import annotations
@@ -84,41 +82,68 @@ def bounded_inhabit(ctx: Context, A: TypeExpr,
 
 
 def iter_inhabitants(ctx: Context, goal: TypeExpr, depth: int,
-                     _call=None, _bound=()) -> Iterator[TermExpr]:
-    """Enumerate all spine-form inhabitants of a normal goal up to depth.
+                     _hyps=None, _bound=()) -> Iterator[TermExpr]:
+    """Enumerate all spine-form inhabitants of a normal goal up to depth:
+    eliminations of each hypothesis in turn, bound ones last, then the
+    introduction rule.
 
-    ctx is read, never extended.  _call, a _Call made once per top-level
-    call, holds ctx's normalized hypotheses with their index, kept on ctx,
-    and this call's memo, keyed on _bound, the (variable, type) pairs
-    bound on this branch, and the goal.
+    ctx is read, never extended.  _hyps is ctx's _Hypotheses, kept on
+    ctx, and _bound the (variable, type) pairs bound on this branch.
     """
     if depth <= 0:
         return
-    if _call is None:
-        _call = _Call(ctx)
-    empty, key = _call.empty, (_bound, goal)
-    if empty.get(key, 0) >= depth:
+    hyps = ctx.kept(_Hypotheses) if _hyps is None else _hyps
+    bound, want = _bound, _head(goal)
+    if depth == 1:  # a leaf: an introduction's parts would get depth 0
+        for head, head_type, _ in hyps.tried(bound, want, True):
+            if equiv(head_type, goal):
+                yield head
         return
-    found = False
-    for term in _inhabitants(ctx, _call, _bound, goal, depth):
-        found = True
-        yield term
-    if not found:
-        empty[key] = depth
+    for head, head_type, spine in hyps.tried(bound, want, False):
+        yield from _eliminate(ctx, hyps, bound, head, head_type, spine,
+                              goal, want, depth - 1)
+
+    if isinstance(goal, (Fun, Pi)):
+        x = fresh_name(halves(goal)[1] or "x", ctx.names,
+                       [v.name for v, _ in bound])
+        dom, cod = components(goal, Var(x))
+        for body in iter_inhabitants(ctx, cod, depth - 1, hyps,
+                                     bound + ((Var(x), dom),)):
+            yield Lam(x, dom, body)
+    elif isinstance(goal, (Prod, CoFun, Sigma)):
+        first_type, var, second = halves(goal)
+        if (var is not None and isinstance(second, (Atom, Opp))
+                and not hyps.tried(bound, _head(second), False)):
+            return
+        for fst in iter_inhabitants(ctx, first_type, depth - 1, hyps, bound):
+            _, snd_type = components(goal, fst)
+            found = False
+            for snd in iter_inhabitants(ctx, snd_type, depth - 1, hyps, bound):
+                found = True
+                yield Pair(fst, snd)
+            if not found and var is None:
+                break
+    elif isinstance(goal, Sum):
+        for arg in iter_inhabitants(ctx, goal.left, depth - 1, hyps, bound):
+            yield Inl(arg)
+        for arg in iter_inhabitants(ctx, goal.right, depth - 1, hyps, bound):
+            yield Inr(arg)
+    # atoms and opposite atoms: no introduction rule
 
 
-class _Call:
-    """The state of one top-level search call: hyps, the caller's
-    hypotheses as (variable, normal type, _spine), and picked, the part
-    of them tried, by (goal head, leaf), see tried, both kept on the
-    context (Context.kept) and shared by every call over it; and empty,
-    the memo of iter_inhabitants, this call's own."""
+class _Hypotheses:
+    """A context's hypotheses, made by the first search over it and kept
+    on it (Context.kept): hyps, each as (variable, normal type, _spine),
+    and picked, the part of them tried, by (goal head, leaf), see tried."""
 
-    __slots__ = ("hyps", "picked", "empty")
+    __slots__ = ("hyps", "picked")
 
     def __init__(self, ctx: Context):
-        self.hyps, self.picked = ctx.kept(_hypotheses)
-        self.empty = {}
+        hyps = []
+        for d in ctx.term_decls():
+            T = onf(d.type)
+            hyps.append((Var(d.name), T, _spine(T)))
+        self.hyps, self.picked = tuple(hyps), {}
 
     def tried(self, bound, want, leaf: bool):
         """The hypotheses, the caller's then those in bound, as (variable,
@@ -133,65 +158,13 @@ class _Call:
                               leaf)
 
 
-def _hypotheses(ctx: Context):
-    """ctx's hypotheses as (variable, normal type, _spine), and an empty
-    index for tried to fill."""
-    hyps = []
-    for d in ctx.term_decls():
-        T = onf(d.type)
-        hyps.append((Var(d.name), T, _spine(T)))
-    return tuple(hyps), {}
-
-
 def _pick(hyps, want, leaf: bool) -> tuple:
     if leaf:
         return tuple(h for h in hyps if h[2][0] == want)
     return tuple(h for h in hyps if h[2][1] is None or want in h[2][1])
 
 
-def _inhabitants(ctx: Context, call: _Call, bound, goal: TypeExpr,
-                 depth: int) -> Iterator[TermExpr]:
-    """The enumeration behind iter_inhabitants: eliminations of each
-    hypothesis in turn, bound ones last, then the introduction rule."""
-    want = _head(goal)
-    if depth == 1:  # a leaf: an introduction's parts would get depth 0
-        for head, head_type, _ in call.tried(bound, want, True):
-            if equiv(head_type, goal):
-                yield head
-        return
-    for head, head_type, spine in call.tried(bound, want, False):
-        yield from _eliminate(ctx, call, bound, head, head_type, spine,
-                              goal, want, depth - 1)
-
-    if isinstance(goal, (Fun, Pi)):
-        x = fresh_name(halves(goal)[1] or "x", ctx.names,
-                       [v.name for v, _ in bound])
-        dom, cod = components(goal, Var(x))
-        for body in iter_inhabitants(ctx, cod, depth - 1, call,
-                                     bound + ((Var(x), dom),)):
-            yield Lam(x, dom, body)
-    elif isinstance(goal, (Prod, CoFun, Sigma)):
-        first_type, var, second = halves(goal)
-        if (var is not None and isinstance(second, (Atom, Opp))
-                and not call.tried(bound, _head(second), False)):
-            return
-        for fst in iter_inhabitants(ctx, first_type, depth - 1, call, bound):
-            _, snd_type = components(goal, fst)
-            found = False
-            for snd in iter_inhabitants(ctx, snd_type, depth - 1, call, bound):
-                found = True
-                yield Pair(fst, snd)
-            if not found and var is None:
-                break
-    elif isinstance(goal, Sum):
-        for arg in iter_inhabitants(ctx, goal.left, depth - 1, call, bound):
-            yield Inl(arg)
-        for arg in iter_inhabitants(ctx, goal.right, depth - 1, call, bound):
-            yield Inr(arg)
-    # atoms and opposite atoms: no introduction rule
-
-
-def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
+def _eliminate(ctx: Context, hyps: _Hypotheses, bound, head: TermExpr,
                head_type: TypeExpr, spine, goal: TypeExpr, want,
                depth: int) -> Iterator[TermExpr]:
     """Extend an elimination spine of the given type toward the goal;
@@ -206,9 +179,9 @@ def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
         (cod,) = spine[2]
         if cod[1] is not None and want not in cod[1]:
             return
-        for arg in iter_inhabitants(ctx, dom, depth, call, bound):
+        for arg in iter_inhabitants(ctx, dom, depth, hyps, bound):
             found = False
-            for term in _eliminate(ctx, call, bound, App(head, arg),
+            for term in _eliminate(ctx, hyps, bound, App(head, arg),
                                    components(head_type, arg)[1], cod, goal,
                                    want, depth - 1):
                 found = True
@@ -223,16 +196,16 @@ def _eliminate(ctx: Context, call: _Call, bound, head: TermExpr,
                                    spine[2]):
             if (sub[0] == want if leaf
                     else sub[1] is None or want in sub[1]):
-                yield from _eliminate(ctx, call, bound, proj(head), half,
+                yield from _eliminate(ctx, hyps, bound, proj(head), half,
                                       sub, goal, want, depth - 1)
     elif isinstance(head_type, Sum) and depth > 1:
         # a case's branches get depth - 1, and none is found at depth 0
         w = fresh_name("w", ctx.names, [v.name for v, _ in bound])
         boundr = bound + ((Var(w), head_type.right),)
-        for lbody in iter_inhabitants(ctx, goal, depth - 1, call,
+        for lbody in iter_inhabitants(ctx, goal, depth - 1, hyps,
                                       bound + ((Var(w), head_type.left),)):
             found = False
-            for rbody in iter_inhabitants(ctx, goal, depth - 1, call, boundr):
+            for rbody in iter_inhabitants(ctx, goal, depth - 1, hyps, boundr):
                 found = True
                 yield Case(head, w, lbody, w, rbody)
             if not found:

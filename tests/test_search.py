@@ -1,7 +1,7 @@
 """The inhabitation searcher against the plain enumerator in search_oracle.
 
-The searcher remembers, per top-level call, the subproblems that came up
-empty, and keeps on each context its hypotheses, normalized and indexed.
+The searcher keeps on each context its hypotheses, normalized and indexed,
+and skips enumerations its index or an earlier empty run proves empty.
 These tests hold it to the plain enumeration: the same first term,
 the same sequence of terms, results that only grow with depth, terms that
 check and recheck, and answers that do not depend on earlier calls.
@@ -16,9 +16,9 @@ import pytest
 
 import opptypes.search as search
 import search_oracle
-from opptypes import (EMPTY, Atom, Fun, bounded_inhabit, check,
-                      declare_term, declare_type_const, onf, parse_type,
-                      recheck)
+from opptypes import (EMPTY, Atom, Fun, Sum, TermExpr, TypeExpr,
+                      bounded_inhabit, check, declare_term,
+                      declare_type_const, onf, parse_type, recheck)
 from opptypes.kernel import Context
 from opptypes.search import iter_inhabitants
 
@@ -56,6 +56,24 @@ def _generated_cases(seed, n):
             ctx = declare_term(ctx, f"h{i}",
                                rand_type(rng, rng.randint(0, 3)))
         yield ctx, rand_type(rng, rng.randint(0, 3)), rng.randint(1, 6)
+
+
+def _sum_cases(seed, n):
+    """Generated contexts with two to four hypotheses, two or more of them
+    Sums, each with a goal: where case splits search the same goal again
+    under different bound hypotheses."""
+    rng = random.Random(seed)
+    while n:
+        hyps = [rand_type(rng, rng.randint(0, 3))
+                for _ in range(rng.randint(2, 4))]
+        goal = rand_type(rng, rng.randint(0, 2))
+        if sum(isinstance(onf(h), Sum) for h in hyps) < 2:
+            continue
+        ctx = std_ctx()
+        for i, h in enumerate(hyps):
+            ctx = declare_term(ctx, f"h{i}", h)
+        n -= 1
+        yield ctx, onf(goal)
 
 
 def test_first_term_matches_oracle_on_generated_goals():
@@ -115,8 +133,19 @@ def test_answers_do_not_depend_on_call_order():
     assert forward == backward[::-1] == alone
 
 
+def test_enumeration_matches_oracle_under_sum_hypotheses():
+    inhabited = 0
+    for ctx, goal in _sum_cases(5, 12):
+        terms = list(islice(iter_inhabitants(ctx, goal, 7), 200))
+        assert terms == list(islice(oracle_inhabitants(ctx, goal, 7), 200))
+        inhabited += bool(terms)
+    assert 0 < inhabited < 12
+
+
 @pytest.mark.parametrize("goal", ["b", "b + ~b", "Sg u:c. p(u)"])
-def test_empty_subproblems_are_searched_once(goal, monkeypatch):
+def test_empty_subproblems_are_pruned(goal, monkeypatch):
+    # the index and the early stop leave at most a third of the plain
+    # enumeration's nodes on a goal with no inhabitant
     ctx, goal = _sweep_ctx(), onf(parse_type(goal))
     searched = _count_calls(monkeypatch, search, "iter_inhabitants")
     plain = _count_calls(monkeypatch, search_oracle, "oracle_inhabitants")
@@ -223,7 +252,9 @@ def test_the_index_starts_fewer_eliminations(monkeypatch):
     # _eliminate calls while it projected into every half, and 957 and
     # 1359 while a leaf started an _eliminate per hypothesis and an
     # introduction whose parts were searched at depth 0, and 940 and 1063
-    # while a case was started at depth 1, whose branches got depth 0
+    # while a case was started at depth 1, whose branches got depth 0;
+    # 766 and 1063 while a memo of empty subproblems skipped a repeated
+    # (bound hypotheses, goal) search at no greater depth
     ctx, goals = _sweep_ctx(), [onf(g) for g in _sweep_goals()]
     expected = [t for goal in goals for t in oracle_inhabitants(ctx, goal, 6)]
     searched = _count_calls(monkeypatch, search, "iter_inhabitants")
@@ -231,8 +262,24 @@ def test_the_index_starts_fewer_eliminations(monkeypatch):
     found = [t for goal in goals
              for t in search.iter_inhabitants(ctx, goal, 6)]
     assert found == expected and len(found) == 340
-    assert len(searched) == 766, len(searched)
-    assert len(eliminated) <= 1063, len(eliminated)
+    assert len(searched) == 805, len(searched)
+    assert len(eliminated) == 1095, len(eliminated)
+
+
+def test_a_warm_search_hashes_no_node(monkeypatch):
+    # the search keys nothing on types or terms: once the first round has
+    # kept the hypotheses and each type's _spine, a second round over the
+    # sweep goals hashes no node (a memo keyed on the bound hypotheses and
+    # the goal hashed 1079)
+    ctx, goals = _sweep_ctx(), _sweep_goals()
+    first = [bounded_inhabit(ctx, goal, 6) for goal in goals]
+    hashed = []
+    for cls in TypeExpr.__subclasses__() + TermExpr.__subclasses__():
+        monkeypatch.setattr(cls, "__hash__", lambda self, real=cls.__hash__:
+                            hashed.append(self) or real(self))
+    second = [bounded_inhabit(ctx, goal, 6) for goal in goals]
+    assert len(hashed) == 0
+    assert second == first
 
 
 def test_a_second_search_reads_the_kept_hypotheses(monkeypatch):
@@ -248,7 +295,7 @@ def test_a_second_search_reads_the_kept_hypotheses(monkeypatch):
     assert str(bounded_inhabit(ctx, parse_type("~d * a"), 2)) == "<r, x>"
     assert len(seen["onf"]) == 1 + len(SWEEP_HYPS)
     assert len(seen["_spine"]) == len(SWEEP_HYPS)
-    hyps = {id(T) for _, T, _ in ctx.kept(search._hypotheses)[0]}
+    hyps = {id(T) for _, T, _ in ctx.kept(search._Hypotheses).hyps}
     for args in seen.values():
         args.clear()
     goal = parse_type("a -> ~a -> b")
@@ -273,7 +320,8 @@ def test_an_extended_context_has_its_own_hypotheses():
     ctx, goal = _sweep_ctx(), parse_type("b * a")
     assert bounded_inhabit(ctx, goal, 4) is None
     wider = declare_term(ctx, "z", parse_type("b"))
-    assert wider.kept(search._hypotheses) is not ctx.kept(search._hypotheses)
+    assert (wider.kept(search._Hypotheses)
+            is not ctx.kept(search._Hypotheses))
     assert str(bounded_inhabit(wider, goal, 2)) == "<z, x>"
     assert bounded_inhabit(wider, goal, 4) == first_inhabitant(wider, goal, 4)
     assert bounded_inhabit(ctx, goal, 4) is None
@@ -307,8 +355,9 @@ def test_the_search_extends_no_context(monkeypatch):
 
 
 def test_reach_walk_is_stack_safe():
-    # bound by the search, the chain reaches the memo's hash too, which
-    # once overflowed at 498
+    # the chain is walked as a context hypothesis and as one the search
+    # binds; each walk of it must take no frame a level (a recursive one
+    # overflowed at 498)
     chain = Atom("d")
     for _ in range(500):
         chain = Fun(Atom("c"), chain)
