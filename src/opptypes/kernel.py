@@ -31,15 +31,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Tuple, Union
 
-from .duality import components, dual, equiv, halves, onf
+from .duality import FAMILY, components, dual, equiv, halves, onf
 from .errors import (IllFormedContext, IllFormedType,
                      InternalInvariantViolation, InvalidDerivation,
                      NonInferableTerm, TypeMismatch, TypeTheoryError,
                      UnboundVariable)
 from .syntax import (SCOPES, Ann, App, Atom, Case, CoFun, Fun, Inl, Inr,
                      Lam, Opp, Pair, Pi, Prod, Proj1, Proj2, Sigma, Split,
-                     Sum, TermExpr, TypeExpr, Var, alpha_eq, free_vars,
-                     normalize_term, open_binders, subst)
+                     Sum, TermExpr, TypeExpr, Var, alpha_eq, applied,
+                     evaluate, free_vars, new_variable, open_binders,
+                     projected, read_back, subst)
 
 
 class Universe(enum.Enum):
@@ -99,10 +100,11 @@ class Context:
 
     A kernel walk binds the names it opens in the index of the context
     it walks in, while it runs (see _Bound), so a names view shows them
-    until the walk leaves their binders.  No two threads may walk one
-    context at once, and a context a walk is in must not be extended.
-    So runner.run and check_context start from a Context() of their
-    own, never from the shared EMPTY.
+    until the walk leaves their binders; term_equal's comparison only
+    reads the context.  No two threads may walk one context at once, and
+    a context a walk is in must not be extended.  So runner.run and
+    check_context start from a Context() of their own, never from the
+    shared EMPTY.
 
     A context may also keep, beside its fields, the printed text of its
     first entries, which its builder notes with with_printed_prefix and
@@ -524,7 +526,7 @@ def _check(ctx: Context, t: TermExpr, A: TypeExpr, node, goal=None):
     if isinstance(t, (Case, Split)):
         rule, dscrut, branches = _open_elim(ctx, t, node, goal)
         premises = [dscrut]
-        for decls, (body,) in branches:
+        for decls, body in branches:
             with _Bound(ctx, decls, node) as inner:
                 premises.append(_check(inner, body, goal, node))
         return node(rule, Typing, ctx, t, A, premises)
@@ -561,36 +563,31 @@ def _open_elim(ctx: Context, t: Union[Case, Split], node, goal=None):
             f"split scrutinee must have a dependent-pair-shaped type, "
             f"got {styp}", expected=None, actual=styp)
     return (f"{_STEM[type(styp)]}-elim", dscrut,
-            _open_branches(ctx, styp, (t,), goal))
+            _open_branches(ctx, styp, t, goal))
 
 
-def _open_branches(ctx: Context, styp: TypeExpr, elims, goal=None):
-    """Open the branches of case terms over a scrutinee of sum type styp,
-    or of split terms over one of dependent pair type styp.
-
-    The binders are named after the first term's, but not after a
-    variable free in goal, the type the branches are checked against,
-    which the binders must not capture.  Returns, per branch, the term
-    declarations of its binders and each term's body; the caller binds
-    one branch at a time (see _Bound).
-    """
-    n, case = len(elims), isinstance(elims[0], Case)
+def _open_branches(ctx: Context, styp: TypeExpr, t, goal=None):
+    """Per branch of t, a case over a scrutinee of sum type styp or a split
+    over one of dependent pair type styp, the term declarations of its
+    binders and its body; the caller binds one branch at a time (see
+    _Bound).  The binders keep t's names, but not a name ctx holds or one
+    free in goal, the type the branches are checked against."""
+    case = isinstance(t, Case)
     # the goal lies in the binders' scope, but none of them binds in it
     outer = [] if goal is None else [(goal, (None,) * (1 if case else 2))]
     if case:
-        sides = ((styp.left, [(e.lbranch, (e.lvar,)) for e in elims]),
-                 (styp.right, [(e.rbranch, (e.rvar,)) for e in elims]))
         branches = []
-        for ty, scopes in sides:
-            (name,), bodies = open_binders(ctx.names, scopes[0][1],
-                                           scopes + outer, [ty])
-            branches.append(((TermDecl(name, ty),), bodies[:n]))
+        for ty, body, var in ((styp.left, t.lbranch, t.lvar),
+                              (styp.right, t.rbranch, t.rvar)):
+            (name,), (body, *_) = open_binders(
+                ctx.names, (var,), [(body, (var,))] + outer, [ty])
+            branches.append(((TermDecl(name, ty),), body))
         return branches
-    scopes = [(e.body, (e.var1, e.var2)) for e in elims]
-    (v1, v2), bodies = open_binders(ctx.names, scopes[0][1], scopes + outer,
-                                    [styp])
+    (v1, v2), (body, *_) = open_binders(
+        ctx.names, (t.var1, t.var2), [(t.body, (t.var1, t.var2))] + outer,
+        [styp])
     gen, snd = components(styp, Var(v1))
-    return [((TermDecl(v1, gen), TermDecl(v2, snd)), bodies[:n])]
+    return [((TermDecl(v1, gen), TermDecl(v2, snd)), body)]
 
 
 def infer(ctx: Context, t: TermExpr) -> TypeExpr:
@@ -645,7 +642,7 @@ def _infer(ctx: Context, t: TermExpr, node):
     if isinstance(t, (Case, Split)):
         rule, dscrut, branches = _open_elim(ctx, t, node)
         types, premises, escaped = [], [dscrut], False
-        for decls, (body,) in branches:
+        for decls, body in branches:
             with _Bound(ctx, decls, node) as inner:
                 ty, d = _infer(inner, body, node)
             types.append(ty)
@@ -698,106 +695,108 @@ def term_equal(ctx: Context, t: TermExpr, u: TermExpr, A: TypeExpr) -> bool:
     Like check, expects A to be well formed.  Both terms are checked
     against A first (errors propagate): t by check, so a t the caller has
     just checked hits check's memo, and u by ensure_typed, which builds
-    no derivation.  Each is then reduced to normal form once and the two
-    are compared type-directed: an eta or projection step reads the
-    normal form of t z, p1 t or p2 t off that of t, as the body renamed
-    to z, a component, or a neutral node.  The theory is beta, the identity
-    contractions of case and split (see normalize_term), and eta at
-    function-like types (Fun, Pi; compared by applying to a fresh
-    variable) and at pair-like types (Prod, Sigma, and CoFun, which
-    opposites of function types become; compared by projections).  At
-    sums and atoms terms are compared structurally: there is no eta at
-    sums and no commuting conversion, so a case at a function type is not
-    equal to the case of its branches' eta expansions.
+    no derivation.  The theory is beta, the identity contractions of case
+    and split (see normalize_term), and eta at function-like types (Fun,
+    Pi) and at pair-like types (Prod, Sigma, and CoFun, which opposites of
+    function types become).  At sums and atoms terms are compared
+    structurally: there is no eta at sums and no commuting conversion, so
+    a case at a function type is not equal to the case of its branches'
+    eta expansions, and an elimination of a case or split that does not
+    reduce is equal only where the two normal forms are alpha-equal.
+
+    Neither term is normalized: each is evaluated (syntax.evaluate), and
+    one walk directed by A, binding nothing in ctx, compares the values.
+    Each may contract at most syntax.FUEL redexes, or NormalizationOverflow
+    is raised; only the redexes the walk reaches are contracted, and it
+    stops at the first difference, so a pair found unequal may be
+    answered False before a term has spent that bound.
     """
     check(ctx, t, A)
     ensure_typed(ctx, u, A)
-    return _teq(ctx, _norm(t), _norm(u), onf(A))
+    return _compare(ctx, {}, evaluate(t), evaluate(u), onf(A))
 
 
-def _norm(t: TermExpr) -> TermExpr:
-    return normalize_term(t, type_norm=onf)
-
-
-def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
-    """Compare normal forms t and u, both of type T."""
-    if alpha_eq(t, u):
-        return True
-
-    if isinstance(T, (Fun, Pi)):
-        # t and u are well scoped in ctx, so a name outside ctx is fresh
-        dom, var, cod = halves(T)
-        (z,), (cod,) = open_binders(ctx.names, (var or "z",),
-                                    [(cod, (var,))], [])
-        with _Bound(ctx, (TermDecl(z, dom),)):
-            return _teq(ctx, _applied(t, z), _applied(u, z), cod)
-
-    if isinstance(T, (Prod, CoFun, Sigma)):
-        p1t, p1u = _projected(Proj1, t), _projected(Proj1, u)
-        c1, c2 = components(T, p1t)
-        if not _teq(ctx, p1t, p1u, c1):
+def _compare(ctx: Context, walk: dict, v, w, T: TypeExpr) -> bool:
+    """Whether values v and w are equal at T, a normal form: walk maps each
+    variable it typed to its type and the variable of v's it stands for."""
+    while v is not w:
+        family = FAMILY.get(type(T))
+        if family is Fun or family is Prod:
+            if v[0] in (Case, Split) and w[0] in (Case, Split):
+                # every eta and projection step builds one spine over v
+                # and the same over w: only their normal forms can tell
+                return _same(walk, v, w)
+            first, _, T = halves(T)
+            if family is Fun:
+                x = new_variable()
+                walk[x[1]] = x[1], first
+                v, w = applied(v, x), applied(w, x)
+                continue
+            if not _compare(ctx, walk, projected(v, Proj1),
+                            projected(w, Proj1), first):
+                return False
+            v, w = projected(v, Proj2), projected(w, Proj2)
+        elif v[0] is not w[0]:
             return False
-        return _teq(ctx, _projected(Proj2, t), _projected(Proj2, u), c2)
-
-    if type(t) is not type(u):
-        return False
-    if isinstance(t, (Inl, Inr)):
-        # an injection has a sum type
-        side = T.left if isinstance(t, Inl) else T.right
-        return _teq(ctx, t.arg, u.arg, side)
-    if isinstance(t, (Case, Split)):
-        styp = _neutral_eq(ctx, t.scrut, u.scrut)
-        if not isinstance(styp, Sum if isinstance(t, Case) else Sigma):
-            return False
-        for decls, (tb, ub) in _open_branches(ctx, styp, (t, u)):
-            with _Bound(ctx, decls):
-                if not _teq(ctx, tb, ub, T):
-                    return False
-        return True
-    return _neutral_eq(ctx, t, u) is not None
-
-
-def _applied(t: TermExpr, z: str) -> TermExpr:
-    """The normal form of t z, for t normal and z fresh: renaming a
-    lambda's variable to z makes no redex, since subst renames any
-    binder that z would meet."""
-    if isinstance(t, Lam):
-        return subst(t.body, {t.var: Var(z)})
-    return App(t, Var(z))
+        elif v[0] is Inl or v[0] is Inr:
+            T = T.left if v[0] is Inl else T.right
+            v, w = v[1], w[1]
+        elif v[0] is Case or v[0] is Split:
+            styp = _neutral(ctx, walk, v[1], w[1])
+            if styp is _STUCK:
+                return _same(walk, v, w)
+            if type(styp) is not (Sum if v[0] is Case else Sigma):
+                return False
+            first, _, second = halves(styp)
+            walk[v[2]] = walk[w[2]] = v[2], first
+            walk[v[3]] = walk[w[3]] = v[3], second
+            if v[0] is Case and not _compare(ctx, walk, v[4], w[4], T):
+                return False
+            v, w = v[-1], w[-1]
+        else:
+            styp = _neutral(ctx, walk, v, w)
+            return _same(walk, v, w) if styp is _STUCK else styp is not None
+    return True
 
 
-def _projected(proj, t: TermExpr) -> TermExpr:
-    """The normal form of proj t (Proj1 or Proj2), for t normal."""
-    if isinstance(t, Pair):
-        return t.fst if proj is Proj1 else t.snd
-    return proj(t)
+_STUCK = object()
 
 
-def _neutral_eq(ctx: Context, n: TermExpr, m: TermExpr):
-    """Compare two neutral spines; return their common type up to family
-    arguments, or None.
-
-    A dependent codomain or second component is returned with its bound
-    variable left free, not instantiated: types depend on terms only
-    through family arguments, and _teq never looks inside an atom.
-    """
-    if type(n) is not type(m):
+def _neutral(ctx: Context, walk: dict, v, w):
+    """The type of v and w, spines of eliminations, if they are equal, or
+    None; _STUCK if both start from a case or split that does not reduce.
+    A dependent half keeps its bound variable free: types depend on terms
+    only through family arguments, which the walk never compares."""
+    vs, ws = [], []
+    while v[0] is App or v[0] is Proj1 or v[0] is Proj2:
+        vs.append(v)
+        v = v[1]
+    while w[0] is App or w[0] is Proj1 or w[0] is Proj2:
+        ws.append(w)
+        w = w[1]
+    if v[0] is not Var or w[0] is not Var:
+        stuck = v[0] in (Case, Split) and w[0] in (Case, Split)
+        return _STUCK if stuck else None
+    x, T = walk.get(v[1], (v[1], None))
+    T = T or ctx.lookup_term(x)
+    if T is None or x != walk.get(w[1], w[1:])[0] or len(vs) != len(ws):
         return None
-    if isinstance(n, Var):
-        ty = ctx.lookup_term(n.name) if n.name == m.name else None
-        return None if ty is None else onf(ty)
-    if isinstance(n, App):
-        fty = _neutral_eq(ctx, n.fn, m.fn)
-        if (not isinstance(fty, (Fun, Pi))
-                or not _teq(ctx, n.arg, m.arg, halves(fty)[0])):
+    T = onf(T)
+    for e, f in zip(reversed(vs), reversed(ws)):
+        if e[0] is not f[0] or FAMILY.get(type(T)) is not (
+                Fun if e[0] is App else Prod):
             return None
-        return halves(fty)[2]
-    if isinstance(n, (Proj1, Proj2)):
-        sty = _neutral_eq(ctx, n.arg, m.arg)
-        if not isinstance(sty, (Prod, CoFun, Sigma)):
+        first, _, second = halves(T)
+        if e[0] is App and not _compare(ctx, walk, e[2], f[2], first):
             return None
-        return halves(sty)[2 if isinstance(n, Proj2) else 0]
-    return None
+        T = first if e[0] is Proj1 else second
+    return T
+
+
+def _same(walk: dict, v, w) -> bool:
+    """Whether v and w read back as alpha-equal normal forms."""
+    names = {x: name for x, (name, _) in walk.items()}
+    return alpha_eq(read_back(v, names, onf), read_back(w, names, onf))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Abstract syntax: type and term trees, binding, substitution, reduction.
+"""Abstract syntax: type and term trees, binding, substitution, reduction,
+evaluation.
 
 Types are built from named atoms (type variables, possibly applied to term
 arguments when they stand for dependent families) and eight constructors:
@@ -19,6 +20,12 @@ rest; alpha_eq takes a shared subtree as equal to itself when its free
 variables are bound alike on both sides.  Naming a binder apart and
 comparing it back then cost work along those paths, not across its whole
 scope.
+
+Reduction comes in two forms.  normalize_term rewrites a term to its
+normal form.  evaluate turns a term into a value, reducing nothing under
+a lambda, and read_back gives a value's normal form; kernel.term_equal
+compares values, so an eta step applies a closure to a variable and
+substitutes nothing.
 """
 
 from __future__ import annotations
@@ -698,12 +705,6 @@ def normalize_term(t: TermExpr,
     """
     budget = [FUEL]
 
-    def spend():
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise NormalizationOverflow(
-                f"term normalization exceeded {FUEL} steps")
-
     def tnorm(T):
         return type_norm(T) if type_norm is not None else T
 
@@ -722,7 +723,7 @@ def normalize_term(t: TermExpr,
                 fn = norm(t.fn)
                 arg = norm(t.arg)
                 if isinstance(fn, Lam):
-                    spend()
+                    _spend(budget)
                     t = subst_term(fn.body, fn.var, arg)
                     continue
                 return t if fn is t.fn and arg is t.arg else App(fn, arg)
@@ -732,7 +733,7 @@ def normalize_term(t: TermExpr,
             if isinstance(t, (Proj1, Proj2)):
                 arg = norm(t.arg)
                 if isinstance(arg, Pair):
-                    spend()
+                    _spend(budget)
                     return arg.fst if isinstance(t, Proj1) else arg.snd
                 return t if arg is t.arg else type(t)(arg)
             if isinstance(t, (Inl, Inr)):
@@ -741,17 +742,17 @@ def normalize_term(t: TermExpr,
             if isinstance(t, Case):
                 scrut = norm(t.scrut)
                 if isinstance(scrut, Inl):
-                    spend()
+                    _spend(budget)
                     t = subst_term(t.lbranch, t.lvar, scrut.arg)
                     continue
                 if isinstance(scrut, Inr):
-                    spend()
+                    _spend(budget)
                     t = subst_term(t.rbranch, t.rvar, scrut.arg)
                     continue
                 lbranch = norm(t.lbranch)
                 rbranch = norm(t.rbranch)
                 if lbranch == Inl(Var(t.lvar)) and rbranch == Inr(Var(t.rvar)):
-                    spend()
+                    _spend(budget)
                     return scrut
                 if (scrut is t.scrut and lbranch is t.lbranch
                         and rbranch is t.rbranch):
@@ -760,12 +761,12 @@ def normalize_term(t: TermExpr,
             if isinstance(t, Split):
                 scrut = norm(t.scrut)
                 if isinstance(scrut, Pair):
-                    spend()
+                    _spend(budget)
                     t = subst(t.body, {t.var1: scrut.fst, t.var2: scrut.snd})
                     continue
                 body = norm(t.body)
                 if t.var1 != t.var2 and body == Pair(Var(t.var1), Var(t.var2)):
-                    spend()
+                    _spend(budget)
                     return scrut
                 if scrut is t.scrut and body is t.body:
                     return t
@@ -775,3 +776,148 @@ def normalize_term(t: TermExpr,
             raise IllFormedType(f"not a term: {t!r}")
 
     return norm(t)
+
+
+def _spend(fuel: list) -> None:
+    """Count one contraction against fuel, a list of the number left."""
+    fuel[0] -= 1
+    if fuel[0] < 0:
+        raise NormalizationOverflow(
+            f"term normalization exceeded {FUEL} steps")
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+# A value is what evaluate makes of a term: a tuple headed by the class of
+# the normal form it reads back as (see read_back).  A closure (Lam, env,
+# lam, fuel) is lam with env, a dict, for its bound variables, and the
+# fuel left to the term it came from.  A variable (Var, x) is free in the
+# term or made by new_variable.  (Pair, v, w), (Inl, v) and (Inr, v) hold
+# values.  A stuck elimination (App, n, v), (Proj1, n) or (Proj2, n)
+# eliminates a variable, another stuck elimination, or a case (Case, n,
+# x, y, v, w) or split (Split, n, x, y, v) of one, whose branches are
+# evaluated with new variables named x and y.
+
+def new_variable():
+    """A variable value named by a new object, equal to no other name."""
+    return (Var, object())
+
+
+def evaluate(t: TermExpr, env: Optional[dict] = None,
+             fuel: Optional[list] = None):
+    """The value of t, with env for its bound variables: it contracts what
+    normalize_term contracts but nothing under a lambda, at most fuel[0]
+    redexes (FUEL for a term of its own) or NormalizationOverflow is
+    raised.  A spine of eliminations is read with a loop, and as in
+    normalize_term a contraction at the head continues it, so a term that
+    reduces forever runs out of fuel, not of stack."""
+    env = {} if env is None else env
+    fuel = [FUEL] if fuel is None else fuel
+    while True:
+        cls = type(t)
+        if cls is Var:
+            return env.get(t.name) or (Var, t.name)
+        if cls is Lam:
+            return (Lam, env, t, fuel)
+        if cls is Pair:
+            return (Pair, evaluate(t.fst, env, fuel),
+                    evaluate(t.snd, env, fuel))
+        if cls is Inl or cls is Inr:
+            return (cls, evaluate(t.arg, env, fuel))
+        if cls is Ann:
+            t = t.term
+        elif cls is App or cls is Proj1 or cls is Proj2:
+            spine = []
+            while cls is App or cls is Proj1 or cls is Proj2:
+                spine.append(t)
+                t = t.fn if cls is App else t.arg
+                cls = type(t)
+            v = evaluate(t, env, fuel)
+            while spine:
+                e = spine.pop()
+                if type(e) is not App:
+                    if v[0] is Pair:
+                        _spend(fuel)
+                    v = projected(v, type(e))
+                    continue
+                a = evaluate(e.arg, env, fuel)
+                if v[0] is Lam:
+                    _spend(fuel)
+                    if not spine:
+                        t, env = v[2].body, {**v[1], v[2].var: a}
+                        break
+                v = applied(v, a)
+            else:
+                return v
+        elif cls is Case or cls is Split:
+            n = evaluate(t.scrut, env, fuel)
+            if n[0] is Pair if cls is Split else n[0] in (Inl, Inr):
+                _spend(fuel)
+                if cls is Split:
+                    env = {**env, t.var1: n[1], t.var2: n[2]}
+                    t = t.body
+                elif n[0] is Inl:
+                    env, t = {**env, t.lvar: n[1]}, t.lbranch
+                else:
+                    env, t = {**env, t.rvar: n[1]}, t.rbranch
+                continue
+            x, y = new_variable(), new_variable()
+            if cls is Split:
+                body = evaluate(t.body, {**env, t.var1: x, t.var2: y}, fuel)
+                if body[0] is Pair and body[1] is x and body[2] is y:
+                    _spend(fuel)
+                    return n
+                return (Split, n, x[1], y[1], body)
+            left = evaluate(t.lbranch, {**env, t.lvar: x}, fuel)
+            right = evaluate(t.rbranch, {**env, t.rvar: y}, fuel)
+            if (left[0] is Inl and left[1] is x
+                    and right[0] is Inr and right[1] is y):
+                _spend(fuel)
+                return n
+            return (Case, n, x[1], y[1], left, right)
+        else:
+            raise IllFormedType(f"not a term: {t!r}")
+
+
+def applied(v, a):
+    """The value of v applied to the value a (a closure's contraction is
+    counted by its caller)."""
+    if v[0] is Lam:
+        return evaluate(v[2].body, {**v[1], v[2].var: a}, v[3])
+    return (App, v, a)
+
+
+def projected(v, proj):
+    """The value of proj v, for proj Proj1 or Proj2 (a pair's contraction
+    is counted by its caller)."""
+    if v[0] is Pair:
+        return v[1] if proj is Proj1 else v[2]
+    return (proj, v)
+
+
+def read_back(v, names=None, type_norm=None) -> TermExpr:
+    """The normal form value v reads back as, normalize_term's up to the
+    names of its binders: type_norm is as there, and names, a dict, may
+    rename variables new_variable made.  A closure is read back applied
+    to a new variable."""
+    names = {} if names is None else names
+    tag = v[0]
+    if tag is Var:
+        return Var(names.get(v[1], v[1]))
+    if tag is Lam:
+        _, env, lam, fuel = v
+        x = new_variable()
+        dom = subst(lam.dom, {y: read_back(env[y], names, type_norm)
+                              for y in free_vars(lam.dom) if y in env})
+        body = evaluate(lam.body, {**env, lam.var: x}, fuel)
+        return Lam(x[1], dom if type_norm is None else type_norm(dom),
+                   read_back(body, names, type_norm))
+    if tag is Case or tag is Split:
+        n = read_back(v[1], names, type_norm)
+        x, y = names.get(v[2], v[2]), names.get(v[3], v[3])
+        bodies = [read_back(body, names, type_norm) for body in v[4:]]
+        return (Case(n, x, bodies[0], y, bodies[1]) if tag is Case
+                else Split(n, x, y, bodies[0]))
+    return tag(*[read_back(part, names, type_norm) for part in v[1:]])

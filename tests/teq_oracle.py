@@ -1,10 +1,12 @@
 """Type-directed term comparison as three functions, kept as a reference.
 
-It is how the kernel compared normal forms before _teq became one walk:
+It is how the kernel compared normal forms before it compared values:
 _teq takes the eta arms and the injections, _atomic_eq the case and
 split terms, and _neutral_eq the spines, reading Fun apart from Pi and
-Proj1 apart from Proj2.  Tests compare opptypes.kernel._teq against it
-on pairs of checked, normalized terms.
+Proj1 apart from Proj2.  It normalizes with the public normalize_term
+and opens binders with open_binders, so it uses none of the kernel's
+private names, and it binds by building contexts.  Tests compare
+opptypes.term_equal against _teq on normal forms of checked terms.
 """
 
 from __future__ import annotations
@@ -12,8 +14,32 @@ from __future__ import annotations
 from opptypes import (App, Case, CoFun, Fun, Inl, Inr, Pi, Prod, Proj1,
                       Proj2, Sigma, Split, Sum, Var, onf, subst_type)
 from opptypes.duality import components, halves
-from opptypes.kernel import Context, TermDecl, _norm, _open_branches
-from opptypes.syntax import TermExpr, TypeExpr, alpha_eq, open_binders
+from opptypes.kernel import Context, TermDecl
+from opptypes.syntax import (TermExpr, TypeExpr, alpha_eq, normalize_term,
+                             open_binders)
+
+
+def _norm(t: TermExpr) -> TermExpr:
+    return normalize_term(t, type_norm=onf)
+
+
+def _open_branches(ctx: Context, styp: TypeExpr, t, u):
+    """The branches of cases t and u over a scrutinee of sum type styp, or
+    of splits over one of dependent pair type styp, opened together: per
+    branch, the term declarations of its binders and the two bodies."""
+    if isinstance(t, Case):
+        sides = ((styp.left, [(e.lbranch, (e.lvar,)) for e in (t, u)]),
+                 (styp.right, [(e.rbranch, (e.rvar,)) for e in (t, u)]))
+        branches = []
+        for ty, scopes in sides:
+            (name,), bodies = open_binders(ctx.names, scopes[0][1], scopes,
+                                           [ty])
+            branches.append(((TermDecl(name, ty),), bodies))
+        return branches
+    scopes = [(e.body, (e.var1, e.var2)) for e in (t, u)]
+    (v1, v2), bodies = open_binders(ctx.names, scopes[0][1], scopes, [styp])
+    gen, snd = components(styp, Var(v1))
+    return [((TermDecl(v1, gen), TermDecl(v2, snd)), bodies)]
 
 
 def _teq(ctx: Context, t: TermExpr, u: TermExpr, T: TypeExpr) -> bool:
@@ -57,7 +83,7 @@ def _atomic_eq(ctx: Context, t: TermExpr, u: TermExpr,
         styp = _neutral_eq(ctx, t.scrut, u.scrut)
         if not isinstance(styp, Sum if isinstance(t, Case) else Sigma):
             return False
-        for decls, (tb, ub) in _open_branches(ctx, styp, (t, u)):
+        for decls, (tb, ub) in _open_branches(ctx, styp, t, u):
             if not _teq(Context(ctx.entries + decls), tb, ub, goal):
                 return False
         return True

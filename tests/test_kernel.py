@@ -21,6 +21,7 @@ import opptypes.syntax as syntax
 from opptypes import (EMPTY, Ann, App, Atom, Case, CoFun, Context,
                       Derivation, Formation, Fun, IllFormedContext,
                       IllFormedType, InvalidDerivation, Lam, NonInferableTerm,
+                      NormalizationOverflow,
                       Opp, Pair, Pi, Prod, Proj1, Proj2, Sigma,
                       Split, Sum, TermDecl, TypeConstDecl, TypeEq,
                       TypeMismatch, TypeTheoryError, Typing, UnboundVariable,
@@ -42,7 +43,7 @@ import teq_oracle
 from generators import (STD_SIG, rand_formula, rand_type, std_ctx, types,
                         unnormalize, with_term_args)
 from test_cli import GOLDEN
-from test_search import SWEEP_GOALS, _sweep_ctx
+from test_search import SWEEP_GOALS, SWEEP_HYPS, _sweep_ctx
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -772,6 +773,8 @@ class TestBindersBindInPlace:
 
     @pytest.mark.parametrize("size", (0, 2000))
     def test_an_eta_step_that_raises(self, size, monkeypatch):
+        # the comparison of f z with g z, after the eta step, raises; the
+        # step's variable z was never bound in ctx
         ctx = self._ctx(size)
         index, names = ctx._index(), set(ctx.names)
         seen = []
@@ -779,17 +782,40 @@ class TestBindersBindInPlace:
         class Boom(Exception):
             pass
 
-        def boom(ctx, n, m):
-            seen.append(set(ctx.names) - names)
+        def boom(ctx, walk, v, w):
+            seen.append((set(ctx.names) - names, v[0], w[0]))
             raise Boom
 
-        monkeypatch.setattr(kernel, "_neutral_eq", boom)
+        monkeypatch.setattr(kernel, "_neutral", boom)
         with pytest.raises(Boom):
             term_equal(ctx, Var("f"), parse_term("\\x:a. g x"),
                        parse_type("a -> a"))
-        assert seen == [{"z"}]
+        assert seen == [(set(), App, App)]
         assert ctx._index() is index and set(index) == names
         _assert_scan_agrees(ctx, ("x", "z", "f"))
+
+    def test_the_comparison_binds_nothing(self, monkeypatch):
+        # term_equal binds exactly what typing its second term binds: its
+        # first term hits check's memo, and the comparison binds nothing
+        ctx = self._ctx(0)
+        A = parse_type("(a -> a) -> Sg u:a. p(u)")
+        t = parse_term("\\h:a -> a. split s as (m, n) => <m, n>")
+        u = parse_term("\\k:a -> a. <p1 s, (\\l:a. p2 s) (k (p1 s))>")
+        entered, enter = [], kernel._Bound.__enter__
+
+        def counted(self):
+            entered.append([decl.name for decl in self.decls])
+            return enter(self)
+
+        memo = check(ctx, t, A)
+        monkeypatch.setattr(kernel._Bound, "__enter__", counted)
+        ensure_typed(ctx, u, A)
+        typing = list(entered)
+        assert typing
+        entered.clear()
+        assert term_equal(ctx, t, u, A)
+        assert entered == typing
+        assert check(ctx, t, A) is memo
 
     def test_a_dropped_derivation_leaves_the_index_in_place(self):
         big = self._ctx(2000)
@@ -1028,40 +1054,71 @@ class TestTermEqual:
         assert not term_equal(ctx, t, u, A)
         assert not term_equal(ctx, u, t, A)
 
-    @pytest.mark.parametrize("shape", ("chain", "nest"))
-    @pytest.mark.parametrize("depth", (20, 40))
-    def test_each_term_is_normalized_once(self, monkeypatch, shape, depth):
-        # an eta or projection step reads its operand's normal form off the
-        # normal form it has, instead of normalizing again
+    @staticmethod
+    def _steps(monkeypatch, shape, n):
+        """Calls of the evaluator and of the comparison's walk for f
+        against its eta chain \\x1:a. ... \\xn:a. f x1 ... xn, or against
+        its full expansion by projections through products and
+        co-functions in turn, compared in both orders."""
         if shape == "chain":
-            # f against \x1:a. ... \xn:a. f x1 ... xn
             A = a
-            for _ in range(depth):
+            for _ in range(n):
                 A = Fun(a, A)
-            names = [f"x{i}" for i in range(depth)]
+            names = [f"x{i}" for i in range(n)]
             twin = Var("f")
             for name in names:
                 twin = App(twin, Var(name))
             for name in reversed(names):
                 twin = Lam(name, a, twin)
         else:
-            # f against its full expansion by projections, through
-            # products and co-functions in turn
             A = a
-            for i in range(depth):
+            for i in range(n):
                 A = Prod(A, b) if i % 2 else CoFun(A, b)
             twin = _expand_pairs(Var("f"), A)
         ctx = declare_term(std_ctx(), "f", A)
-        calls, normalize = [], kernel._norm
+        calls = []
 
-        def norm(t):
-            calls.append(t)
-            return normalize(t)
+        def counted(fn):
+            def call(*args):
+                calls.append(fn)
+                return fn(*args)
+            return call
 
-        monkeypatch.setattr(kernel, "_norm", norm)
-        assert term_equal(ctx, Var("f"), twin, A)
-        assert term_equal(ctx, twin, Var("f"), A)
-        assert len(calls) == 4
+        with monkeypatch.context() as m:
+            for module, name in ((kernel, "_compare"), (kernel, "_neutral"),
+                                 (kernel, "evaluate"), (syntax, "evaluate")):
+                m.setattr(module, name, counted(getattr(module, name)))
+            assert term_equal(ctx, Var("f"), twin, A)
+            assert term_equal(ctx, twin, Var("f"), A)
+        return len(calls)
+
+    @pytest.mark.parametrize("shape, n", (("chain", 200), ("nest", 200)))
+    def test_an_eta_chain_takes_linear_steps(self, monkeypatch, shape, n):
+        # an eta step applies a closure to one variable and substitutes
+        # nothing, so doubling the depth at most doubles the steps
+        steps = self._steps(monkeypatch, shape, n)
+        assert self._steps(monkeypatch, shape, 2 * n) <= 2.2 * steps
+
+    def test_each_term_spends_its_own_fuel(self, monkeypatch):
+        # 60 nested redexes against their normal form, in either order,
+        # overflow a bound of 50; the bound is per term, not per call
+        monkeypatch.setattr(syntax, "FUEL", 50)
+        ctx = ctx_with(("x", "a"), ("y", "a"))
+        big = Var("x")
+        for _ in range(60):
+            big = App(parse_term("\\v:a. v"), big)
+        for t, u in ((big, Var("x")), (Var("x"), big)):
+            with pytest.raises(NormalizationOverflow,
+                               match="exceeded 50 steps"):
+                term_equal(ctx, t, u, a)
+        half = Var("x")
+        for _ in range(40):
+            half = App(parse_term("\\v:a. v"), half)
+        assert term_equal(ctx, half, half, a)
+        # a difference found first answers before the closure is entered
+        pair = parse_type("a * (a -> a)")
+        first, second = (Pair(Var(v), Lam("z", a, big)) for v in "xy")
+        assert not term_equal(ctx, first, second, pair)
 
     def test_agrees_with_the_three_function_walk(self):
         # up to 40 inhabitants per goal, each alone and eta-expanded, all
@@ -1079,13 +1136,69 @@ class TestTermEqual:
                     assert term_equal(ctx, t, terms[-1], goal)
             for t in terms:
                 check(ctx, t, goal)
-            normal = [kernel._norm(t) for t in terms]
-            for nt, nu in product(normal, repeat=2):
-                equal = teq_oracle._teq(ctx, nt, nu, goal)
-                assert kernel._teq(ctx, nt, nu, goal) == equal, (nt, nu)
-                pairs += 1
-                equal_not_alpha += equal and not alpha_eq(nt, nu)
+            p, e = _agree_with_oracle(ctx, goal, terms)
+            pairs, equal_not_alpha = pairs + p, equal_not_alpha + e
         assert pairs >= 3000 and equal_not_alpha >= 50
+
+    def test_agrees_with_the_three_function_walk_on_eliminations(
+            self, monkeypatch):
+        # cases and splits that do not reduce, at every goal and under the
+        # eta steps and projections of function and pair goals, identity
+        # cases and splits in scrutinee position, and Pi and Sg goals
+        ctx = _sweep_ctx(SWEEP_HYPS + (("w", "Sg u:c. p(u)"),))
+        rescued = []
+        same = kernel._same
+
+        def counted(*args):
+            rescued.append(same(*args))
+            return rescued[-1]
+
+        monkeypatch.setattr(kernel, "_same", counted)
+        pairs = equal_not_alpha = 0
+        for goal in map(onf, map(parse_type, (
+                "d", "c + d", "c -> d", "d <~ c", "c * d", "Pi u:c. p(u)",
+                "Sg u:c. p(u)", "Pi u:c. p(u) * d", "(c -> d) -> d"))):
+            base = list(islice(iter_inhabitants(ctx, goal, 4), 3))
+            terms = list(base)
+            for t1, t2 in zip(base, base[1:] + base[:1]):
+                terms += _stuck_eliminations(t1, t2, goal)
+            if isinstance(goal, (Fun, Pi, Prod, CoFun, Sigma)):
+                terms += [_eta_expand(ctx, t, goal) for t in terms]
+            p, e = _agree_with_oracle(ctx, goal, terms)
+            pairs, equal_not_alpha = pairs + p, equal_not_alpha + e
+        assert pairs >= 5000 and equal_not_alpha >= 200
+        assert rescued.count(True) >= 500 and rescued.count(False) >= 2000
+
+
+def _agree_with_oracle(ctx, goal, terms):
+    """Compare every pair of terms at goal in both orders, by term_equal
+    and by teq_oracle on normal forms; the number of pairs, and of those
+    equal but not alpha-equal."""
+    pairs = equal_not_alpha = 0
+    normal = [normalize_term(t, type_norm=onf) for t in terms]
+    for (t, nt), (u, nu) in product(zip(terms, normal), repeat=2):
+        equal = teq_oracle._teq(ctx, nt, nu, goal)
+        assert term_equal(ctx, t, u, goal) == equal, (t, u)
+        pairs += 1
+        equal_not_alpha += equal and not alpha_eq(nt, nu)
+    return pairs, equal_not_alpha
+
+
+def _stuck_eliminations(t1, t2, goal):
+    """Terms of goal that eliminate s : c + d or w : Sg u:c. p(u) without
+    reducing: a case of s with branches t1 and t2, and one of s read
+    through an identity case with the branches swapped; a split of w with
+    body t1, and one of w read through an identity split whose body
+    splits the pair of its variables, which reduces, into t2."""
+    sg = parse_type("Sg u:c. p(u)")
+    ident_case = Ann(parse_term("case s of { inl i => inl i | inr j => inr j }"),
+                     parse_type("c + d"))
+    ident_split = Ann(parse_term("split w as (i, j) => <i, j>"), sg)
+    pair = Ann(Pair(Var("i"), Var("j")), sg)
+    return [Case(Var("s"), "i", t1, "j", t2),
+            Case(ident_case, "i", t2, "j", t1),
+            Split(Var("w"), "i", "j", t1),
+            Split(ident_split, "i", "j", Split(pair, "m", "n", t2))]
 
 
 def _eta_expand(ctx, t, goal):
@@ -1661,7 +1774,8 @@ class TestRecheck:
         formation = kernel.ensure_formed
         for name in ("check", "_check", "_infer", "open_binders",
                      "term_equal", "check_formation", "ensure_typed",
-                     "infer", "_form", "_teq", "_neutral_eq"):
+                     "infer", "_form", "_compare", "_neutral", "_same",
+                     "evaluate", "read_back"):
             monkeypatch.setattr(kernel, name,
                                 guarded(name, getattr(kernel, name)))
         monkeypatch.setattr(kernel, "ensure_formed", root_formation)

@@ -348,6 +348,47 @@ class TestNormalize:
             normalize_term(omega)
 
 
+class TestEvaluate:
+    """syntax.evaluate and read_back, which term_equal compares through,
+    against normalize_term."""
+
+    @given(terms())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_back_as_the_normal_form(self, t):
+        # untyped terms may reduce forever; a term either contract runs
+        # out of fuel on says nothing
+        saved, syntax.FUEL = syntax.FUEL, 300
+        try:
+            nf = normalize_term(t, type_norm=onf)
+            back = syntax.read_back(syntax.evaluate(t), type_norm=onf)
+        except NormalizationOverflow:
+            return
+        finally:
+            syntax.FUEL = saved
+        assert alpha_eq(back, nf), (t, back, nf)
+
+    @pytest.mark.parametrize("body", [
+        "x x",
+        "case inl x of { inl u => u u | inr v => v }",
+        "split <x, x> as (u, v) => u v"])
+    def test_a_term_that_reduces_forever_runs_out_of_fuel(self, body,
+                                                          monkeypatch):
+        monkeypatch.setattr(syntax, "FUEL", 1000)
+        omega = parse_term(f"(\\x:a. {body}) (\\x:a. {body})")
+        with pytest.raises(NormalizationOverflow,
+                           match="exceeded 1000 steps"):
+            syntax.evaluate(omega)
+
+    def test_identity_eliminations_contract_to_their_scrutinee(self):
+        z = (Var, "z")
+        for text in ("case z of { inl x => inl x | inr y => inr y }",
+                     "split z as (x, y) => <x, y>",
+                     "split z as (x, y) => (\\w:a. <x, w>) y"):
+            assert syntax.evaluate(parse_term(text)) == z
+        kept = syntax.evaluate(parse_term("split z as (x, x) => <x, x>"))
+        assert kept[0] is Split and kept[1] == z
+
+
 class TestSimultaneousSubst:
     def test_swap(self):
         t = App(Var("x"), Var("y"))
