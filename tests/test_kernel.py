@@ -1055,11 +1055,10 @@ class TestTermEqual:
         assert not term_equal(ctx, u, t, A)
 
     @staticmethod
-    def _steps(monkeypatch, shape, n):
-        """Calls of the evaluator and of the comparison's walk for f
-        against its eta chain \\x1:a. ... \\xn:a. f x1 ... xn, or against
-        its full expansion by projections through products and
-        co-functions in turn, compared in both orders."""
+    def _twin(shape, n):
+        """f's type and its eta chain \\x1:a. ... \\xn:a. f x1 ... xn, or
+        its full expansion by projections through products and co-functions
+        in turn."""
         if shape == "chain":
             A = a
             for _ in range(n):
@@ -1075,6 +1074,35 @@ class TestTermEqual:
             for i in range(n):
                 A = Prod(A, b) if i % 2 else CoFun(A, b)
             twin = _expand_pairs(Var("f"), A)
+        return A, twin
+
+    @pytest.mark.parametrize("shape", ("chain", "nest"))
+    @pytest.mark.parametrize("depth", (20, 40))
+    def test_each_term_is_normalized_once(self, monkeypatch, shape, depth):
+        # an eta or projection step applies or projects the value it has,
+        # so each term is evaluated once from the top and none is read back
+        A, twin = self._twin(shape, depth)
+        ctx = declare_term(std_ctx(), "f", A)
+        calls, evaluate = [], kernel.evaluate
+
+        def counted(t, *args):
+            calls.append(t)
+            return evaluate(t, *args)
+
+        def read_back(*args):
+            raise AssertionError("a term was read back")
+
+        monkeypatch.setattr(kernel, "evaluate", counted)
+        monkeypatch.setattr(kernel, "read_back", read_back)
+        assert term_equal(ctx, Var("f"), twin, A)
+        assert term_equal(ctx, twin, Var("f"), A)
+        assert len(calls) == 4
+
+    @classmethod
+    def _steps(cls, monkeypatch, shape, n):
+        """Calls of the evaluator and of the comparison's walk for f
+        against its twin of depth n, compared in both orders."""
+        A, twin = cls._twin(shape, n)
         ctx = declare_term(std_ctx(), "f", A)
         calls = []
 
