@@ -3,6 +3,9 @@
 import copy
 import dataclasses
 import pickle
+import random
+import sys
+from contextlib import contextmanager
 
 import hypothesis.strategies as st
 import pytest
@@ -20,7 +23,8 @@ from opptypes import (EMPTY, Ann, App, Atom, Basis, Case, CoFun, Fun, Inl,
 from opptypes.syntax import SCOPES, all_names
 
 import binding_oracle as oracle
-from generators import terms, types
+import normalize_oracle
+from generators import rand_term, terms, types
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -347,10 +351,115 @@ class TestNormalize:
                            match="exceeded 1000 steps"):
             normalize_term(omega)
 
+    def test_a_binder_is_renamed_only_apart_from_its_scope(self):
+        # the argument's free b would be captured by the inner \b; the
+        # oracle renames that binder apart from every name the redex
+        # holds, the read-back apart from what is free in its body alone
+        t = parse_term("(\\b1:a. \\b:a. b1 d) (\\z:a. b)")
+        assert normalize_term(t) == Lam("b1", a, Var("b"))
+        assert normalize_oracle.normalize_term(t) == Lam("b2", a, Var("b"))
+
+    def test_a_value_used_twice_is_read_back_once(self):
+        # (\x:a. <x, x>) applied k times has a normal form of 2^k leaves
+        # as a tree, of k pairs as shared nodes
+        dup = Lam("x", a, Pair(Var("x"), Var("x")))
+        counts = []
+        for k in (20, 40):
+            t = Var("y")
+            for _ in range(k):
+                t = App(dup, t)
+            with _calls_of("evaluate", "read_back") as calls:
+                out = normalize_term(t)
+            counts.append(calls)
+            for _ in range(k - 1):
+                assert out.fst is out.snd
+                out = out.fst
+            assert out == Pair(Var("y"), Var("y"))
+        for name in ("evaluate", "read_back"):
+            assert counts[1][name] <= 2.2 * counts[0][name], counts
+
+    def test_a_normal_chain_is_returned_as_it_is(self):
+        counts = []
+        for n in (400, 800):
+            t, _ = _lambda_chain(n, Var("x0"))
+            with _calls_of("evaluate", "read_back") as calls:
+                assert normalize_term(t, type_norm=onf) is t
+            counts.append(calls)
+        assert counts == [{"evaluate": n + 1, "read_back": n + 1}
+                          for n in (400, 800)]
+
+    @pytest.mark.parametrize("arg", ["x", "\\y:a. y"])
+    def test_a_dependent_domain_is_read_back_with_its_argument(
+            self, arg, monkeypatch):
+        # the one substitution read_back makes: the argument's read-back
+        # into the domain of the lambda the redex returns; a lambda's
+        # read-back brings a binder new_variable made into the type
+        substs, subst = [], syntax.subst
+        monkeypatch.setattr(syntax, "subst", lambda e, m: (
+            substs.append(m) if m else None) or subst(e, m))
+        t = parse_term(f"(\\u:a. \\h:~~p(u). h) ({arg})")
+        assert normalize_term(t, type_norm=onf) == parse_term(
+            f"\\h:p({arg}). h")
+        assert [list(m) for m in substs] == [["u"]]
+
+    def test_agrees_with_the_substitution_oracle(self, monkeypatch):
+        # the same normal forms up to alpha on every input, and the same
+        # names where the oracle invents none: it may rename a binder the
+        # read-back keeps
+        monkeypatch.setattr(syntax, "FUEL", 50)
+        rng = random.Random(35)
+        compared = 0
+        for _ in range(4000):
+            t = rand_term(rng, rng.randint(1, 6))
+            try:
+                want = normalize_oracle.normalize_term(t, type_norm=onf)
+                got = normalize_term(t, type_norm=onf)
+            except NormalizationOverflow:
+                continue
+            assert alpha_eq(got, want), (t, got, want)
+            if _bound_names(want) <= all_names(t):
+                assert got == want, (t, got, want)
+            compared += 1
+        assert compared >= 3900
+
+
+@contextmanager
+def _calls_of(*names):
+    """The number of calls of each of the named functions of syntax while
+    the block runs, kept in the dict yielded.  They are counted by a
+    profile function, which adds no frame to the calls counted."""
+    codes = {getattr(syntax, name).__code__: name for name in names}
+    calls = dict.fromkeys(names, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(saved)
+
+
+def _bound_names(e):
+    """Every name a binder of e binds, in its terms and types alike."""
+    out, todo = set(), [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Atom):
+            todo += e.args
+        elif not isinstance(e, Var):
+            for sub, *binders in SCOPES[type(e)]:
+                todo.append(getattr(e, sub))
+                out.update(getattr(e, x) for x in binders)
+    return out
+
 
 class TestEvaluate:
-    """syntax.evaluate and read_back, which term_equal compares through,
-    against normalize_term."""
+    """syntax.evaluate and read_back, which term_equal compares through and
+    normalize_term names, against the substitution oracle."""
 
     @given(terms())
     @settings(max_examples=300, deadline=None)
@@ -359,13 +468,17 @@ class TestEvaluate:
         # out of fuel on says nothing
         saved, syntax.FUEL = syntax.FUEL, 300
         try:
-            nf = normalize_term(t, type_norm=onf)
+            nf = normalize_oracle.normalize_term(t, type_norm=onf)
             back = syntax.read_back(syntax.evaluate(t), type_norm=onf)
+            named = normalize_term(t, type_norm=onf)
         except NormalizationOverflow:
             return
         finally:
             syntax.FUEL = saved
         assert alpha_eq(back, nf), (t, back, nf)
+        assert alpha_eq(named, nf), (t, named, nf)
+        if _bound_names(nf) <= all_names(t):
+            assert named == nf, (t, named, nf)
 
     @pytest.mark.parametrize("body", [
         "x x",
