@@ -707,9 +707,11 @@ def term_equal(ctx: Context, t: TermExpr, u: TermExpr, A: TypeExpr) -> bool:
     Neither term is normalized: each is evaluated (syntax.evaluate), and
     one walk directed by A, binding nothing in ctx, compares the values.
     Each may contract at most syntax.FUEL redexes, or NormalizationOverflow
-    is raised; only the redexes the walk reaches are contracted, and it
-    stops at the first difference, so a pair found unequal may be
-    answered False before a term has spent that bound.
+    is raised; only the redexes the walk reaches are contracted (and all
+    of a closure's body once it is applied a second time: see
+    syntax.applied), and it stops at the first difference, so a pair
+    found unequal may be answered False before a term has spent that
+    bound.
     """
     check(ctx, t, A)
     ensure_typed(ctx, u, A)

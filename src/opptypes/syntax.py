@@ -21,9 +21,9 @@ variables are bound alike on both sides.  Naming a binder apart and
 comparing it back then cost work along those paths, not across its whole
 scope.
 
-Reduction is stated once.  evaluate turns a term into a value, reducing
-nothing under a lambda, and read_back gives a value's normal form.
-normalize_term is the two, with the binders named; kernel.term_equal
+Reduction comes in two forms.  normalize_term rewrites a term to its
+normal form.  evaluate turns a term into a value, reducing nothing under
+a lambda, and read_back gives a value's normal form; kernel.term_equal
 compares values, so an eta step applies a closure to a variable and
 substitutes nothing.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 from .errors import IllFormedType, NormalizationOverflow
@@ -682,36 +682,10 @@ def _same_binders(names, envl: dict, envr: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reduction
+# Untyped reduction
 # ---------------------------------------------------------------------------
 
 FUEL = 100_000
-
-
-def _spend(fuel: list) -> None:
-    """Count one contraction against fuel, a list of the number left."""
-    fuel[0] -= 1
-    if fuel[0] < 0:
-        raise NormalizationOverflow(
-            f"term normalization exceeded {FUEL} steps")
-
-
-# A value is what evaluate makes of a term: a tuple headed by the class of
-# the normal form it reads back as (see read_back).  A closure (Lam, env,
-# lam, fuel) is lam with env, a dict, for its bound variables, and the
-# fuel left to the term it came from.  A variable (Var, x) is free in the
-# term or made by new_variable.  (Pair, v, w), (Inl, v) and (Inr, v) hold
-# values.  A stuck elimination (App, n, v), (Proj1, n) or (Proj2, n)
-# eliminates a variable, another stuck elimination, or a case (Case, n,
-# x, y, v, w) or split (Split, n, x, y, v) of one, whose branches are
-# evaluated with new variables named x and y.
-
-def new_variable(hint="x"):
-    """A variable value named by a new object, equal to no other name:
-    (hint, object()).  hint, a binder's name or the name of one this made
-    (whose hint it takes), is the name normalize_term gives it if that
-    captures nothing."""
-    return (Var, (hint if type(hint) is str else hint[0], object()))
 
 
 def normalize_term(t: TermExpr,
@@ -725,78 +699,121 @@ def normalize_term(t: TermExpr,
     Both contractions are sound wherever the redex is well typed, so this
     reduction is usable untyped.  type_norm, when given, is applied to the
     types embedded in the term (lambda domain annotations); equality of
-    normal forms is then alpha_eq.
-
-    The normal form is read_back of evaluate's value of t, its binders
-    named in one pass from the top: each keeps the name of the binder it
-    came from unless a variable free in its scope has that name, and then
-    takes the first of name, name1, name2, ... that none has.  A term
-    already in normal form, a Var among them, is returned as it is.  FUEL
-    bounds the contractions made while evaluating and reading back, so
-    that ill-typed input fails loudly instead of looping; a closure's
-    body is evaluated again at each application, so a redex under a
-    lambda applied twice counts twice.
+    normal forms is then alpha_eq.  A subterm already in normal form is
+    returned as it is, not rebuilt.  FUEL bounds the number of contraction
+    steps so that ill-typed input fails loudly instead of looping.
     """
-    if type(t) is Var:
-        return t
-    out = _named(read_back(evaluate(t), type_norm=type_norm), {}, {}, {})
-    return t if out == t else out
+    budget = [FUEL]
+
+    def tnorm(T):
+        return type_norm(T) if type_norm is not None else T
+
+    def norm(t):
+        # a contraction at the head continues the loop, so a term that
+        # reduces forever runs out of FUEL, not of stack
+        while True:
+            if isinstance(t, Var):
+                return t
+            if isinstance(t, Lam):
+                dom, body = tnorm(t.dom), norm(t.body)
+                if dom is t.dom and body is t.body:
+                    return t
+                return Lam(t.var, dom, body)
+            if isinstance(t, App):
+                fn = norm(t.fn)
+                arg = norm(t.arg)
+                if isinstance(fn, Lam):
+                    _spend(budget)
+                    t = subst_term(fn.body, fn.var, arg)
+                    continue
+                return t if fn is t.fn and arg is t.arg else App(fn, arg)
+            if isinstance(t, Pair):
+                fst, snd = norm(t.fst), norm(t.snd)
+                return t if fst is t.fst and snd is t.snd else Pair(fst, snd)
+            if isinstance(t, (Proj1, Proj2)):
+                arg = norm(t.arg)
+                if isinstance(arg, Pair):
+                    _spend(budget)
+                    return arg.fst if isinstance(t, Proj1) else arg.snd
+                return t if arg is t.arg else type(t)(arg)
+            if isinstance(t, (Inl, Inr)):
+                arg = norm(t.arg)
+                return t if arg is t.arg else type(t)(arg)
+            if isinstance(t, Case):
+                scrut = norm(t.scrut)
+                if isinstance(scrut, Inl):
+                    _spend(budget)
+                    t = subst_term(t.lbranch, t.lvar, scrut.arg)
+                    continue
+                if isinstance(scrut, Inr):
+                    _spend(budget)
+                    t = subst_term(t.rbranch, t.rvar, scrut.arg)
+                    continue
+                lbranch = norm(t.lbranch)
+                rbranch = norm(t.rbranch)
+                if lbranch == Inl(Var(t.lvar)) and rbranch == Inr(Var(t.rvar)):
+                    _spend(budget)
+                    return scrut
+                if (scrut is t.scrut and lbranch is t.lbranch
+                        and rbranch is t.rbranch):
+                    return t
+                return Case(scrut, t.lvar, lbranch, t.rvar, rbranch)
+            if isinstance(t, Split):
+                scrut = norm(t.scrut)
+                if isinstance(scrut, Pair):
+                    _spend(budget)
+                    t = subst(t.body, {t.var1: scrut.fst, t.var2: scrut.snd})
+                    continue
+                body = norm(t.body)
+                if t.var1 != t.var2 and body == Pair(Var(t.var1), Var(t.var2)):
+                    _spend(budget)
+                    return scrut
+                if scrut is t.scrut and body is t.body:
+                    return t
+                return Split(scrut, t.var1, t.var2, body)
+            if isinstance(t, Ann):
+                return norm(t.term)
+            raise IllFormedType(f"not a term: {t!r}")
+
+    return norm(t)
 
 
-def _named(e: Expr, ren: dict, inuse: dict, memo: dict) -> Expr:
-    """e, made by read_back, with each binder named as normalize_term
-    says: a binder new_variable made after its hint, any other after
-    itself.  ren maps each binder above e to its name, and inuse counts,
-    for each name, the binders above e given it: a name neither counted
-    there nor free in a scope itself names nothing free in it, and the
-    scope's names are read only otherwise.  memo keeps what the nodes of
-    e's scope became, by object, so a node read back once and shared is
-    named once."""
-    cls = type(e)
-    if cls is Var:
-        name = ren.get(e.name, e.name)
-        return e if name == e.name else Var(name)
-    if cls is Atom:
-        args = [_named(a, ren, inuse, memo) for a in e.args]
-        return e if all(map(is_, args, e.args)) else Atom(e.name, tuple(args))
-    out = memo.get(id(e))
-    if out is None:
-        get, one, plan = _PLANS[cls]
-        old = (get(e),) if one else get(e)
-        vals = list(old)
-        for i, binders in plan:
-            sub, shadowed = vals[i], []
-            for j in binders:
-                x = vals[j]
-                name = x if type(x) is str else x[0]
-                if inuse.get(name) or name in free_vars(sub):
-                    taken = {ren.get(y, y) for y in free_vars(sub) if y != x}
-                    if name in taken:
-                        name = fresh_name(name, taken)
-                shadowed.append((x, ren.get(x)))
-                vals[j] = ren[x] = name
-                inuse[name] = inuse.get(name, 0) + 1
-            vals[i] = _named(sub, ren, inuse, {} if binders else memo)
-            for j, (x, before) in zip(reversed(binders), reversed(shadowed)):
-                inuse[vals[j]] -= 1
-                if before is None:
-                    del ren[x]
-                else:
-                    ren[x] = before
-        out = e if all(map(is_, vals, old)) else cls(*vals)
-        memo[id(e)] = out
-    return out
+def _spend(fuel: list) -> None:
+    """Count one contraction against fuel, a list of the number left."""
+    fuel[0] -= 1
+    if fuel[0] < 0:
+        raise NormalizationOverflow(
+            f"term normalization exceeded {FUEL} steps")
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+# A value is what evaluate makes of a term: a tuple headed by the class of
+# the normal form it reads back as (see read_back).  A closure (Lam, env,
+# lam, fuel, kept) is lam with env, a dict, for its bound variables, the
+# fuel left to the term it came from, and kept, a list that _opened fills
+# once the closure has been applied.  A variable (Var, x) is free in the
+# term or made by new_variable.  (Pair, v, w), (Inl, v) and (Inr, v) hold
+# values.  A stuck elimination (App, n, v), (Proj1, n) or (Proj2, n)
+# eliminates a variable, another stuck elimination, or a case (Case, n,
+# x, y, v, w) or split (Split, n, x, y, v) of one, whose branches are
+# evaluated with new variables named x and y.
+
+def new_variable():
+    """A variable value named by a new object, equal to no other name."""
+    return (Var, object())
 
 
 def evaluate(t: TermExpr, env: Optional[dict] = None,
              fuel: Optional[list] = None):
-    """The value of t, with env for its bound variables: it contracts the
-    beta, projection, case and split redexes and the identity case and
-    split, and erases annotations, but reduces nothing under a lambda; at
-    most fuel[0] redexes (FUEL for a term of its own), or it raises
-    NormalizationOverflow.  A spine of eliminations is read with a loop,
-    and a contraction at the head continues it, so a term that reduces
-    forever runs out of fuel, not of stack."""
+    """The value of t, with env for its bound variables: it contracts what
+    normalize_term contracts but nothing under a lambda, at most fuel[0]
+    redexes (FUEL for a term of its own) or NormalizationOverflow is
+    raised.  A spine of eliminations is read with a loop, and as in
+    normalize_term a contraction at the head continues it, so a term that
+    reduces forever runs out of fuel, not of stack."""
     env = {} if env is None else env
     fuel = [FUEL] if fuel is None else fuel
     while True:
@@ -804,7 +821,7 @@ def evaluate(t: TermExpr, env: Optional[dict] = None,
         if cls is Var:
             return env.get(t.name) or (Var, t.name)
         if cls is Lam:
-            return (Lam, env, t, fuel)
+            return (Lam, env, t, fuel, [])
         if cls is Pair:
             return (Pair, evaluate(t.fst, env, fuel),
                     evaluate(t.snd, env, fuel))
@@ -830,7 +847,7 @@ def evaluate(t: TermExpr, env: Optional[dict] = None,
                 if v[0] is Lam:
                     _spend(fuel)
                     if not spine:
-                        t, env = v[2].body, {**v[1], v[2].var: a}
+                        t, env = _opened(v, a)
                         break
                 v = applied(v, a)
             else:
@@ -847,18 +864,17 @@ def evaluate(t: TermExpr, env: Optional[dict] = None,
                 else:
                     env, t = {**env, t.rvar: n[1]}, t.rbranch
                 continue
-            x, y = map(new_variable, (t.var1, t.var2) if cls is Split
-                       else (t.lvar, t.rvar))
+            x, y = new_variable(), new_variable()
             if cls is Split:
                 body = evaluate(t.body, {**env, t.var1: x, t.var2: y}, fuel)
-                if body[0] is Pair and body[1] is x and body[2] is y:
+                if body[0] is Pair and body[1] == x and body[2] == y:
                     _spend(fuel)
                     return n
                 return (Split, n, x[1], y[1], body)
             left = evaluate(t.lbranch, {**env, t.lvar: x}, fuel)
             right = evaluate(t.rbranch, {**env, t.rvar: y}, fuel)
-            if (left[0] is Inl and left[1] is x
-                    and right[0] is Inr and right[1] is y):
+            if (left[0] is Inl and left[1] == x
+                    and right[0] is Inr and right[1] == y):
                 _spend(fuel)
                 return n
             return (Case, n, x[1], y[1], left, right)
@@ -868,10 +884,33 @@ def evaluate(t: TermExpr, env: Optional[dict] = None,
 
 def applied(v, a):
     """The value of v applied to the value a (a closure's contraction is
-    counted by its caller)."""
+    counted by its caller).  A closure applied before is applied through
+    its body's normal form (see _opened)."""
     if v[0] is Lam:
-        return evaluate(v[2].body, {**v[1], v[2].var: a}, v[3])
+        return evaluate(*_opened(v, a), v[3])
     return (App, v, a)
+
+
+def _opened(v, a):
+    """The term and env that closure v applied to a evaluates.  The first
+    time, they are v's body and env.  After that, they are the normal form
+    of v's body, read back once with a new variable for its binder and
+    kept on v, and that variable bound to a alone.  So a closure applied
+    again and again, as f is in d = \\f:a->a. \\x:a. f (f x), makes its
+    body's contractions once, and d applied k times costs k applications
+    of each closure, not 2^k.  A variable of that normal form evaluates to
+    a new value of the same name, which is why evaluate tells a split's
+    or a case's own variables by ==."""
+    _, env, lam, fuel, kept = v
+    if not kept:
+        kept.append(None)
+        return lam.body, {**env, lam.var: a}
+    if kept[0] is None:
+        x = new_variable()
+        body = evaluate(lam.body, {**env, lam.var: x}, fuel)
+        kept[0] = x[1], _read_back(body, {}, None, {})
+    x, body = kept[0]
+    return body, {x: a}
 
 
 def projected(v, proj):
@@ -882,41 +921,42 @@ def projected(v, proj):
     return (proj, v)
 
 
-def read_back(v, names=None, type_norm=None, memo=None) -> TermExpr:
-    """The normal form value v reads back as: type_norm is as in
-    normalize_term, and names, a dict, may rename variables new_variable
-    made; the others are named by their objects.  A closure is read back
-    applied to a new variable hinted with its binder's name.  memo, made
-    by the first call and passed down, keeps what each value read back
-    as, by the value object, so a value bound once and used twice is read
-    back once."""
-    names = {} if names is None else names
+def read_back(v, names=None, type_norm=None) -> TermExpr:
+    """The normal form value v reads back as, normalize_term's up to the
+    names of its binders: type_norm is as there, and names, a dict, may
+    rename variables new_variable made.  A closure is read back applied
+    to a new variable.  A value v holds twice, as the value of
+    (\\x:a. <x, x>) y holds that of y, is read back once, and its normal
+    form is shared."""
+    return _read_back(v, {} if names is None else names, type_norm, {})
+
+
+def _read_back(v, names: dict, type_norm, memo: dict) -> TermExpr:
+    """read_back, with memo keeping what each value read back as, by the
+    value object."""
     tag = v[0]
     if tag is Var:
         return Var(names.get(v[1], v[1]))
-    memo = {} if memo is None else memo
     hit = memo.get(id(v))
     if hit is not None:
         return hit[1]
     if tag is Lam:
-        _, env, lam, fuel = v
-        x = new_variable(lam.var)
-        dom = subst(lam.dom, {y: read_back(env[y], names, type_norm, memo)
+        _, env, lam, fuel, _ = v
+        x = new_variable()
+        dom = subst(lam.dom, {y: _read_back(env[y], names, type_norm, memo)
                               for y in free_vars(lam.dom) if y in env})
         body = evaluate(lam.body, {**env, lam.var: x}, fuel)
         out = Lam(x[1], dom if type_norm is None else type_norm(dom),
-                  read_back(body, names, type_norm, memo))
+                  _read_back(body, names, type_norm, memo))
+    elif tag is Case or tag is Split:
+        n = _read_back(v[1], names, type_norm, memo)
+        x, y = names.get(v[2], v[2]), names.get(v[3], v[3])
+        bodies = [_read_back(body, names, type_norm, memo) for body in v[4:]]
+        out = (Case(n, x, bodies[0], y, bodies[1]) if tag is Case
+               else Split(n, x, y, bodies[0]))
     else:
-        # one frame a level: a comprehension would be a second
-        n = read_back(v[1], names, type_norm, memo)
-        if tag is Case or tag is Split:
-            x, y = names.get(v[2], v[2]), names.get(v[3], v[3])
-            w = read_back(v[4], names, type_norm, memo)
-            out = (Split(n, x, y, w) if tag is Split else
-                   Case(n, x, w, y, read_back(v[5], names, type_norm, memo)))
-        else:
-            out = (tag(n) if len(v) == 2 else
-                   tag(n, read_back(v[2], names, type_norm, memo)))
+        out = tag(*[_read_back(part, names, type_norm, memo)
+                    for part in v[1:]])
     # v is kept beside what it read back as, so no other value takes its id
     memo[id(v)] = v, out
     return out

@@ -3,11 +3,10 @@
 It is how the kernel compared normal forms before it compared values:
 _teq takes the eta arms and the injections, _atomic_eq the case and
 split terms, and _neutral_eq the spines, reading Fun apart from Pi and
-Proj1 apart from Proj2.  It normalizes with normalize_oracle, by
-substitution, and opens binders with open_binders, so it uses none of
-the kernel's private names and no evaluation, and it binds by building
-contexts.  Tests compare opptypes.term_equal against _teq on normal
-forms of checked terms.
+Proj1 apart from Proj2.  It normalizes with the public normalize_term
+and opens binders with open_binders, so it uses none of the kernel's
+private names, and it binds by building contexts.  Tests compare
+opptypes.term_equal against _teq on normal forms of checked terms.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from opptypes import (App, Case, CoFun, Fun, Inl, Inr, Pi, Prod, Proj1,
                       Proj2, Sigma, Split, Sum, Var, onf, subst_type)
 from opptypes.duality import components, halves
 from opptypes.kernel import Context, TermDecl
-from opptypes.syntax import TermExpr, TypeExpr, alpha_eq, open_binders
-
-from normalize_oracle import normalize_term
+from opptypes.syntax import (TermExpr, TypeExpr, alpha_eq, normalize_term,
+                             open_binders)
 
 
 def _norm(t: TermExpr) -> TermExpr:

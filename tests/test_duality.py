@@ -20,11 +20,10 @@ from opptypes import (Atom, Basis, CoFun, Fun, IllFormedType, Opp, Pi, Prod,
                       recheck, subst_type, type_equal, uses_only_basis)
 from opptypes.duality import DUALS, FAMILY, _neg, components, equiv, halves
 from opptypes.logic import CONNECTIVES, Formula, Neg, Pred
-from opptypes.syntax import TypeExpr
+from opptypes.syntax import TypeExpr, normalize_term
 
 from generators import (rand_type, std_ctx, types, unnormalize,
                         with_term_args)
-from normalize_oracle import normalize_term
 from rewrite_oracle import (rewrite_to_fixpoint, step_innermost,
                             step_outermost)
 

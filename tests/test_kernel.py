@@ -1203,7 +1203,7 @@ def _agree_with_oracle(ctx, goal, terms):
     and by teq_oracle on normal forms; the number of pairs, and of those
     equal but not alpha-equal."""
     pairs = equal_not_alpha = 0
-    normal = [teq_oracle._norm(t) for t in terms]
+    normal = [normalize_term(t, type_norm=onf) for t in terms]
     for (t, nt), (u, nu) in product(zip(terms, normal), repeat=2):
         equal = teq_oracle._teq(ctx, nt, nu, goal)
         assert term_equal(ctx, t, u, goal) == equal, (t, u)

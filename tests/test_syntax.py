@@ -19,12 +19,12 @@ from opptypes import (EMPTY, Ann, App, Atom, Basis, Case, CoFun, Fun, Inl,
                       Proj1, Proj2, Split, TermExpr, TypeExpr, Var, alpha_eq,
                       check, declare_type_const, dual, expand_in_basis,
                       free_vars, is_onf, normalize_term, onf, parse_term,
-                      subst, subst_term, subst_type, uses_only_basis)
+                      parse_type, subst, subst_term, subst_type,
+                      term_equal, uses_only_basis)
 from opptypes.syntax import SCOPES, all_names
 
 import binding_oracle as oracle
-import normalize_oracle
-from generators import rand_term, terms, types
+from generators import rand_term, std_ctx, terms, types
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -351,115 +351,17 @@ class TestNormalize:
                            match="exceeded 1000 steps"):
             normalize_term(omega)
 
-    def test_a_binder_is_renamed_only_apart_from_its_scope(self):
-        # the argument's free b would be captured by the inner \b; the
-        # oracle renames that binder apart from every name the redex
-        # holds, the read-back apart from what is free in its body alone
-        t = parse_term("(\\b1:a. \\b:a. b1 d) (\\z:a. b)")
-        assert normalize_term(t) == Lam("b1", a, Var("b"))
-        assert normalize_oracle.normalize_term(t) == Lam("b2", a, Var("b"))
-
-    def test_a_value_used_twice_is_read_back_once(self):
-        # (\x:a. <x, x>) applied k times has a normal form of 2^k leaves
-        # as a tree, of k pairs as shared nodes
-        dup = Lam("x", a, Pair(Var("x"), Var("x")))
-        counts = []
-        for k in (20, 40):
-            t = Var("y")
-            for _ in range(k):
-                t = App(dup, t)
-            with _calls_of("evaluate", "read_back") as calls:
-                out = normalize_term(t)
-            counts.append(calls)
-            for _ in range(k - 1):
-                assert out.fst is out.snd
-                out = out.fst
-            assert out == Pair(Var("y"), Var("y"))
-        for name in ("evaluate", "read_back"):
-            assert counts[1][name] <= 2.2 * counts[0][name], counts
-
-    def test_a_normal_chain_is_returned_as_it_is(self):
-        counts = []
-        for n in (400, 800):
-            t, _ = _lambda_chain(n, Var("x0"))
-            with _calls_of("evaluate", "read_back") as calls:
-                assert normalize_term(t, type_norm=onf) is t
-            counts.append(calls)
-        assert counts == [{"evaluate": n + 1, "read_back": n + 1}
-                          for n in (400, 800)]
-
-    @pytest.mark.parametrize("arg", ["x", "\\y:a. y"])
-    def test_a_dependent_domain_is_read_back_with_its_argument(
-            self, arg, monkeypatch):
-        # the one substitution read_back makes: the argument's read-back
-        # into the domain of the lambda the redex returns; a lambda's
-        # read-back brings a binder new_variable made into the type
-        substs, subst = [], syntax.subst
-        monkeypatch.setattr(syntax, "subst", lambda e, m: (
-            substs.append(m) if m else None) or subst(e, m))
-        t = parse_term(f"(\\u:a. \\h:~~p(u). h) ({arg})")
-        assert normalize_term(t, type_norm=onf) == parse_term(
-            f"\\h:p({arg}). h")
-        assert [list(m) for m in substs] == [["u"]]
-
-    def test_agrees_with_the_substitution_oracle(self, monkeypatch):
-        # the same normal forms up to alpha on every input, and the same
-        # names where the oracle invents none: it may rename a binder the
-        # read-back keeps
-        monkeypatch.setattr(syntax, "FUEL", 50)
-        rng = random.Random(35)
-        compared = 0
-        for _ in range(4000):
-            t = rand_term(rng, rng.randint(1, 6))
-            try:
-                want = normalize_oracle.normalize_term(t, type_norm=onf)
-                got = normalize_term(t, type_norm=onf)
-            except NormalizationOverflow:
-                continue
-            assert alpha_eq(got, want), (t, got, want)
-            if _bound_names(want) <= all_names(t):
-                assert got == want, (t, got, want)
-            compared += 1
-        assert compared >= 3900
-
-
-@contextmanager
-def _calls_of(*names):
-    """The number of calls of each of the named functions of syntax while
-    the block runs, kept in the dict yielded.  They are counted by a
-    profile function, which adds no frame to the calls counted."""
-    codes = {getattr(syntax, name).__code__: name for name in names}
-    calls = dict.fromkeys(names, 0)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in codes:
-            calls[codes[frame.f_code]] += 1
-
-    saved = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        yield calls
-    finally:
-        sys.setprofile(saved)
-
-
-def _bound_names(e):
-    """Every name a binder of e binds, in its terms and types alike."""
-    out, todo = set(), [e]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, Atom):
-            todo += e.args
-        elif not isinstance(e, Var):
-            for sub, *binders in SCOPES[type(e)]:
-                todo.append(getattr(e, sub))
-                out.update(getattr(e, x) for x in binders)
-    return out
+    def test_a_function_applied_twice_k_deep_normalizes(self):
+        # d^k id, and d^k id c as a family argument: each argument is
+        # normalized before it is substituted, so d's f is \x:a. x
+        t = _twice_nest(20, "a", "\\y:a. y")
+        assert normalize_term(t) == parse_term("\\x:a. x")
+        assert onf(Atom("p", (App(t, Var("c")),))) == Atom("p", (Var("c"),))
 
 
 class TestEvaluate:
-    """syntax.evaluate and read_back, which term_equal compares through and
-    normalize_term names, against the substitution oracle."""
+    """syntax.evaluate and read_back, which term_equal compares through,
+    against normalize_term."""
 
     @given(terms())
     @settings(max_examples=300, deadline=None)
@@ -468,17 +370,13 @@ class TestEvaluate:
         # out of fuel on says nothing
         saved, syntax.FUEL = syntax.FUEL, 300
         try:
-            nf = normalize_oracle.normalize_term(t, type_norm=onf)
+            nf = normalize_term(t, type_norm=onf)
             back = syntax.read_back(syntax.evaluate(t), type_norm=onf)
-            named = normalize_term(t, type_norm=onf)
         except NormalizationOverflow:
             return
         finally:
             syntax.FUEL = saved
         assert alpha_eq(back, nf), (t, back, nf)
-        assert alpha_eq(named, nf), (t, named, nf)
-        if _bound_names(nf) <= all_names(t):
-            assert named == nf, (t, named, nf)
 
     @pytest.mark.parametrize("body", [
         "x x",
@@ -500,6 +398,96 @@ class TestEvaluate:
             assert syntax.evaluate(parse_term(text)) == z
         kept = syntax.evaluate(parse_term("split z as (x, x) => <x, x>"))
         assert kept[0] is Split and kept[1] == z
+
+    def test_an_identity_elimination_holds_through_a_kept_normal_form(self):
+        # k's second application evaluates its kept normal form, whose x
+        # is a new value of x's name: the contraction tells x by name
+        k = "(\\k:a->a. (\\w:a. {}) (k x)) (\\u:a. x)"
+        z = (Var, "z")
+        for text in ("split z as (x, y) => " + k.format("<k w, y>"),
+                     "case z of { inl x => " + k.format("inl (k w)")
+                     + " | inr y => inr y }"):
+            assert syntax.evaluate(parse_term(text)) == z
+
+    @pytest.mark.parametrize("dom, f", [
+        ("a", "\\y:a. y"),
+        # a new pair at each application: its closures are applied to a
+        # new value each time, so only the kept normal form is reused
+        ("a * a", "\\y:a * a. <p1 y, p2 y>")])
+    def test_a_function_applied_twice_k_deep_is_opened_once(self, dom, f):
+        # d = \f. \x. f (f x) applied k times: each closure's body is
+        # evaluated twice, not 2^k times, once with its argument and once
+        # to keep its normal form for the applications after
+        counts = []
+        for k in (20, 40):
+            t = _twice_nest(k, dom, f)
+            with _calls_of("evaluate") as calls:
+                out = syntax.read_back(syntax.evaluate(t))
+            counts.append(calls["evaluate"])
+            assert alpha_eq(out, normalize_term(t)), out
+        assert counts[1] <= 2.2 * counts[0], counts
+        A = parse_type(dom)
+        assert term_equal(std_ctx(), t, parse_term(f), Fun(A, A))
+
+    def test_a_swap_applied_twice_k_deep_is_the_identity(self):
+        swap = "\\y:a * a. <p2 y, p1 y>"
+        t, A = _twice_nest(20, "a * a", swap), parse_type("a * a")
+        ctx = std_ctx()
+        assert term_equal(ctx, t, parse_term("\\y:a * a. y"), Fun(A, A))
+        assert not term_equal(ctx, t, parse_term(swap), Fun(A, A))
+
+    def test_a_value_used_twice_is_read_back_once(self):
+        # (\x:a. <x, x>) applied k times has a normal form of 2^k leaves
+        # as a tree, of k pairs as shared nodes
+        dup = Lam("x", a, Pair(Var("x"), Var("x")))
+        counts = []
+        for k in (20, 40):
+            t = Var("y")
+            for _ in range(k):
+                t = App(dup, t)
+            with _calls_of("evaluate", "_read_back") as calls:
+                out = syntax.read_back(syntax.evaluate(t))
+            counts.append(calls)
+            for _ in range(k - 1):
+                assert out.fst is out.snd
+                out = out.fst
+            assert out == Pair(Var("y"), Var("y"))
+        for name in ("evaluate", "_read_back"):
+            assert counts[1][name] <= 2.2 * counts[0][name], counts
+
+    @pytest.mark.parametrize("text, normal", [
+        ("(\\u:a. \\h:~~p(u). h) x", "\\h:p(x). h"),
+        ("(\\u:a. \\h:~~p(u). h) (\\y:a. y)", "\\h:p(\\y:a. y). h"),
+        # g y and g z read the domain of g's kept normal form
+        ("(\\g:a. <g x, <g y, g z>>) (\\u:a. \\h:~~p(u). h)",
+         "<\\h:p(x). h, <\\h:p(y). h, \\h:p(z). h>>")])
+    def test_a_dependent_domain_is_read_back_with_its_argument(
+            self, text, normal):
+        back = syntax.read_back(syntax.evaluate(parse_term(text)),
+                                type_norm=onf)
+        assert alpha_eq(back, parse_term(normal)), back
+
+    def test_agrees_with_normalize_term_on_generated_terms(
+            self, monkeypatch):
+        # half the terms apply one closure twice, so that the second
+        # application reads the closure's kept normal form
+        monkeypatch.setattr(syntax, "FUEL", 50)
+        rng = random.Random(35)
+        compared = 0
+        for i in range(4000):
+            t = rand_term(rng, rng.randint(1, 6))
+            if i % 2:
+                f = Lam("y", a, rand_term(rng, rng.randint(1, 4)))
+                t = App(parse_term("\\f:a->a. \\x:a. f (f x)"), f)
+                t = App(t, rand_term(rng, rng.randint(0, 3)))
+            try:
+                want = normalize_term(t, type_norm=onf)
+                got = syntax.read_back(syntax.evaluate(t), type_norm=onf)
+            except NormalizationOverflow:
+                continue
+            assert alpha_eq(got, want), (t, got, want)
+            compared += 1
+        assert compared >= 3600, compared
 
 
 class TestSimultaneousSubst:
@@ -527,6 +515,36 @@ class TestSimultaneousSubst:
     def test_repeated_split_binder_is_the_second_component(self):
         t = Split(Pair(Var("y"), Var("w")), "x", "x", Var("x"))
         assert normalize_term(t) == Var("w")
+
+
+def _twice_nest(k, dom, f):
+    """d applied k times to the term f, for d = \\f:A->A. \\x:A. f (f x)
+    and A the type dom."""
+    t = parse_term(f)
+    d = parse_term(f"\\f:{dom}->{dom}. \\x:{dom}. f (f x)")
+    for _ in range(k):
+        t = App(d, t)
+    return t
+
+
+@contextmanager
+def _calls_of(*names):
+    """The number of calls of each of the named functions of syntax while
+    the block runs, kept in the dict yielded.  They are counted by a
+    profile function, which adds no frame to the calls counted."""
+    codes = {getattr(syntax, name).__code__: name for name in names}
+    calls = dict.fromkeys(names, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(saved)
 
 
 def _lambda_chain(n, body):
