@@ -897,9 +897,9 @@ def _opened(v, a):
     of v's body, read back once with a new variable for its binder and
     kept on v, and that variable bound to a alone.  So a closure applied
     again and again, as f is in d = \\f:a->a. \\x:a. f (f x), makes its
-    body's contractions once, and d applied k times costs k applications
-    of each closure, not 2^k.  A variable of that normal form evaluates to
-    a new value of the same name, which is why evaluate tells a split's
+    body's contractions once, and d applied k times to \\y:a. y takes
+    steps linear in k, not 2^k.  A variable of that normal form evaluates
+    to a new value of the same name, which is why evaluate tells a split's
     or a case's own variables by ==."""
     _, env, lam, fuel, kept = v
     if not kept:
