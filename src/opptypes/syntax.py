@@ -948,15 +948,17 @@ def _read_back(v, names: dict, type_norm, memo: dict) -> TermExpr:
         body = evaluate(lam.body, {**env, lam.var: x}, fuel)
         out = Lam(x[1], dom if type_norm is None else type_norm(dom),
                   _read_back(body, names, type_norm, memo))
-    elif tag is Case or tag is Split:
-        n = _read_back(v[1], names, type_norm, memo)
-        x, y = names.get(v[2], v[2]), names.get(v[3], v[3])
-        bodies = [_read_back(body, names, type_norm, memo) for body in v[4:]]
-        out = (Case(n, x, bodies[0], y, bodies[1]) if tag is Case
-               else Split(n, x, y, bodies[0]))
     else:
-        out = tag(*[_read_back(part, names, type_norm, memo)
-                    for part in v[1:]])
+        # one frame a level, as evaluate takes: a comprehension is another
+        n = _read_back(v[1], names, type_norm, memo)
+        if tag is Case or tag is Split:
+            x, y = names.get(v[2], v[2]), names.get(v[3], v[3])
+            w = _read_back(v[4], names, type_norm, memo)
+            out = (Split(n, x, y, w) if tag is Split else
+                   Case(n, x, w, y, _read_back(v[5], names, type_norm, memo)))
+        else:
+            out = (tag(n) if len(v) == 2 else
+                   tag(n, _read_back(v[2], names, type_norm, memo)))
     # v is kept beside what it read back as, so no other value takes its id
     memo[id(v)] = v, out
     return out

@@ -436,6 +436,17 @@ class TestEvaluate:
         assert term_equal(ctx, t, parse_term("\\y:a * a. y"), Fun(A, A))
         assert not term_equal(ctx, t, parse_term(swap), Fun(A, A))
 
+    def test_a_kept_normal_form_is_read_back_one_frame_a_level(self):
+        # f's body is 800 pairs deep, as deep as evaluate takes it under
+        # the default recursion limit; its second application reads the
+        # body back
+        body = Var("y")
+        for _ in range(800):
+            body = Pair(Var("y"), body)
+        t = App(parse_term("\\f:a. <f c, f c>"), Lam("y", a, body))
+        back = syntax.read_back(syntax.evaluate(t))
+        assert alpha_eq(back, normalize_term(t))
+
     def test_a_value_used_twice_is_read_back_once(self):
         # (\x:a. <x, x>) applied k times has a normal form of 2^k leaves
         # as a tree, of k pairs as shared nodes
